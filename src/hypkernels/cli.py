@@ -1,9 +1,9 @@
 """Command-line entry point: gram computation, validation suites, training.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 input/parse error,
-3 geometry error, 4 training divergence.  Every command is deterministic
-given config plus seeds; floating-point output is formatted with 17
-significant digits so reruns are byte-identical.
+3 geometry error, 4 training divergence, 5 numerical error.  Every
+command is deterministic given config plus seeds; floating-point output
+is formatted with 17 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,17 +16,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import check_identities, check_isometry, check_psd, sample_ball_points
+from .checks import (check_identities, check_isometry, check_psd,
+                     random_multiplier, sample_ball_points)
 from .diff import DEFAULT_BLOCKS, ParamVector, materialize
 from .geometry import Curvature, GeometryError, TangentVector, clip_project, exp0
 from .kernels import ConfigError, KernelConfig, RadialCoeffs, gram
-from .learning import DivergenceError, Projection, RunConfig, evaluate, gen_tree_dataset, train
+from .learning import (DivergenceError, Projection, RunConfig, evaluate,
+                       gen_tree_dataset, init_params, params_to_kernel_config,
+                       train)
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_GEOMETRY_ERROR = 3
 EXIT_DIVERGENCE = 4
+EXIT_NUMERICAL_ERROR = 5
 
 CONFIG_VERSION = 1
 
@@ -71,41 +75,24 @@ def _parse_projection(obj: dict) -> Projection:
     return Projection(obj.get("kind", "exp0"), obj.get("beta"), obj.get("eps"))
 
 
+# Kernel keys and how each is read; absent keys take the RunConfig defaults.
 KERNEL_KEYS = {
-    "variant", "m", "truncation", "offset", "degree", "bandwidth",
-    "init_seed", "init_scale",
+    "variant": str, "m": int, "truncation": int, "offset": float,
+    "degree": int, "bandwidth": float, "init_seed": int, "init_scale": float,
 }
 
 
-def _build_kernel_params(kobj: dict, dim: int, curvature: float) -> ParamVector:
-    rng = np.random.default_rng(int(kobj.get("init_seed", 0)))
-    scale = float(kobj.get("init_scale", 0.1))
-    m = int(kobj.get("m", 2))
-    truncation = int(kobj.get("truncation", 50))
-    pole_raws = scale * rng.standard_normal((m, dim))
-    weight_logits = scale * rng.standard_normal(m)
-    radial_raws = 0.5 + scale * rng.standard_normal(truncation + 1)
-    return ParamVector(pole_raws, weight_logits, radial_raws, fixed_c=curvature)
+def _kernel_fields(kobj: dict) -> dict:
+    _check_keys(kobj, KERNEL_KEYS.keys(), "kernel")
+    return {k: read(kobj[k]) for k, read in KERNEL_KEYS.items() if k in kobj}
 
 
 def _kernel_config_from_json(kobj: dict, dim: int, curvature: float) -> KernelConfig:
-    _check_keys(kobj, KERNEL_KEYS, "kernel")
-    variant = kobj.get("variant")
-    if variant is None:
+    fields = _kernel_fields(kobj)
+    if kobj.get("variant") is None:
         raise ConfigFileError("kernel.variant is required")
-    p = _build_kernel_params(kobj, dim, curvature)
-    params, radial, curv = materialize(p)
-    if variant == "da":
-        return KernelConfig("da", curvature=curv)
-    kwargs = {}
-    if variant == "ahpoly":
-        kwargs = {"offset": float(kobj.get("offset", 1.0)),
-                  "degree": int(kobj.get("degree", 2))}
-    elif variant in ("ahrbf", "ahlap"):
-        kwargs = {"bandwidth": float(kobj.get("bandwidth", 1.0))}
-    elif variant == "ahrad":
-        kwargs = {"radial": radial}
-    return KernelConfig(variant, params=params, **kwargs)
+    run_config = RunConfig(dim=dim, curvature=curvature, **fields)
+    return params_to_kernel_config(run_config, init_params(run_config))
 
 
 def _read_features(path: str):
@@ -189,6 +176,9 @@ def cmd_gram(args) -> int:
     except (GeometryError, ConfigError) as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY_ERROR
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
     with open(args.out, "w", newline="") as fh:
         for row in G.entries:
             fh.write(",".join(fmt_complex(complex(v)) for v in row) + "\n")
@@ -215,8 +205,6 @@ def _psd_suite(cfg, seed, tol, out_records):
         for dim in cfg.get("dims", [1, 2, 8]):
             curvature = Curvature(float(c))
             points = sample_ball_points(rng, n_points, int(dim), curvature)
-            from .checks import random_multiplier
-
             params = random_multiplier(rng, m, int(dim), curvature)
             radial = RadialCoeffs(rng.uniform(0.1, 1.0, 51))
             variants = [
@@ -304,8 +292,7 @@ STS_KEYS = {"temperature", "batch"}
 
 def _run_config_from_json(cfg: dict, seed_override=None) -> RunConfig:
     _check_keys(cfg, RUN_KEYS, "config")
-    kobj = cfg.get("kernel", {})
-    _check_keys(kobj, KERNEL_KEYS, "kernel")
+    kernel = _kernel_fields(cfg.get("kernel", {}))
     dobj = cfg.get("dataset", {})
     _check_keys(dobj, DATASET_KEYS, "dataset")
     eobj = cfg.get("episode", {})
@@ -320,12 +307,6 @@ def _run_config_from_json(cfg: dict, seed_override=None) -> RunConfig:
                      else cfg.get("train_seed", 1))
     return RunConfig(
         task=cfg.get("task", "fsl"),
-        variant=kobj.get("variant", "ahrad"),
-        m=int(kobj.get("m", 2)),
-        truncation=int(kobj.get("truncation", 8)),
-        offset=kobj.get("offset"),
-        degree=kobj.get("degree"),
-        bandwidth=kobj.get("bandwidth"),
         curvature=float(cfg.get("curvature", 1.0)),
         train_curvature=bool(cfg.get("train_curvature", False)),
         projection=_parse_projection(cfg.get("projection", {})),
@@ -343,14 +324,13 @@ def _run_config_from_json(cfg: dict, seed_override=None) -> RunConfig:
         lr=float(oobj.get("lr", 0.05)),
         steps=int(oobj.get("steps", 200)),
         blocks=tuple(oobj.get("blocks", list(DEFAULT_BLOCKS))),
-        init_seed=int(kobj.get("init_seed", 0)),
-        init_scale=float(kobj.get("init_scale", 0.1)),
         train_seed=train_seed,
         eval_episodes=int(vobj.get("episodes", 200)),
         eval_seed=int(vobj.get("seed", 2)),
         score_mode=cfg.get("score_mode", "distance"),
         sts_temperature=float(sobj.get("temperature", 0.5)),
         sts_batch=int(sobj.get("batch", 8)),
+        **kernel,
     )
 
 
@@ -416,6 +396,9 @@ def cmd_train(args) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
     with open(out_dir / "loss_trace.csv", "w", newline="") as fh:
         fh.write("step,loss\n")
         for i, v in enumerate(run.loss_trace):
@@ -449,8 +432,6 @@ def cmd_eval(args) -> int:
         print("error: parameter file does not match the run configuration",
               file=sys.stderr)
         return EXIT_INPUT_ERROR
-    from .learning import params_to_kernel_config
-
     dataset = gen_tree_dataset(
         run_config.dataset_seed, run_config.depth, run_config.branching,
         run_config.dim, run_config.noise_sigma, run_config.samples_per_leaf,

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BallPoint, Curvature, check_compatible
-from .rkhs import MultiplierParams, da_kernel, dbr_kernel, rkhs_distance_sq
+from .geometry import BallPoint, Curvature
+from .rkhs import MultiplierParams, _distance_sq, _kernel_matrix
 
 VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
 
-DEFAULT_TRUNCATION = 50
 MAX_GRAM_SIZE = 1024
 
 
@@ -151,77 +150,70 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
+def _base(K: np.ndarray) -> np.ndarray:
+    diag = K.diagonal().real
+    return np.abs(K) ** 2 / np.outer(diag, diag)
+
+
+def _family(config: KernelConfig, K: np.ndarray) -> np.ndarray:
+    """Turn the de Branges-Rovnyak (or Drury-Arveson) matrix K into the variant."""
+    variant = config.variant
+    if variant in ("da", "ahl"):
+        return K
+    if variant == "ahpoly":
+        return (K + config.offset) ** int(config.degree)
+    if variant == "ahrbf":
+        return np.exp(-_distance_sq(K) / (2.0 * config.bandwidth**2))
+    if variant == "ahlap":
+        return np.exp(-np.sqrt(_distance_sq(K)) / config.bandwidth)
+    beta = _base(K)
+    if variant == "base":
+        return beta
+    total = np.zeros_like(beta)
+    for alpha in config.radial.alphas[::-1]:
+        total = total * beta + alpha
+    return total
+
+
 def base_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> float:
     """Squared cosine similarity |k(z_i,z_j)|^2 / (k(z_i,z_i) k(z_j,z_j)).
 
     Bounded in [0, 1] by Cauchy-Schwarz; equals 1 on the diagonal.
     """
-    k_ij = dbr_kernel(params, z_i, z_j)
-    k_ii = dbr_kernel(params, z_i, z_i).real
-    k_jj = dbr_kernel(params, z_j, z_j).real
-    return float(abs(k_ij) ** 2 / (k_ii * k_jj))
+    return float(_base(_kernel_matrix(params, [z_i, z_j]))[0, 1])
 
 
 def ahrad(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> float:
     """Truncated radial series sum_{l=0}^K alpha_l * base(z_i,z_j)^l."""
     if config.variant != "ahrad":
         raise ConfigError("ahrad evaluation requires an ahrad config")
-    beta = base_kernel(config.params, z_i, z_j)
-    total = 0.0
-    for alpha in config.radial.alphas[::-1]:
-        total = total * beta + alpha
-    return float(total)
+    return evaluate(config, z_i, z_j).real
 
 
 def evaluate(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> complex:
     """Evaluate the configured kernel at a pair of ball points."""
-    check_compatible(z_i, z_j)
-    variant = config.variant
-    if variant == "da":
-        return da_kernel(z_i, z_j)
-    if variant == "ahl":
-        return dbr_kernel(config.params, z_i, z_j)
-    if variant == "ahpoly":
-        return (dbr_kernel(config.params, z_i, z_j) + config.offset) ** int(
-            config.degree
-        )
-    if variant == "ahrbf":
-        d2 = rkhs_distance_sq(config.params, z_i, z_j)
-        return complex(np.exp(-d2 / (2.0 * config.bandwidth**2)))
-    if variant == "ahlap":
-        d2 = rkhs_distance_sq(config.params, z_i, z_j)
-        return complex(np.exp(-np.sqrt(d2) / config.bandwidth))
-    if variant == "base":
-        return complex(base_kernel(config.params, z_i, z_j))
-    return complex(ahrad(config, z_i, z_j))
+    return complex(_family(config, _kernel_matrix(config.params, [z_i, z_j]))[0, 1])
 
 
-def gram(
-    config: KernelConfig, points: list[BallPoint], max_size: int = MAX_GRAM_SIZE
-) -> GramMatrix:
+def gram(config: KernelConfig, points: list[BallPoint]) -> GramMatrix:
     """Assemble the Hermitian Gram matrix G[i][j] = k(z_i, z_j).
 
-    Only the upper triangle (plus diagonal) is evaluated; the lower
-    triangle mirrors the conjugates, so Hermitian symmetry is bit-exact
-    regardless of floating-point non-associativity.
+    The lower triangle is overwritten with the conjugates of the upper
+    one, so Hermitian symmetry is bit-exact regardless of floating-point
+    non-associativity.
     """
     n = len(points)
     if n < 1:
         raise ConfigError("at least one point is required")
-    if n > max_size:
-        raise ConfigError(f"point set of size {n} exceeds the maximum {max_size}")
-    for p in points[1:]:
-        check_compatible(points[0], p)
+    if n > MAX_GRAM_SIZE:
+        raise ConfigError(f"point set of size {n} exceeds the maximum {MAX_GRAM_SIZE}")
     kc = config.get_curvature()
     if kc is not None and kc != points[0].curvature:
         raise ConfigError("points do not match the configured curvature")
-    entries = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            v = evaluate(config, points[i], points[j])
-            entries[i, j] = v
-            if j > i:
-                entries[j, i] = np.conj(v)
+    K = _kernel_matrix(config.params, points)
+    entries = _family(config, K).astype(np.complex128)
+    lower = np.tril_indices(n, -1)
+    entries[lower] = entries.T[lower].conj()
     diag = entries.diagonal()
     if np.any(np.abs(diag.imag) > 1e-12) or np.any(diag.real <= 0.0):
         raise ArithmeticError("Gram diagonal must be real and positive")

@@ -21,6 +21,7 @@ from .diff import (
     ParamVector,
     RawView,
     grad,
+    materialize,
     step,
 )
 from .geometry import BallPoint, Curvature, geodesic_distance
@@ -194,10 +195,6 @@ def sample_episode(
     return Episode(np.array(support), np.array(query), tuple(int(c) for c in chosen))
 
 
-def _leaves_from_config(config: KernelConfig) -> gm.KernelLeaves:
-    return gm.KernelLeaves.from_config(config)
-
-
 def _episode_loss(leaves, episode: Episode, mode: str, projection: Projection):
     """Cross-entropy of queries against class prototypes; generic scalars.
 
@@ -227,7 +224,8 @@ def fsl_loss(
     projection: Projection = Projection(),
 ) -> float:
     """Mean negative log-probability of queries under prototype scores."""
-    return float(_episode_loss(_leaves_from_config(config), episode, mode, projection))
+    leaves = gm.KernelLeaves.from_config(config)
+    return float(_episode_loss(leaves, episode, mode, projection))
 
 
 def _zsl_loss(leaves, affine, semantics, visual, labels, mode, projection):
@@ -265,7 +263,7 @@ def zsl_loss(
     semantics = [row for row in np.asarray(class_embeddings)]
     return float(
         _zsl_loss(
-            _leaves_from_config(config), affine, semantics,
+            gm.KernelLeaves.from_config(config), affine, semantics,
             np.asarray(features), np.asarray(labels), mode, projection,
         )
     )
@@ -305,7 +303,7 @@ def sts_loss(
         raise ValueError("temperature must be positive")
     return float(
         _sts_loss(
-            _leaves_from_config(config), anchors, positives, negatives,
+            gm.KernelLeaves.from_config(config), anchors, positives, negatives,
             temperature, projection,
         )
     )
@@ -407,7 +405,7 @@ def evaluate(
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    leaves = _leaves_from_config(config) if config is not None else None
+    leaves = gm.KernelLeaves.from_config(config) if config is not None else None
     accs = []
     losses = []
     for _ in range(episodes):
@@ -437,9 +435,9 @@ class RunConfig:
     variant: str = "ahrad"
     m: int = 2
     truncation: int = 8
-    offset: float | None = None
-    degree: int | None = None
-    bandwidth: float | None = None
+    offset: float = 1.0
+    degree: int = 2
+    bandwidth: float = 1.0
     curvature: float = 1.0
     train_curvature: bool = False
     projection: Projection = Projection()
@@ -584,8 +582,6 @@ def _run_eval(config: RunConfig, dataset: LabeledSet, p: ParamVector) -> EvalRes
 
 
 def params_to_kernel_config(config: RunConfig, p: ParamVector) -> KernelConfig:
-    from .diff import materialize
-
     params, radial, _ = materialize(p)
     kwargs = {}
     if config.variant == "ahpoly":

@@ -14,9 +14,9 @@ import numpy as np
 from .geometry import (
     BallPoint,
     Curvature,
+    GeometryError,
     _interior_point,
     check_compatible,
-    hdot,
 )
 
 
@@ -73,23 +73,54 @@ class MultiplierParams:
         check_compatible(self.poles[0], z)
 
 
+def _multiplier_rows(params: MultiplierParams, Z: np.ndarray, c: float):
+    # Row k of the result is b(Z[k]).  Each pole a contributes
+    # s*[c(a*z)a/(1+s) - z]/(1 - (c a*z)^2), which is smooth at a = 0 (where
+    # it reduces to -z); the weighted sum over poles is one matrix product.
+    A = np.stack([a.coords for a in params.poles])
+    s = np.sqrt(1.0 - c * np.array([a.norm for a in params.poles]) ** 2)[:, None]
+    caz = c * (A.conj() @ Z.T)
+    coef = params.weights[:, None] * s / (1.0 - caz * caz)
+    B = (coef * caz / (1.0 + s)).T @ A - coef.sum(axis=0)[:, None] * Z
+    if np.any(np.sqrt(c) * np.linalg.norm(B, axis=1) >= 1.0):
+        raise GeometryError("operation produced a point outside the ball")
+    return B
+
+
+def _kernel_matrix(params: MultiplierParams | None, points: list[BallPoint]):
+    """K[i, j] = (1 - c b(z_i)* b(z_j)) / (1 - c z_i* z_j) over a point set.
+
+    With params None the numerator is 1 (the Drury-Arveson kernel).
+    """
+    for p in points[1:]:
+        check_compatible(points[0], p)
+    c = points[0].curvature.c
+    Z = np.stack([p.coords for p in points])
+    den = 1.0 - c * (Z.conj() @ Z.T)
+    if params is None:
+        return 1.0 / den
+    params.check_point(points[0])
+    B = _multiplier_rows(params, Z, c)
+    return (1.0 - c * (B.conj() @ B.T)) / den
+
+
+def _distance_sq(K: np.ndarray) -> np.ndarray:
+    """Squared RKHS distances d2[i, j] = K[i, i] + K[j, j] - 2 Re K[i, j].
+
+    The diagonal is read from K itself, so d2[i, i] is exactly 0; tiny
+    negative rounding residues are clamped to zero.
+    """
+    diag = K.diagonal().real
+    d2 = diag[:, None] + diag[None, :] - 2.0 * K.real
+    worst = d2.min()
+    if worst < -1e-12:
+        raise ArithmeticError(f"squared distance {worst} below rounding tolerance")
+    return np.maximum(d2, 0.0)
+
+
 def da_kernel(z_i: BallPoint, z_j: BallPoint) -> complex:
     """Drury-Arveson kernel 1/(1 - c * z_i* z_j)."""
-    check_compatible(z_i, z_j)
-    c = z_i.curvature.c
-    return 1.0 / (1.0 - c * hdot(z_i.coords, z_j.coords))
-
-
-def _b_term(a: BallPoint, z: BallPoint) -> np.ndarray:
-    # Single-pole term [(c a*z)a - P_a(z) - s_a Q_a(z)] / (1 - (c a*z)^2),
-    # written as s*[c(a*z)a/(1+s) - z]/(1 - (c a*z)^2) which is smooth at
-    # a = 0 (where it reduces to -z).
-    c = a.curvature.c
-    az = hdot(a.coords, z.coords)
-    caz = c * az
-    s = np.sqrt(1.0 - c * a.norm**2)
-    num = s * ((caz / (1.0 + s)) * a.coords - z.coords)
-    return num / (1.0 - caz * caz)
+    return complex(_kernel_matrix(None, [z_i, z_j])[0, 1])
 
 
 def multiplier_b(params: MultiplierParams, z: BallPoint) -> BallPoint:
@@ -99,10 +130,8 @@ def multiplier_b(params: MultiplierParams, z: BallPoint) -> BallPoint:
     inside the ball; b(0) = 0 and b(-z) = -b(z).
     """
     params.check_point(z)
-    out = np.zeros(z.dim, dtype=np.complex128)
-    for w, a in zip(params.weights, params.poles):
-        out += w * _b_term(a, z)
-    return _interior_point(out, z.curvature)
+    b = _multiplier_rows(params, z.coords[None, :], z.curvature.c)[0]
+    return _interior_point(b, z.curvature)
 
 
 def dbr_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> complex:
@@ -111,14 +140,7 @@ def dbr_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> comp
     k_c^b(z_i, z_j) = (1 - c * b(z_i)* b(z_j)) / (1 - c * z_i* z_j).
     Diagonal values are real and strictly positive.
     """
-    check_compatible(z_i, z_j)
-    params.check_point(z_i)
-    c = z_i.curvature.c
-    b_i = multiplier_b(params, z_i)
-    b_j = multiplier_b(params, z_j)
-    num = 1.0 - c * hdot(b_i.coords, b_j.coords)
-    den = 1.0 - c * hdot(z_i.coords, z_j.coords)
-    return num / den
+    return complex(_kernel_matrix(params, [z_i, z_j])[0, 1])
 
 
 def rkhs_distance_sq(
@@ -129,16 +151,7 @@ def rkhs_distance_sq(
     ||k^_{z_i} - k^_{z_j}||^2 = k(z_i,z_i) + k(z_j,z_j) - 2 Re k(z_i,z_j),
     with tiny negative rounding residues clamped to zero.
     """
-    val = (
-        dbr_kernel(params, z_i, z_i).real
-        + dbr_kernel(params, z_j, z_j).real
-        - 2.0 * dbr_kernel(params, z_i, z_j).real
-    )
-    if val < 0.0:
-        if val < -1e-12:
-            raise ArithmeticError(f"squared distance {val} below rounding tolerance")
-        return 0.0
-    return float(val)
+    return float(_distance_sq(_kernel_matrix(params, [z_i, z_j]))[0, 1])
 
 
 def pointwise_contraction_check(params: MultiplierParams, z: BallPoint) -> bool:

@@ -121,6 +121,30 @@ class TestGramCommand:
                          "--config", str(cfg),
                          "--out", str(tmp_path / "G")]) == 3
 
+    def test_default_truncation_is_runconfig_default(self, tmp_path, features_csv):
+        outs = []
+        for extra in ({}, {"truncation": 8}):
+            cfg = tmp_path / f"ahrad{len(extra)}.json"
+            cfg.write_text(json.dumps({
+                "version": 1, "kernel": {"variant": "ahrad", "init_seed": 3, **extra},
+            }))
+            out = tmp_path / f"G{len(extra)}.csv"
+            assert cli.main(["gram", "--features", str(features_csv),
+                             "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_numerical_error_exit_code(self, tmp_path, features_csv, gram_config,
+                                       monkeypatch, capsys):
+        def fail(config, points):
+            raise ArithmeticError("squared distance -1 below rounding tolerance")
+
+        monkeypatch.setattr(cli, "gram", fail)
+        assert cli.main(["gram", "--features", str(features_csv),
+                         "--config", str(gram_config),
+                         "--out", str(tmp_path / "G")]) == cli.EXIT_NUMERICAL_ERROR == 5
+        assert "numerical error:" in capsys.readouterr().err
+
     def test_complex_entries_round_trip(self, tmp_path):
         # Clip projection of mirrored features gives complex off-diagonals
         # only when coordinates mix; real features keep entries real, so
@@ -252,6 +276,25 @@ class TestTrainEval:
         bad.write_text(json.dumps(blob))
         assert cli.main(["eval", "--params", str(bad),
                          "--config", str(train_config)]) == 2
+
+    def test_numerical_error_exit_code(self, tmp_path, train_config, monkeypatch,
+                                       capsys):
+        def fail(config):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "train", fail)
+        assert cli.main(["train", "--config", str(train_config),
+                         "--out", str(tmp_path / "run")]) == cli.EXIT_NUMERICAL_ERROR
+        assert "numerical error:" in capsys.readouterr().err
+
+    def test_ahpoly_runs_with_default_offset(self, tmp_path):
+        cfg = tmp_path / "poly.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "task": "fsl", "kernel": {"variant": "ahpoly"},
+            "optimizer": {"steps": 3}, "eval": {"episodes": 2},
+        }))
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 0
 
     def test_params_report_round_trip(self, tmp_path, train_config):
         out = tmp_path / "run"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from hypkernels import _gmath as gm
 from hypkernels.checks import random_multiplier, sample_ball_points
-from hypkernels.geometry import BallPoint, Curvature
+from hypkernels.geometry import BallPoint, Curvature, mobius_map
 from hypkernels.kernels import (
+    MAX_GRAM_SIZE,
     ConfigError,
     KernelConfig,
     RadialCoeffs,
@@ -178,7 +180,8 @@ class TestGram:
 
     def test_size_cap(self, params, points):
         with pytest.raises(ConfigError):
-            gram(KernelConfig("ahl", params=params), points, max_size=4)
+            too_many = [points[0]] * (MAX_GRAM_SIZE + 1)
+            gram(KernelConfig("ahl", params=params), too_many)
 
     def test_curvature_mismatch(self):
         config = KernelConfig("da", curvature=Curvature(2.0))
@@ -209,6 +212,105 @@ class TestGram:
 
         with pytest.raises(DimensionMismatch):
             gram(KernelConfig("ahl", params=params), pts)
+
+
+def _family_configs(params, curvature, radial):
+    return [
+        KernelConfig("da", curvature=curvature),
+        KernelConfig("ahl", params=params),
+        KernelConfig("ahpoly", params=params, offset=1.0, degree=3),
+        KernelConfig("ahrbf", params=params, bandwidth=0.7),
+        KernelConfig("ahlap", params=params, bandwidth=0.7),
+        KernelConfig("base", params=params),
+        KernelConfig("ahrad", params=params, radial=radial),
+    ]
+
+
+def _mobius_b(params, z):
+    """b(z) = 1/2 sum_i w_i (phi_{a_i}(z) + phi_{-a_i}(z)) from explicit Mobius maps."""
+    return sum(
+        0.5 * w * (mobius_map(a, z).coords + mobius_map(-a, z).coords)
+        for w, a in zip(params.weights, params.poles)
+    )
+
+
+def _reference_entry(config, z_i, z_j):
+    """One kernel value, pair by pair, from the explicit Mobius-map multiplier."""
+    c = z_i.curvature.c
+    params = config.params
+
+    def k(u, v):
+        num = 1.0
+        if params is not None:
+            num = 1.0 - c * np.vdot(_mobius_b(params, u), _mobius_b(params, v))
+        return num / (1.0 - c * np.vdot(u.coords, v.coords))
+
+    k_ij, k_ii, k_jj = k(z_i, z_j), k(z_i, z_i).real, k(z_j, z_j).real
+    variant = config.variant
+    if variant in ("da", "ahl"):
+        return k_ij
+    if variant == "ahpoly":
+        return (k_ij + config.offset) ** config.degree
+    d2 = max(k_ii + k_jj - 2.0 * k_ij.real, 0.0)
+    if variant == "ahrbf":
+        return np.exp(-d2 / (2.0 * config.bandwidth**2))
+    if variant == "ahlap":
+        return np.exp(-np.sqrt(d2) / config.bandwidth)
+    beta = abs(k_ij) ** 2 / (k_ii * k_jj)
+    if variant == "base":
+        return beta
+    return sum(a * beta**l for l, a in enumerate(config.radial.alphas))
+
+
+def _rel(got, ref):
+    return abs(got - ref) / abs(ref)
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 8])
+class TestBatchedDifferential:
+    """Batched Gram entries against independent per-pair references."""
+
+    TOL = 1e-13
+
+    def family(self, c, dim, complex_coords):
+        curv = Curvature(c)
+        rng = np.random.default_rng([dim, int(4 * c), complex_coords])
+        points = sample_ball_points(rng, 6, dim, curv, r_max_frac=0.9,
+                                    complex_coords=complex_coords)
+        params = random_multiplier(rng, 3, dim, curv, complex_coords=complex_coords)
+        radial = RadialCoeffs(rng.uniform(0.1, 1.0, 51))
+        return points, _family_configs(params, curv, radial)
+
+    def test_complex_points_match_mobius_reference(self, c, dim):
+        points, configs = self.family(c, dim, True)
+        for config in configs:
+            G = gram(config, points).entries
+            for i, z_i in enumerate(points):
+                for j, z_j in enumerate(points):
+                    ref = _reference_entry(config, z_i, z_j)
+                    assert _rel(G[i, j], ref) <= self.TOL, (config.variant, i, j)
+
+    def test_real_points_match_gmath(self, c, dim):
+        points, configs = self.family(c, dim, False)
+        for config in configs:
+            G = gram(config, points).entries
+            assert np.all(G.imag == 0.0)
+            leaves = gm.KernelLeaves.from_config(config)
+            embeds = [gm.embed(leaves, list(z.coords.real)) for z in points]
+            for i, e_i in enumerate(embeds):
+                for j, e_j in enumerate(embeds):
+                    ref = gm.kernel(leaves, e_i, e_j)
+                    assert _rel(G[i, j], ref) <= self.TOL, (config.variant, i, j)
+
+    def test_evaluate_matches_gram(self, c, dim):
+        points, configs = self.family(c, dim, True)
+        for config in configs:
+            G = gram(config, points).entries
+            for i, z_i in enumerate(points):
+                for j, z_j in enumerate(points):
+                    got = evaluate(config, z_i, z_j)
+                    assert _rel(got, G[i, j]) <= self.TOL, (config.variant, i, j)
 
 
 class TestRandomSampling:
