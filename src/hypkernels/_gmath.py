@@ -1,25 +1,26 @@
 """Scalar kernel math over real coordinates, generic in the scalar type.
 
-Every function here works identically on plain floats and on tape
-scalars (`diff.Var`), so the training losses share one implementation
-between the value path and the gradient path.  Real inputs only: the
-differentiable path treats features as real vectors (the complex theory
-is exercised by the numpy modules).
+This is the reference path, one pair at a time: every function works on
+plain floats and on any scalar type exposing exp/log/tanh/sqrt, such as
+the 60-digit scalar the tests take finite differences with.  Tests and
+the benchmark's output checks compare the batched training/eval forward
+(`learning`) and the complex Gram path (`kernels`) against it; the
+library itself does not call it.  Real inputs only.
 """
 
 from __future__ import annotations
 
 import math
 
-from .diff import RawView, Var
+from .diff import RawView
 
 
 def value(x) -> float:
-    return x.value if isinstance(x, Var) else float(x)
+    return float(x)
 
 
 # Dispatch on the presence of the method so any scalar type exposing
-# exp/log/tanh/sqrt (the tape Var, or a high-precision wrapper) works.
+# exp/log/tanh/sqrt (such as a high-precision wrapper) works.
 
 def s_exp(x):
     return x.exp() if hasattr(x, "exp") else math.exp(x)
@@ -150,7 +151,7 @@ class KernelLeaves:
     @staticmethod
     def from_view(view: RawView, variant, offset=None, degree=None,
                   bandwidth=None) -> "KernelLeaves":
-        """Constrained leaves derived from unconstrained raws (float or Var)."""
+        """Constrained leaves derived from unconstrained raws (any scalar type)."""
         c = s_exp(view.log_c) if view.log_c is not None else view.fixed_c
         poles = [exp0(row, c) for row in view.pole_raws]
         weights = softmax(view.weight_logits)

@@ -1,7 +1,8 @@
 """Command-line entry point: gram computation, validation suites, training.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 input/parse error,
-3 geometry error, 4 training divergence, 5 numerical error.  Every
+3 geometry error, 4 training divergence, 5 numerical error (an
+ArithmeticError escaping `gram`, `train` or `eval`).  Every
 command is deterministic given config plus seeds; floating-point output
 is formatted with 17 significant digits so reruns are byte-identical.
 """
@@ -196,6 +197,17 @@ DEFAULT_TOLS = {
 }
 
 
+# Kernel variants of the PSD suite and their hyperparameters; ahrad also
+# takes the radial coefficients drawn for each (curvature, dim) cell.
+PSD_VARIANTS = (
+    ("ahl", {}),
+    ("ahpoly", {"offset": 1.0, "degree": 2}),
+    ("ahrbf", {"bandwidth": 1.0}),
+    ("ahlap", {"bandwidth": 1.0}),
+    ("ahrad", {}),
+)
+
+
 def _psd_suite(cfg, seed, tol, out_records):
     rng = np.random.default_rng(seed)
     ok = True
@@ -207,14 +219,11 @@ def _psd_suite(cfg, seed, tol, out_records):
             points = sample_ball_points(rng, n_points, int(dim), curvature)
             params = random_multiplier(rng, m, int(dim), curvature)
             radial = RadialCoeffs(rng.uniform(0.1, 1.0, 51))
-            variants = [
-                KernelConfig("ahl", params=params),
-                KernelConfig("ahpoly", params=params, offset=1.0, degree=2),
-                KernelConfig("ahrbf", params=params, bandwidth=1.0),
-                KernelConfig("ahlap", params=params, bandwidth=1.0),
-                KernelConfig("ahrad", params=params, radial=radial),
-            ]
-            for config in variants:
+            for variant, extra in PSD_VARIANTS:
+                config = KernelConfig(
+                    variant, params=params,
+                    radial=radial if variant == "ahrad" else None, **extra,
+                )
                 report = check_psd(config, points, tol=tol, seed=seed)
                 rec = report.to_record()
                 rec["suite"] = "psd"
@@ -438,11 +447,15 @@ def cmd_eval(args) -> int:
         run_config.step_length,
     )
     kconfig = params_to_kernel_config(run_config, p)
-    res = evaluate(
-        kconfig, dataset, run_config.n_way, run_config.n_shot,
-        run_config.n_query, run_config.eval_episodes, run_config.eval_seed,
-        run_config.score_mode, run_config.projection,
-    )
+    try:
+        res = evaluate(
+            kconfig, dataset, run_config.n_way, run_config.n_shot,
+            run_config.n_query, run_config.eval_episodes, run_config.eval_seed,
+            run_config.score_mode, run_config.projection,
+        )
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
     print(f"accuracy {fmt(res.accuracy)} ci {fmt(res.ci_halfwidth)}")
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,7 +4,10 @@ All learnable quantities live in unconstrained real raws; `materialize`
 maps them onto their constrained views (poles inside the ball via the
 exponential map, weights on the simplex via softmax, nonnegative radial
 coefficients via squaring, positive curvature via exp).  Gradients are
-computed by a reverse-mode tape over real scalars.
+computed by a reverse-mode tape over real arrays: `Node` carries an
+array and the vector-Jacobian products back to its operands, and
+`exp`/`log`/`tanh`/`sqrt`/`where`/`concat` accept plain arrays and nodes
+alike, so one forward serves values and gradients.
 """
 
 from __future__ import annotations
@@ -19,102 +22,194 @@ from .kernels import RadialCoeffs
 from .rkhs import MultiplierParams
 
 
-class Var:
-    """A scalar node on the reverse-mode tape."""
+def value(x):
+    """The array behind a tape node; anything else is returned as is."""
+    return x.value if isinstance(x, Node) else x
+
+
+class Node:
+    """An array on the reverse-mode tape.
+
+    Each node keeps its value and, per operand on the tape, the
+    vector-Jacobian product that maps the gradient of the node onto the
+    gradient of the operand.  Operands that are plain arrays or numbers
+    are constants.  Binary operations broadcast as numpy does; the
+    backward pass sums gradients back to each operand's shape.
+    """
 
     __slots__ = ("value", "_parents", "grad")
+    # ndarray (op) Node defers to the node's reflected operator.
+    __array_ufunc__ = None
 
-    def __init__(self, value: float, parents=()):
-        self.value = float(value)
+    def __init__(self, value, parents=()):
+        self.value = np.asarray(value, dtype=np.float64)
         self._parents = parents
-        self.grad = 0.0
+        self.grad = None
 
     def __repr__(self):
-        return f"Var({self.value})"
+        return f"Node({self.value!r})"
 
     def __add__(self, other):
-        if isinstance(other, Var):
-            return Var(self.value + other.value, ((self, 1.0), (other, 1.0)))
-        return Var(self.value + other, ((self, 1.0),))
+        return _node(self.value + value(other), (self, _same), (other, _same))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Var):
-            return Var(self.value - other.value, ((self, 1.0), (other, -1.0)))
-        return Var(self.value - other, ((self, 1.0),))
+        return _node(self.value - value(other), (self, _same), (other, np.negative))
 
     def __rsub__(self, other):
-        return Var(other - self.value, ((self, -1.0),))
+        return _node(value(other) - self.value, (self, np.negative))
 
     def __mul__(self, other):
-        if isinstance(other, Var):
-            return Var(self.value * other.value, ((self, other.value), (other, self.value)))
-        return Var(self.value * other, ((self, float(other)),))
+        a, b = self.value, value(other)
+        return _node(a * b, (self, lambda g: g * b), (other, lambda g: g * a))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Var):
-            inv = 1.0 / other.value
-            return Var(
-                self.value * inv,
-                ((self, inv), (other, -self.value * inv * inv)),
-            )
-        inv = 1.0 / other
-        return Var(self.value * inv, ((self, inv),))
+        a, b = self.value, value(other)
+        out = a / b
+        return _node(out, (self, lambda g: g / b), (other, lambda g: -g * out / b))
 
     def __rtruediv__(self, other):
-        inv = 1.0 / self.value
-        return Var(other * inv, ((self, -other * inv * inv),))
+        b = self.value
+        out = value(other) / b
+        return _node(out, (self, lambda g: -g * out / b))
 
     def __neg__(self):
-        return Var(-self.value, ((self, -1.0),))
+        return _node(-self.value, (self, np.negative))
 
     def __pow__(self, exponent):
-        e = float(exponent)
-        val = self.value**e
-        return Var(val, ((self, e * self.value ** (e - 1.0)),))
+        a = self.value
+        return _node(a**exponent, (self, lambda g: g * exponent * a ** (exponent - 1)))
 
-    def exp(self):
-        v = math.exp(self.value)
-        return Var(v, ((self, v),))
+    def __matmul__(self, other):
+        a, b = self.value, value(other)
+        return _node(a @ b, (self, lambda g: g @ b.T), (other, lambda g: a.T @ g))
 
-    def log(self):
-        return Var(math.log(self.value), ((self, 1.0 / self.value),))
+    def __rmatmul__(self, other):
+        a, b = value(other), self.value
+        return _node(a @ b, (self, lambda g: a.T @ g))
 
-    def tanh(self):
-        t = math.tanh(self.value)
-        return Var(t, ((self, 1.0 - t * t),))
+    @property
+    def T(self):
+        return _node(self.value.T, (self, np.transpose))
 
-    def sqrt(self):
-        r = math.sqrt(self.value)
-        return Var(r, ((self, 0.5 / r),))
+    def __getitem__(self, index):
+        shape = self.value.shape
 
-    def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad over the whole tape."""
-        order = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent, _ in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        self.grad = 1.0
-        for node in reversed(order):
-            g = node.grad
-            if g == 0.0:
-                continue
-            for parent, local in node._parents:
-                parent.grad += g * local
+        def vjp(g):
+            out = np.zeros(shape)
+            np.add.at(out, index, g)
+            return out
+
+        return _node(self.value[index], (self, vjp))
+
+    def sum(self, axis=None, keepdims=False):
+        shape = self.value.shape
+
+        def vjp(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, shape)
+
+        return _node(self.value.sum(axis=axis, keepdims=keepdims), (self, vjp))
+
+
+def _same(g):
+    return g
+
+
+def _node(out, *operands):
+    """A node over `out` whose parents are the operands on the tape; plain
+    `out` when no operand is on the tape."""
+    parents = tuple((x, vjp) for x, vjp in operands if isinstance(x, Node))
+    return Node(out, parents) if parents else out
+
+
+def _unary(fn, derivative):
+    """Elementwise function on arrays and tape nodes alike."""
+
+    def op(x):
+        if not isinstance(x, Node):
+            return fn(x)
+        out = fn(x.value)
+        local = derivative(x.value, out)
+        return Node(out, ((x, lambda g: g * local),))
+
+    return op
+
+
+exp = _unary(np.exp, lambda x, out: out)
+log = _unary(np.log, lambda x, out: 1.0 / x)
+tanh = _unary(np.tanh, lambda x, out: 1.0 - out * out)
+sqrt = _unary(np.sqrt, lambda x, out: 0.5 / out)
+
+
+def where(cond, a, b):
+    """np.where over a constant mask; the masked branch gets zero gradient.
+
+    The masked branch must still evaluate finitely: its local derivatives
+    are multiplied by that zero, and 0 * inf is nan.
+    """
+    out = np.where(cond, value(a), value(b))
+    return _node(out, (a, lambda g: np.where(cond, g, 0.0)),
+                 (b, lambda g: np.where(cond, 0.0, g)))
+
+
+def concat(parts, axis=0):
+    """np.concatenate of arrays and tape nodes."""
+    values = [value(x) for x in parts]
+    bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
+
+    def piece(k):
+        return lambda g: np.split(g, bounds, axis=axis)[k]
+
+    return _node(np.concatenate(values, axis=axis),
+                 *((x, piece(k)) for k, x in enumerate(parts)))
+
+
+def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
+    """Undo numpy broadcasting: sum g down to an operand's shape."""
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def backward(out: Node) -> None:
+    """Accumulate d(out)/d(node) into .grad of every node out depends on.
+
+    The traversal is iterative, so deep tapes do not hit the recursion
+    limit.
+    """
+    order = []
+    seen = set()
+    stack = [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    out.grad = np.ones_like(out.value)
+    for node in reversed(order):
+        g = node.grad
+        if g is None:
+            continue
+        for parent, vjp in node._parents:
+            contrib = _sum_to_shape(vjp(g), parent.value.shape)
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 @dataclass(frozen=True)
@@ -175,7 +270,7 @@ class ParamVector:
         return math.exp(self.log_c) if self.log_c is not None else self.fixed_c
 
     def view(self) -> "RawView":
-        """Plain-float view with the same structure the tape path uses."""
+        """Plain-float view, the input of the scalar reference path."""
         return RawView(
             pole_raws=[list(map(float, row)) for row in self.pole_raws],
             weight_logits=[float(x) for x in self.weight_logits],
@@ -190,7 +285,11 @@ class ParamVector:
 
 @dataclass
 class RawView:
-    """Structural mirror of ParamVector whose leaves are floats or Vars."""
+    """Structural mirror of ParamVector.
+
+    `grad` fills it with one tape node per raw block; `ParamVector.view`
+    fills it with nested lists of floats.
+    """
 
     pole_raws: list
     weight_logits: list
@@ -229,43 +328,34 @@ def materialize(p: ParamVector) -> tuple[MultiplierParams, RadialCoeffs, Curvatu
 def grad(loss, p: ParamVector) -> Gradient:
     """Reverse-mode gradient of loss(view) at p.
 
-    `loss` receives a RawView whose leaves are tape scalars; it must
-    evaluate finitely.  A frozen curvature (log_c = None) produces no
-    gradient component.
+    `loss` receives a RawView whose blocks are tape nodes holding the raws
+    of p, and returns a scalar; it must evaluate finitely.  A frozen
+    curvature (log_c = None) produces no gradient component.
     """
-    leaves = {}
-
-    def mk(x):
-        return Var(float(x))
-
     view = RawView(
-        pole_raws=[[mk(x) for x in row] for row in p.pole_raws],
-        weight_logits=[mk(x) for x in p.weight_logits],
-        radial_raws=[mk(x) for x in p.radial_raws],
-        log_c=mk(p.log_c) if p.log_c is not None else None,
+        pole_raws=Node(p.pole_raws),
+        weight_logits=Node(p.weight_logits),
+        radial_raws=Node(p.radial_raws),
+        log_c=Node(p.log_c) if p.log_c is not None else None,
         fixed_c=p.fixed_c,
-        affine=[[mk(x) for x in row] for row in p.affine]
-        if p.affine is not None
-        else None,
+        affine=Node(p.affine) if p.affine is not None else None,
     )
     out = loss(view)
-    value = out.value if isinstance(out, Var) else float(out)
-    if not math.isfinite(value):
-        raise ArithmeticError(f"loss evaluated to non-finite value {value}")
-    if isinstance(out, Var):
-        out.backward()
+    loss_value = float(value(out))
+    if not math.isfinite(loss_value):
+        raise ArithmeticError(f"loss evaluated to non-finite value {loss_value}")
+    if isinstance(out, Node):
+        backward(out)
 
-    def collect(node):
-        return node.grad if isinstance(node, Var) else 0.0
+    def collect(leaf):
+        return np.zeros(leaf.value.shape) if leaf.grad is None else leaf.grad
 
     return Gradient(
-        pole_raws=np.array([[collect(x) for x in row] for row in view.pole_raws]),
-        weight_logits=np.array([collect(x) for x in view.weight_logits]),
-        radial_raws=np.array([collect(x) for x in view.radial_raws]),
-        log_c=collect(view.log_c) if view.log_c is not None else None,
-        affine=np.array([[collect(x) for x in row] for row in view.affine])
-        if view.affine is not None
-        else None,
+        pole_raws=collect(view.pole_raws),
+        weight_logits=collect(view.weight_logits),
+        radial_raws=collect(view.radial_raws),
+        log_c=float(collect(view.log_c)) if view.log_c is not None else None,
+        affine=collect(view.affine) if view.affine is not None else None,
     )
 
 

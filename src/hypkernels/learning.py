@@ -1,28 +1,39 @@
 """Desk-scale episodic training on synthetic hierarchical data.
 
-Three objectives share one generic scalar core so the same code runs on
-floats (evaluation) and on tape scalars (gradients): episodic few-shot
-classification, semantic/visual alignment with an affine embedder, and
-in-batch contrastive similarity learning.  A Euclidean and a geodesic
-baseline are provided for comparison.
+Three objectives share one batched forward: the rows of an episode
+(queries, visual samples or anchors) are scored against its columns
+(prototypes, mapped semantic anchors or candidates) in one score matrix,
+and every loss is the row-wise log-sum-exp cross-entropy of that matrix
+against a target column.  The forward is written once over arrays that
+may be plain numpy (evaluation) or `diff.Node`s on the reverse-mode tape
+(gradients).  The objectives are episodic few-shot classification,
+semantic/visual alignment with an affine embedder, and in-batch
+contrastive similarity learning.  A Euclidean and a geodesic baseline are
+provided for comparison.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _gmath as gm
 from .diff import (
     DEFAULT_BLOCKS,
     OptimizerState,
     ParamVector,
-    RawView,
+    concat,
+    exp,
     grad,
+    log,
     materialize,
+    sqrt,
     step,
+    tanh,
+    value,
+    where,
 )
 from .geometry import BallPoint, Curvature, geodesic_distance
 from .kernels import KernelConfig
@@ -57,10 +68,133 @@ class Projection:
                 raise ValueError("clip projection needs beta*(1-eps) < 1")
 
     def apply(self, x, c):
-        """Project a real coordinate list; generic in the scalar type of c."""
+        """Project each row of x (or the vector x) onto the ball.
+
+        x and c may be plain arrays/numbers or tape nodes.
+        """
+        if not isinstance(value(x), np.ndarray):
+            x = np.asarray(x, dtype=np.float64)
+        sq = (x * x).sum(axis=-1, keepdims=True)
         if self.kind == "exp0":
-            return gm.exp0(x, c)
-        return gm.clip_project(x, c, self.beta, self.eps)
+            return _tanh_ratio(c * sq) * x
+        s = sqrt(c) * sqrt(sq + 1e-300)
+        inside = value(s) <= 1.0 - self.eps
+        return where(inside, self.beta, self.beta * (1.0 - self.eps) / s) * x
+
+
+def _tanh_ratio(y):
+    """tanh(sqrt(y))/sqrt(y) for y >= 0, by its series below 1e-8."""
+    small = value(y) < 1e-8
+    r = sqrt(where(small, 1.0, y))
+    return where(small, 1.0 - y * (1.0 / 3.0) + (y * y) * (2.0 / 15.0), tanh(r) / r)
+
+
+def _clamp0(x):
+    """Zero out tiny negative rounding residues (constant past the kink)."""
+    return where(value(x) > 0.0, x, 0.0)
+
+
+# Constrained kernel parameters, as arrays or tape nodes; poles is an
+# m x dim matrix, or None for the Drury-Arveson kernel.
+_Kernel = namedtuple("_Kernel", "variant c poles weights alphas offset degree bandwidth")
+
+
+def _kernel_from_config(config: KernelConfig) -> _Kernel:
+    """Real parts of a numpy KernelConfig."""
+    curvature = config.get_curvature()
+    if curvature is None:
+        raise ValueError("kernel config must carry a curvature")
+    poles = weights = alphas = None
+    if config.params is not None:
+        poles = np.array([p.coords.real for p in config.params.poles])
+        weights = np.asarray(config.params.weights, dtype=np.float64)
+    if config.radial is not None:
+        alphas = config.radial.alphas
+    return _Kernel(config.variant, float(curvature.c), poles, weights, alphas,
+                   config.offset, config.degree, config.bandwidth)
+
+
+def _kernel_from_raws(raws, config: RunConfig) -> _Kernel:
+    """Constrained values of unconstrained raws (a ParamVector, or the
+    RawView of tape nodes that `diff.grad` passes): poles through exp0,
+    weights through softmax, squared radial coefficients."""
+    c = exp(raws.log_c) if raws.log_c is not None else raws.fixed_c
+    poles = Projection().apply(raws.pole_raws, c)
+    e = exp(raws.weight_logits - np.max(value(raws.weight_logits)))
+    return _Kernel(config.variant, c, poles, e / e.sum(),
+                   raws.radial_raws * raws.radial_raws,
+                   config.offset, config.degree, config.bandwidth)
+
+
+def _multiplier(k: _Kernel, Z):
+    """b(z) for every row z of Z, all poles in one matrix product.
+
+    b(z) = sum_j w_j s_j (lead_j a_j - z) / (1 - (c<a_j,z>)^2) with
+    s_j = sqrt(1 - c|a_j|^2) and lead_j = c<a_j,z>/(1 + s_j); it is
+    smooth at a_j = 0, where the term is -z.
+    """
+    c, P = k.c, k.poles
+    caz = c * (Z @ P.T)
+    s = sqrt(1.0 - c * (P * P).sum(axis=1))
+    coef = k.weights * s / (1.0 - caz * caz)
+    return (coef * (caz / (1.0 + s))) @ P - coef.sum(axis=1, keepdims=True) * Z
+
+
+def _dbr(k: _Kernel, Z):
+    """De Branges-Rovnyak matrix (1 - c B B^T)/(1 - c Z Z^T) over rows of Z."""
+    den = 1.0 - k.c * (Z @ Z.T)
+    if k.poles is None:
+        return 1.0 / den
+    B = _multiplier(k, Z)
+    return (1.0 - k.c * (B @ B.T)) / den
+
+
+def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
+    """Score matrix of rows against columns: higher is more similar.
+
+    Both sets are projected onto the ball and the kernel is formed once
+    over their union.  In "distance" mode the score is minus the
+    kernel-induced squared distance k_ii + k_jj - 2 k_ij (for ahrbf/ahlap
+    minus the negative log-kernel); in "similarity" mode it is the kernel.
+    """
+    if mode not in ("distance", "similarity"):
+        raise ValueError(f"unknown score mode {mode!r}")
+    n = value(rows).shape[0]
+    K = _dbr(k, projection.apply(concat([rows, cols]), k.c))
+    diag = np.arange(value(K).shape[0])
+    d = K[diag, diag]
+    variant = k.variant
+    if variant in ("da", "ahl", "ahrbf", "ahlap"):
+        dist = _clamp0(d[:n, None] + d[None, n:] - 2.0 * K[:n, n:])
+        if variant == "ahrbf":
+            dist = dist / (2.0 * k.bandwidth**2)
+        elif variant == "ahlap":
+            positive = value(dist) > 0.0
+            dist = where(positive, sqrt(where(positive, dist, 1.0)), 0.0) / k.bandwidth
+        if mode == "distance":
+            return -dist
+        return K[:n, n:] if variant in ("da", "ahl") else exp(-dist)
+    if variant == "ahpoly":
+        G = (K + k.offset) ** int(k.degree)
+    elif variant in ("base", "ahrad"):
+        G = (K * K) / (d[:, None] * d[None, :])
+        if variant == "ahrad":
+            beta, G = G, k.alphas[-1]
+            for l in range(value(k.alphas).shape[0] - 2, -1, -1):
+                G = G * beta + k.alphas[l]
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    if mode == "distance":
+        g = G[diag, diag]
+        return -_clamp0(g[:n, None] + g[None, n:] - 2.0 * G[:n, n:])
+    return G[:n, n:]
+
+
+def _cross_entropy(scores, targets: np.ndarray):
+    """Mean over rows of log-sum-exp(row) - row[target]."""
+    shift = np.max(value(scores), axis=1)
+    lse = log(exp(scores - shift[:, None]).sum(axis=1)) + shift
+    return (lse - scores[np.arange(targets.size), targets]).sum() / targets.size
 
 
 @dataclass(frozen=True)
@@ -195,26 +329,35 @@ def sample_episode(
     return Episode(np.array(support), np.array(query), tuple(int(c) for c in chosen))
 
 
-def _episode_loss(leaves, episode: Episode, mode: str, projection: Projection):
-    """Cross-entropy of queries against class prototypes; generic scalars.
+def _fsl_scores(k: _Kernel, episode: Episode, mode: str, projection: Projection):
+    """Queries (class-major) against class prototypes.
 
-    Prototypes are means of support features in the pre-projection space,
-    then projected onto the ball.
+    Prototypes are means of support features in the pre-projection space.
     """
-    c = leaves.c
-    protos = episode.support.mean(axis=1)
-    proto_embeds = [
-        gm.embed(leaves, projection.apply(list(map(float, row)), c)) for row in protos
-    ]
-    total = 0.0
-    count = 0
-    for i in range(episode.n_way):
-        for q in episode.query[i]:
-            q_embed = gm.embed(leaves, projection.apply(list(map(float, q)), c))
-            scores = [gm.score(leaves, q_embed, p, mode) for p in proto_embeds]
-            total = total + gm.log_sum_exp(scores) - scores[i]
-            count += 1
-    return total / count
+    queries = episode.query.reshape(-1, episode.query.shape[2])
+    return _scores(k, queries, episode.support.mean(axis=1), mode, projection)
+
+
+def _fsl_targets(episode: Episode) -> np.ndarray:
+    return np.repeat(np.arange(episode.n_way), episode.query.shape[1])
+
+
+def _fsl_loss(k: _Kernel, episode: Episode, mode: str, projection: Projection):
+    scores = _fsl_scores(k, episode, mode, projection)
+    return _cross_entropy(scores, _fsl_targets(episode))
+
+
+def _zsl_loss(k: _Kernel, affine, semantics, visual, labels, mode, projection):
+    # affine = [W | b] maps the semantic vectors s to anchors W s + b.
+    lifted = np.hstack([semantics, np.ones((len(semantics), 1))])
+    scores = _scores(k, visual, lifted @ affine.T, mode, projection)
+    return _cross_entropy(scores, np.asarray(labels))
+
+
+def _sts_loss(k: _Kernel, anchors, positives, negatives, temperature, projection):
+    candidates = np.concatenate([positives, negatives])
+    scores = _scores(k, anchors, candidates, "similarity", projection) / temperature
+    return _cross_entropy(scores, np.arange(len(anchors)))
 
 
 def fsl_loss(
@@ -224,23 +367,7 @@ def fsl_loss(
     projection: Projection = Projection(),
 ) -> float:
     """Mean negative log-probability of queries under prototype scores."""
-    leaves = gm.KernelLeaves.from_config(config)
-    return float(_episode_loss(leaves, episode, mode, projection))
-
-
-def _zsl_loss(leaves, affine, semantics, visual, labels, mode, projection):
-    # affine: rows of [W | b]; semantic vectors map into visual space.
-    c = leaves.c
-    anchors = []
-    for vec in semantics:
-        mapped = [gm.dot(row[:-1], list(map(float, vec))) + row[-1] for row in affine]
-        anchors.append(gm.embed(leaves, projection.apply(mapped, c)))
-    total = 0.0
-    for x, lab in zip(visual, labels):
-        x_embed = gm.embed(leaves, projection.apply(list(map(float, x)), c))
-        scores = [gm.score(leaves, a, x_embed, mode) for a in anchors]
-        total = total + gm.log_sum_exp(scores) - scores[lab]
-    return total / len(labels)
+    return float(_fsl_loss(_kernel_from_config(config), episode, mode, projection))
 
 
 def zsl_loss(
@@ -259,30 +386,13 @@ def zsl_loss(
     features, labels = visual_batch
     if np.any(np.asarray(labels) >= len(class_embeddings)):
         raise ValueError("visual label without a class embedding")
-    affine = [list(map(float, row)) for row in np.asarray(linear_map)]
-    semantics = [row for row in np.asarray(class_embeddings)]
     return float(
         _zsl_loss(
-            gm.KernelLeaves.from_config(config), affine, semantics,
-            np.asarray(features), np.asarray(labels), mode, projection,
+            _kernel_from_config(config), np.asarray(linear_map, dtype=np.float64),
+            np.asarray(class_embeddings, dtype=np.float64),
+            np.asarray(features, dtype=np.float64), labels, mode, projection,
         )
     )
-
-
-def _sts_loss(leaves, anchors, positives, negatives, temperature, projection):
-    c = leaves.c
-    anchor_embeds = [
-        gm.embed(leaves, projection.apply(list(map(float, a)), c)) for a in anchors
-    ]
-    cand_embeds = [
-        gm.embed(leaves, projection.apply(list(map(float, x)), c))
-        for x in list(positives) + list(negatives)
-    ]
-    total = 0.0
-    for i, a in enumerate(anchor_embeds):
-        logits = [gm.kernel(leaves, a, cand) / temperature for cand in cand_embeds]
-        total = total + gm.log_sum_exp(logits) - logits[i]
-    return total / len(anchor_embeds)
 
 
 def sts_loss(
@@ -303,7 +413,7 @@ def sts_loss(
         raise ValueError("temperature must be positive")
     return float(
         _sts_loss(
-            gm.KernelLeaves.from_config(config), anchors, positives, negatives,
+            _kernel_from_config(config), anchors, positives, negatives,
             temperature, projection,
         )
     )
@@ -341,10 +451,7 @@ def _baseline_episode_scores(episode: Episode, baseline: str, c: float,
     protos = episode.support.mean(axis=1)
     if baseline == "geodesic":
         curv = Curvature(c)
-        proto_pts = [
-            BallPoint(np.array(projection.apply(list(map(float, p)), c)), curv)
-            for p in protos
-        ]
+        proto_pts = [BallPoint(projection.apply(p, c), curv) for p in protos]
     correct = 0
     total = 0
     for i in range(episode.n_way):
@@ -353,32 +460,11 @@ def _baseline_episode_scores(episode: Episode, baseline: str, c: float,
                 scores = [euclidean_baseline_score(q, p) for p in protos]
             else:
                 curv = Curvature(c)
-                q_pt = BallPoint(
-                    np.array(projection.apply(list(map(float, q)), c)), curv
-                )
+                q_pt = BallPoint(projection.apply(q, c), curv)
                 scores = [
                     euclidean_baseline_score(q_pt, p, "geodesic") for p in proto_pts
                 ]
             if int(np.argmax(scores)) == i:
-                correct += 1
-            total += 1
-    return correct, total
-
-
-def _kernel_episode_scores(leaves, episode: Episode, mode: str,
-                           projection: Projection):
-    c = leaves.c
-    protos = episode.support.mean(axis=1)
-    proto_embeds = [
-        gm.embed(leaves, projection.apply(list(map(float, p)), c)) for p in protos
-    ]
-    correct = 0
-    total = 0
-    for i in range(episode.n_way):
-        for q in episode.query[i]:
-            q_embed = gm.embed(leaves, projection.apply(list(map(float, q)), c))
-            scores = [gm.score(leaves, q_embed, p, mode) for p in proto_embeds]
-            if int(np.argmax([gm.value(s) for s in scores])) == i:
                 correct += 1
             total += 1
     return correct, total
@@ -399,13 +485,14 @@ def evaluate(
 ) -> EvalResult:
     """Episodic classification accuracy with a 95% confidence interval.
 
-    Accuracy is argmax-score classification of queries against prototypes;
-    the CI halfwidth is 1.96 * stderr over per-episode accuracies.
+    Accuracy is argmax-score classification of queries against prototypes
+    and mean_loss the mean fsl loss, both from one score matrix per
+    episode; the CI halfwidth is 1.96 * stderr over per-episode accuracies.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    leaves = gm.KernelLeaves.from_config(config) if config is not None else None
+    k = _kernel_from_config(config) if config is not None else None
     accs = []
     losses = []
     for _ in range(episodes):
@@ -415,8 +502,11 @@ def evaluate(
                 episode, baseline, curvature, projection
             )
         else:
-            correct, total = _kernel_episode_scores(leaves, episode, mode, projection)
-            losses.append(float(_episode_loss(leaves, episode, mode, projection)))
+            scores = _fsl_scores(k, episode, mode, projection)
+            targets = _fsl_targets(episode)
+            correct = int(np.count_nonzero(np.argmax(scores, axis=1) == targets))
+            total = targets.size
+            losses.append(float(_cross_entropy(scores, targets)))
         accs.append(correct / total)
     accs = np.array(accs)
     if episodes > 1:
@@ -510,24 +600,21 @@ def _class_semantics(dataset: LabeledSet) -> np.ndarray:
 
 def _make_step_loss(config: RunConfig, dataset: LabeledSet,
                     rng: np.random.Generator):
-    """Sample one training batch and close over it as loss(view)."""
-    variant = config.variant
-    projection = config.projection
+    """Sample one training batch and close over it as loss(raws).
 
-    def leaves_of(view: RawView):
-        return gm.KernelLeaves.from_view(
-            view, variant, config.offset, config.degree, config.bandwidth
-        )
+    raws is a ParamVector (value) or the RawView of tape nodes that
+    `diff.grad` passes (gradient); both go through the same forward.
+    """
+    projection = config.projection
+    mode = config.score_mode
 
     if config.task == "fsl":
         episode = sample_episode(
             rng, dataset, config.n_way, config.n_shot, config.n_query
         )
 
-        def loss(view):
-            return _episode_loss(
-                leaves_of(view), episode, config.score_mode, projection
-            )
+        def loss(raws):
+            return _fsl_loss(_kernel_from_raws(raws, config), episode, mode, projection)
 
     elif config.task == "zsl":
         semantics = _class_semantics(dataset)
@@ -536,11 +623,10 @@ def _make_step_loss(config: RunConfig, dataset: LabeledSet,
         feats = dataset.features[idx]
         labels = dataset.labels[idx]
 
-        def loss(view):
-            affine = view.affine
+        def loss(raws):
             return _zsl_loss(
-                leaves_of(view), affine, list(semantics), feats, labels,
-                config.score_mode, projection,
+                _kernel_from_raws(raws, config), raws.affine, semantics, feats,
+                labels, mode, projection,
             )
 
     else:
@@ -548,9 +634,9 @@ def _make_step_loss(config: RunConfig, dataset: LabeledSet,
             rng, dataset, config.sts_batch
         )
 
-        def loss(view):
+        def loss(raws):
             return _sts_loss(
-                leaves_of(view), anchors, positives, negatives,
+                _kernel_from_raws(raws, config), anchors, positives, negatives,
                 config.sts_temperature, projection,
             )
 
@@ -613,7 +699,7 @@ def train(config: RunConfig) -> TrainRun:
     trace = []
     for i in range(config.steps):
         loss = _make_step_loss(config, dataset, rng)
-        val = float(gm.value(loss(p.view())))
+        val = float(loss(p))
         if not math.isfinite(val):
             raise DivergenceError(i, val)
         trace.append(val)

@@ -10,17 +10,21 @@ import time
 
 import numpy as np
 
-from hpfd import HPScalar, hp_central_diff
+import oracle
 from hypkernels import _gmath as gm
 from hypkernels import cli
 from hypkernels.checks import check_isometry, random_multiplier, sample_ball_points
-from hypkernels.diff import ParamVector, RawView, grad
+from hypkernels.diff import ParamVector
 from hypkernels.geometry import BallPoint, Curvature, mobius_map
 from hypkernels.kernels import KernelConfig, RadialCoeffs, base_kernel, evaluate as kernel_eval, gram
 from hypkernels.learning import (
     Episode,
     Projection,
     RunConfig,
+    _fsl_loss,
+    _kernel_from_raws,
+    _sts_loss,
+    _zsl_loss,
     evaluate,
     gen_tree_dataset,
     shuffle_labels,
@@ -211,59 +215,9 @@ def test_07_radial_truncation_tail():
     assert ok
 
 
-def _coords_of(p: ParamVector):
-    out = []
-    for i in range(p.pole_raws.shape[0]):
-        for j in range(p.pole_raws.shape[1]):
-            out.append(("pole_raws", (i, j)))
-    for i in range(p.weight_logits.size):
-        out.append(("weight_logits", (i,)))
-    for i in range(p.radial_raws.size):
-        out.append(("radial_raws", (i,)))
-    if p.affine is not None:
-        for i in range(p.affine.shape[0]):
-            for j in range(p.affine.shape[1]):
-                out.append(("affine", (i, j)))
-    return out
-
-
-def _hp_view(p: ParamVector) -> RawView:
-    return RawView(
-        pole_raws=[[HPScalar(x) for x in row] for row in p.pole_raws],
-        weight_logits=[HPScalar(x) for x in p.weight_logits],
-        radial_raws=[HPScalar(x) for x in p.radial_raws],
-        log_c=None,
-        fixed_c=p.fixed_c,
-        affine=[[HPScalar(x) for x in row] for row in p.affine]
-        if p.affine is not None
-        else None,
-    )
-
-
-def _worst_grad_error(loss, p: ParamVector) -> float:
-    g = grad(loss, p)
-    worst = 0.0
-    for name, idx in _coords_of(p):
-        def pinned(x, name=name, idx=idx):
-            view = _hp_view(p)
-            node = getattr(view, name)
-            if len(idx) == 1:
-                node[idx[0]] = x
-            else:
-                node[idx[0]][idx[1]] = x
-            return loss(view)
-
-        x0 = float(np.asarray(getattr(p, name))[idx])
-        fd = hp_central_diff(pinned, x0, h=1e-5)
-        ga = float(np.asarray(getattr(g, name))[idx])
-        worst = max(worst, abs(ga - fd) / max(1e-8, abs(fd)))
-    return worst
-
-
 def test_08_gradient_contract():
-    from hypkernels.learning import _episode_loss, _sts_loss, _zsl_loss
-
     proj = Projection()
+    run = RunConfig(variant="ahrad")
     worst = {"fsl": 0.0, "zsl": 0.0, "sts": 0.0}
     for draw in range(50):
         rng = np.random.default_rng(100 + draw)
@@ -276,6 +230,9 @@ def test_08_gradient_contract():
                 affine=0.3 * rng.standard_normal((2, 3)) if affine else None,
             )
 
+        def kernel_of(view):
+            return _kernel_from_raws(view, run)
+
         def leaves_of(view):
             return gm.KernelLeaves.from_view(view, "ahrad")
 
@@ -285,26 +242,34 @@ def test_08_gradient_contract():
             (0, 1),
         )
         p = make_params(affine=False)
-        worst["fsl"] = max(worst["fsl"], _worst_grad_error(
-            lambda v: _episode_loss(leaves_of(v), episode, "distance", proj), p
+        worst["fsl"] = max(worst["fsl"], oracle.worst_grad_error(
+            lambda v: _fsl_loss(kernel_of(v), episode, "distance", proj),
+            lambda v: oracle.episode_loss(leaves_of(v), episode, "distance", proj),
+            p,
         ))
 
         semantics = [list(0.5 * rng.standard_normal(2)) for _ in range(2)]
         visual = 0.5 * rng.standard_normal((2, 2))
         labels = np.array([0, 1])
         p = make_params(affine=True)
-        worst["zsl"] = max(worst["zsl"], _worst_grad_error(
-            lambda v: _zsl_loss(leaves_of(v), v.affine, semantics, visual,
-                                labels, "distance", proj), p
+        worst["zsl"] = max(worst["zsl"], oracle.worst_grad_error(
+            lambda v: _zsl_loss(kernel_of(v), v.affine, semantics, visual,
+                                labels, "distance", proj),
+            lambda v: oracle.zsl_loss(leaves_of(v), v.affine, semantics, visual,
+                                      labels, "distance", proj),
+            p,
         ))
 
         anchors = 0.5 * rng.standard_normal((2, 2))
         positives = 0.5 * rng.standard_normal((2, 2))
         negatives = 0.5 * rng.standard_normal((2, 2))
         p = make_params(affine=False)
-        worst["sts"] = max(worst["sts"], _worst_grad_error(
-            lambda v: _sts_loss(leaves_of(v), anchors, positives, negatives,
-                                0.5, proj), p
+        worst["sts"] = max(worst["sts"], oracle.worst_grad_error(
+            lambda v: _sts_loss(kernel_of(v), anchors, positives, negatives,
+                                0.5, proj),
+            lambda v: oracle.sts_loss(leaves_of(v), anchors, positives, negatives,
+                                      0.5, proj),
+            p,
         ))
     ok = max(worst.values()) < 1e-4
     report(8, "gradient-vs-finite-differences", ok,

@@ -287,6 +287,23 @@ class TestTrainEval:
                          "--out", str(tmp_path / "run")]) == cli.EXIT_NUMERICAL_ERROR
         assert "numerical error:" in capsys.readouterr().err
 
+    def test_eval_numerical_error_exit_code(self, tmp_path, train_config,
+                                            monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(train_config),
+                         "--out", str(out)]) == 0
+
+        def fail(*args, **kwargs):
+            raise FloatingPointError("overflow in exp")
+
+        monkeypatch.setattr(cli, "evaluate", fail)
+        capsys.readouterr()
+        assert cli.main(["eval", "--params", str(out / "params.json"),
+                         "--config", str(train_config)]) == cli.EXIT_NUMERICAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "numerical error: overflow in exp\n"
+        assert captured.out == ""
+
     def test_ahpoly_runs_with_default_offset(self, tmp_path):
         cfg = tmp_path / "poly.json"
         cfg.write_text(json.dumps({

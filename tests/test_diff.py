@@ -3,66 +3,125 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from hpfd import HPScalar, hp_central_diff
 from hypkernels import _gmath as gm
 from hypkernels.diff import (
     DEFAULT_BLOCKS,
+    Node,
     OptimizerState,
     ParamVector,
-    Var,
+    backward,
+    concat,
+    exp,
     grad,
+    log,
     materialize,
+    sqrt,
     step,
+    tanh,
+    where,
 )
+from hypkernels.learning import Projection, RunConfig, _kernel_from_raws, _scores
 
 
-def scalar_grad(f, x):
-    v = Var(x)
+def tape_grad(f, x):
+    """f applied to a tape node holding x; gradient of the sum of f(x)."""
+    v = Node(x)
     out = f(v)
-    out.backward()
+    backward(out.sum())
     return out.value, v.grad
 
 
 class TestVar:
+    """Tape variables: each primitive's vector-Jacobian product on arrays."""
+
     @pytest.mark.parametrize("f,df,x", [
         (lambda v: v * v, lambda x: 2 * x, 0.7),
         (lambda v: v + 3.0, lambda x: 1.0, -1.2),
         (lambda v: 3.0 - v, lambda x: -1.0, 0.4),
         (lambda v: 2.0 / v, lambda x: -2.0 / x**2, 0.8),
         (lambda v: v**3, lambda x: 3 * x**2, 1.3),
-        (lambda v: v.exp(), math.exp, 0.5),
-        (lambda v: v.log(), lambda x: 1.0 / x, 2.0),
-        (lambda v: v.tanh(), lambda x: 1.0 - math.tanh(x) ** 2, 0.3),
-        (lambda v: v.sqrt(), lambda x: 0.5 / math.sqrt(x), 4.0),
+        (lambda v: exp(v), math.exp, 0.5),
+        (lambda v: log(v), lambda x: 1.0 / x, 2.0),
+        (lambda v: tanh(v), lambda x: 1.0 - math.tanh(x) ** 2, 0.3),
+        (lambda v: sqrt(v), lambda x: 0.5 / math.sqrt(x), 4.0),
         (lambda v: -v, lambda x: -1.0, 0.9),
     ])
     def test_primitives(self, f, df, x):
-        _, g = scalar_grad(f, x)
-        assert g == pytest.approx(df(x), rel=1e-12)
+        xs = x * np.array([[1.0, 0.5], [1.5, 0.25]])
+        _, g = tape_grad(f, xs)
+        expected = np.vectorize(df)(xs) * np.ones_like(xs)
+        np.testing.assert_allclose(g, expected, rtol=1e-12)
 
     def test_fan_out_accumulates(self):
         # y = x*x + x => dy/dx = 2x + 1.
-        val, g = scalar_grad(lambda v: v * v + v, 1.5)
-        assert val == pytest.approx(1.5 * 1.5 + 1.5)
-        assert g == pytest.approx(4.0)
+        val, g = tape_grad(lambda v: v * v + v, np.array([1.5, -2.0]))
+        np.testing.assert_allclose(val, [1.5 * 1.5 + 1.5, 2.0])
+        np.testing.assert_allclose(g, [4.0, -3.0])
 
     def test_deep_chain_iterative(self):
         # 3000 sequential ops would overflow a recursive traversal.
-        v = Var(1.0)
+        v = Node(np.ones(2))
         out = v
         for _ in range(3000):
             out = out * 0.999 + 0.001
-        out.backward()
-        assert v.grad == pytest.approx(0.999**3000, rel=1e-10)
+        backward(out.sum())
+        np.testing.assert_allclose(v.grad, 0.999**3000, rtol=1e-10)
 
     def test_composite_matches_hp_fd(self):
-        def f(v):
-            return (v * v + 1.0).sqrt().tanh().exp() / (v + 2.0)
+        def f(v, exp, tanh, sqrt):
+            return exp(tanh(sqrt(v * v + 1.0))) / (v + 2.0)
 
         x = 0.37
-        _, g = scalar_grad(f, x)
-        fd = hp_central_diff(f, x, h=1e-6)
-        assert g == pytest.approx(fd, rel=1e-9)
+        _, g = tape_grad(lambda v: f(v, exp, tanh, sqrt), np.array(x))
+        fd = hp_central_diff(
+            lambda h: f(h, HPScalar.exp, HPScalar.tanh, HPScalar.sqrt), x, h=1e-6
+        )
+        assert float(g) == pytest.approx(fd, rel=1e-9)
+
+    def test_broadcast_gradients_sum_to_operand_shape(self):
+        a = Node(np.array([[1.0], [2.0], [3.0]]))
+        b = Node(np.array([10.0, 20.0, 30.0, 40.0]))
+        c = Node(np.array(0.5))
+        backward((a * b + c).sum())
+        np.testing.assert_allclose(a.grad, [[100.0], [100.0], [100.0]])
+        np.testing.assert_allclose(b.grad, [6.0] * 4)
+        assert c.grad == pytest.approx(12.0)
+
+    def test_matmul_transpose_and_reductions(self):
+        rng = np.random.default_rng(0)
+        A, B = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
+        W = rng.standard_normal((3, 4))
+        a, b = Node(A), Node(B)
+        backward((W * (a @ b.T)).sum(axis=1).sum())
+        np.testing.assert_allclose(a.grad, W @ B, rtol=1e-13)
+        np.testing.assert_allclose(b.grad, W.T @ A, rtol=1e-13)
+        m = Node(A)
+        # (column sums) x (row sums), summed, is sum(A)^2.
+        backward((m.sum(axis=0, keepdims=True) * m.sum(axis=1)[:, None]).sum())
+        np.testing.assert_allclose(m.grad, np.full((3, 2), 2.0 * A.sum()), rtol=1e-13)
+
+    def test_index_and_concat(self):
+        v = Node(np.arange(4.0))
+        backward((v[np.array([0, 0, 3])] * 2.0).sum())
+        np.testing.assert_allclose(v.grad, [4.0, 0.0, 0.0, 2.0])
+        a, b = Node(np.ones((2, 3))), Node(np.ones((1, 3)))
+        backward((concat([a, np.zeros((2, 3)), b]) * np.arange(5.0)[:, None]).sum())
+        np.testing.assert_allclose(a.grad, [[0.0] * 3, [1.0] * 3])
+        np.testing.assert_allclose(b.grad, [[4.0] * 3])
+
+    def test_where_masks_gradient(self):
+        v = Node(np.array([-1.0, 0.0, 4.0]))
+        positive = v.value > 0.0
+        d = where(positive, sqrt(where(positive, v, 1.0)), 0.0)
+        backward(d.sum())
+        np.testing.assert_array_equal(v.grad, [0.0, 0.0, 0.25])
+
+    def test_plain_arrays_stay_off_the_tape(self):
+        out = where(np.array([True]), exp(np.ones(1)), concat([np.ones(1)]))
+        assert isinstance(out, np.ndarray)
+        assert not isinstance(np.ones(2) * Node(np.ones(2)), np.ndarray)
 
 
 class TestParamVector:
@@ -132,10 +191,8 @@ class TestGrad:
                         np.array([0.5, 0.4]))
 
         def loss(view):
-            total = 0.0
-            for row in view.pole_raws:
-                total = total + gm.norm_sq(row)
-            return total + view.weight_logits[0] * view.radial_raws[1]
+            return ((view.pole_raws * view.pole_raws).sum()
+                    + view.weight_logits[0] * view.radial_raws[1])
 
         g = grad(loss, p)
         np.testing.assert_allclose(g.pole_raws, [[0.6, -0.4]], rtol=1e-14)
@@ -145,39 +202,39 @@ class TestGrad:
     def test_nonfinite_loss_raises(self):
         p = ParamVector(np.zeros((1, 1)), np.zeros(1), np.ones(2))
         with pytest.raises(ArithmeticError):
-            grad(lambda view: view.radial_raws[0].log() - view.radial_raws[0].log()
-                 + Var(float("nan")), p)
+            grad(lambda view: log(view.radial_raws[0]) - log(view.radial_raws[0])
+                 + float("nan"), p)
 
     def test_frozen_curvature_has_no_component(self):
         p = ParamVector(np.zeros((1, 1)), np.zeros(1), np.ones(2))
-        g = grad(lambda view: gm.norm_sq(view.radial_raws), p)
+        g = grad(lambda view: (view.radial_raws * view.radial_raws).sum(), p)
         assert g.log_c is None
+
+    def test_untouched_block_gets_zero_gradient(self):
+        p = ParamVector(np.zeros((2, 3)), np.zeros(2), np.ones(2))
+        g = grad(lambda view: view.radial_raws.sum(), p)
+        np.testing.assert_array_equal(g.pole_raws, np.zeros((2, 3)))
+        np.testing.assert_array_equal(g.weight_logits, np.zeros(2))
 
     def test_kernel_loss_matches_hp_fd(self):
         rng = np.random.default_rng(4)
         p = ParamVector(0.3 * rng.standard_normal((2, 2)),
                         rng.standard_normal(2), 0.5 + 0.2 * rng.standard_normal(3))
-        z = [0.2, -0.3]
-        w = [0.1, 0.4]
+        z = np.array([[0.2, -0.3]])
+        w = np.array([[0.1, 0.4]])
+        run = RunConfig(variant="ahrad")
 
         def loss(view):
+            k = _kernel_from_raws(view, run)
+            return _scores(k, z, w, "similarity", Projection())[0, 0]
+
+        def reference(view):
             leaves = gm.KernelLeaves.from_view(view, "ahrad")
-            e_z = gm.embed(leaves, z)
-            e_w = gm.embed(leaves, w)
+            e_z = gm.embed(leaves, gm.exp0(list(z[0]), leaves.c))
+            e_w = gm.embed(leaves, gm.exp0(list(w[0]), leaves.c))
             return gm.kernel(leaves, e_z, e_w)
 
-        g = grad(loss, p)
-        flat = p.radial_raws.copy()
-        for idx in range(flat.size):
-            def pinned(x, idx=idx):
-                raws = [HPScalar(v) for v in flat]
-                raws[idx] = x
-                view = p.view()
-                view.radial_raws = raws
-                return loss(view)
-
-            fd = hp_central_diff(pinned, flat[idx])
-            assert g.radial_raws[idx] == pytest.approx(fd, rel=1e-8, abs=1e-12)
+        assert oracle.worst_grad_error(loss, reference, p) < 1e-8
 
 
 class TestOptimizer:
