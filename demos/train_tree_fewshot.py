@@ -42,8 +42,9 @@ print(f"euclidean baseline: {baseline.accuracy:.3f} "
 # Training
 # ---------------------------------------------------------------------------
 # Each step samples one episode, evaluates the prototype cross-entropy
-# through the scalar tape, and applies an adaptive update to the pole,
-# weight and radial-coefficient raws.
+# once on the array tape (the same forward gives the step's loss and its
+# gradient), and applies an adaptive update to the pole, weight and
+# radial-coefficient raws.
 
 run = train(config)
 print(f"\ninitial: acc {run.initial_eval.accuracy:.3f}, "

@@ -151,10 +151,13 @@ class KernelLeaves:
     @staticmethod
     def from_view(view: RawView, variant, offset=None, degree=None,
                   bandwidth=None) -> "KernelLeaves":
-        """Constrained leaves derived from unconstrained raws (any scalar type)."""
+        """Constrained leaves derived from unconstrained raws (any scalar
+        type); the Drury-Arveson kernel takes no poles or weights."""
         c = s_exp(view.log_c) if view.log_c is not None else view.fixed_c
-        poles = [exp0(row, c) for row in view.pole_raws]
-        weights = softmax(view.weight_logits)
+        poles = weights = None
+        if variant != "da":
+            poles = [exp0(row, c) for row in view.pole_raws]
+            weights = softmax(view.weight_logits)
         alphas = [r * r for r in view.radial_raws]
         return KernelLeaves(variant, c, poles, weights, alphas,
                             offset, degree, bandwidth)

@@ -85,15 +85,16 @@ class Node:
 
     def __matmul__(self, other):
         a, b = self.value, value(other)
-        return _node(a @ b, (self, lambda g: g @ b.T), (other, lambda g: a.T @ g))
+        return _node(a @ b, (self, lambda g: g @ b.mT), (other, lambda g: a.mT @ g))
 
     def __rmatmul__(self, other):
         a, b = value(other), self.value
-        return _node(a @ b, (self, lambda g: a.T @ g))
+        return _node(a @ b, (self, lambda g: a.mT @ g))
 
     @property
-    def T(self):
-        return _node(self.value.T, (self, np.transpose))
+    def mT(self):
+        """Transpose of the last two axes (numpy's ndarray.mT)."""
+        return _node(self.value.mT, (self, lambda g: g.mT))
 
     def __getitem__(self, index):
         shape = self.value.shape

@@ -6,10 +6,12 @@ Three objectives share one batched forward: the rows of an episode
 and every loss is the row-wise log-sum-exp cross-entropy of that matrix
 against a target column.  The forward is written once over arrays that
 may be plain numpy (evaluation) or `diff.Node`s on the reverse-mode tape
-(gradients).  The objectives are episodic few-shot classification,
-semantic/visual alignment with an affine embedder, and in-batch
-contrastive similarity learning.  A Euclidean and a geodesic baseline are
-provided for comparison.
+(gradients), and over leading batch axes: training scores one episode
+(a 2-d score matrix on the tape), evaluation a stack of episodes at once
+(one score tensor per block of episodes).  The objectives are episodic
+few-shot classification, semantic/visual alignment with an affine
+embedder, and in-batch contrastive similarity learning.  A Euclidean and
+a geodesic baseline are provided for comparison.
 """
 
 from __future__ import annotations
@@ -35,7 +37,13 @@ from .diff import (
     value,
     where,
 )
-from .geometry import BallPoint, Curvature, geodesic_distance
+from .geometry import (
+    BOUNDARY_MARGIN,
+    BallPoint,
+    Curvature,
+    GeometryError,
+    geodesic_distance,
+)
 from .kernels import KernelConfig
 
 
@@ -68,7 +76,7 @@ class Projection:
                 raise ValueError("clip projection needs beta*(1-eps) < 1")
 
     def apply(self, x, c):
-        """Project each row of x (or the vector x) onto the ball.
+        """Project each vector along the last axis of x onto the ball.
 
         x and c may be plain arrays/numbers or tape nodes.
         """
@@ -117,55 +125,62 @@ def _kernel_from_config(config: KernelConfig) -> _Kernel:
 def _kernel_from_raws(raws, config: RunConfig) -> _Kernel:
     """Constrained values of unconstrained raws (a ParamVector, or the
     RawView of tape nodes that `diff.grad` passes): poles through exp0,
-    weights through softmax, squared radial coefficients."""
+    weights through softmax, squared radial coefficients.  The
+    Drury-Arveson kernel has no multiplier, so its poles and weights stay
+    out of the forward (and get zero gradient)."""
     c = exp(raws.log_c) if raws.log_c is not None else raws.fixed_c
-    poles = Projection().apply(raws.pole_raws, c)
-    e = exp(raws.weight_logits - np.max(value(raws.weight_logits)))
-    return _Kernel(config.variant, c, poles, e / e.sum(),
+    poles = weights = None
+    if config.variant != "da":
+        poles = Projection().apply(raws.pole_raws, c)
+        e = exp(raws.weight_logits - np.max(value(raws.weight_logits)))
+        weights = e / e.sum()
+    return _Kernel(config.variant, c, poles, weights,
                    raws.radial_raws * raws.radial_raws,
                    config.offset, config.degree, config.bandwidth)
 
 
 def _multiplier(k: _Kernel, Z):
-    """b(z) for every row z of Z, all poles in one matrix product.
+    """b(z) for every row z of Z (... x n x dim), all poles in one matrix product.
 
     b(z) = sum_j w_j s_j (lead_j a_j - z) / (1 - (c<a_j,z>)^2) with
     s_j = sqrt(1 - c|a_j|^2) and lead_j = c<a_j,z>/(1 + s_j); it is
     smooth at a_j = 0, where the term is -z.
     """
     c, P = k.c, k.poles
-    caz = c * (Z @ P.T)
-    s = sqrt(1.0 - c * (P * P).sum(axis=1))
+    caz = c * (Z @ P.mT)
+    s = sqrt(1.0 - c * (P * P).sum(axis=-1))
     coef = k.weights * s / (1.0 - caz * caz)
-    return (coef * (caz / (1.0 + s))) @ P - coef.sum(axis=1, keepdims=True) * Z
+    return (coef * (caz / (1.0 + s))) @ P - coef.sum(axis=-1, keepdims=True) * Z
 
 
 def _dbr(k: _Kernel, Z):
     """De Branges-Rovnyak matrix (1 - c B B^T)/(1 - c Z Z^T) over rows of Z."""
-    den = 1.0 - k.c * (Z @ Z.T)
+    den = 1.0 - k.c * (Z @ Z.mT)
     if k.poles is None:
         return 1.0 / den
     B = _multiplier(k, Z)
-    return (1.0 - k.c * (B @ B.T)) / den
+    return (1.0 - k.c * (B @ B.mT)) / den
 
 
 def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
     """Score matrix of rows against columns: higher is more similar.
 
-    Both sets are projected onto the ball and the kernel is formed once
-    over their union.  In "distance" mode the score is minus the
-    kernel-induced squared distance k_ii + k_jj - 2 k_ij (for ahrbf/ahlap
-    minus the negative log-kernel); in "similarity" mode it is the kernel.
+    rows (... x n x dim) and cols (... x m x dim) give ... x n x m scores;
+    leading axes are independent batches (stacked episodes).  Both sets
+    are projected onto the ball and the kernel is formed once over their
+    union.  In "distance" mode the score is minus the kernel-induced
+    squared distance k_ii + k_jj - 2 k_ij (for ahrbf/ahlap minus the
+    negative log-kernel); in "similarity" mode it is the kernel.
     """
     if mode not in ("distance", "similarity"):
         raise ValueError(f"unknown score mode {mode!r}")
-    n = value(rows).shape[0]
-    K = _dbr(k, projection.apply(concat([rows, cols]), k.c))
-    diag = np.arange(value(K).shape[0])
-    d = K[diag, diag]
+    n = value(rows).shape[-2]
+    K = _dbr(k, projection.apply(concat([rows, cols], axis=-2), k.c))
+    diag = np.arange(value(K).shape[-1])
+    d = K[..., diag, diag]
     variant = k.variant
     if variant in ("da", "ahl", "ahrbf", "ahlap"):
-        dist = _clamp0(d[:n, None] + d[None, n:] - 2.0 * K[:n, n:])
+        dist = _clamp0(d[..., :n, None] + d[..., None, n:] - 2.0 * K[..., :n, n:])
         if variant == "ahrbf":
             dist = dist / (2.0 * k.bandwidth**2)
         elif variant == "ahlap":
@@ -173,11 +188,11 @@ def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
             dist = where(positive, sqrt(where(positive, dist, 1.0)), 0.0) / k.bandwidth
         if mode == "distance":
             return -dist
-        return K[:n, n:] if variant in ("da", "ahl") else exp(-dist)
+        return K[..., :n, n:] if variant in ("da", "ahl") else exp(-dist)
     if variant == "ahpoly":
         G = (K + k.offset) ** int(k.degree)
     elif variant in ("base", "ahrad"):
-        G = (K * K) / (d[:, None] * d[None, :])
+        G = (K * K) / (d[..., :, None] * d[..., None, :])
         if variant == "ahrad":
             beta, G = G, k.alphas[-1]
             for l in range(value(k.alphas).shape[0] - 2, -1, -1):
@@ -185,25 +200,33 @@ def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
     else:
         raise ValueError(f"unknown variant {variant!r}")
     if mode == "distance":
-        g = G[diag, diag]
-        return -_clamp0(g[:n, None] + g[None, n:] - 2.0 * G[:n, n:])
-    return G[:n, n:]
+        g = G[..., diag, diag]
+        return -_clamp0(g[..., :n, None] + g[..., None, n:] - 2.0 * G[..., :n, n:])
+    return G[..., :n, n:]
 
 
 def _cross_entropy(scores, targets: np.ndarray):
-    """Mean over rows of log-sum-exp(row) - row[target]."""
-    shift = np.max(value(scores), axis=1)
-    lse = log(exp(scores - shift[:, None]).sum(axis=1)) + shift
-    return (lse - scores[np.arange(targets.size), targets]).sum() / targets.size
+    """Mean over rows of log-sum-exp(row) - row[target], one value per
+    score matrix in the stack (a scalar for a single matrix)."""
+    shift = np.max(value(scores), axis=-1)
+    lse = log(exp(scores - shift[..., None]).sum(axis=-1)) + shift
+    picked = scores[..., np.arange(targets.size), targets]
+    return (lse - picked).sum(axis=-1) / targets.size
 
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Synthetic feature set with integer class labels."""
+    """Synthetic feature set with integer class labels.
+
+    `classes` holds the sorted distinct labels and `class_index[j]` the
+    ascending row indices of class `classes[j]`; both are built once.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     meta: dict = field(default_factory=dict)
+    classes: np.ndarray = field(init=False, repr=False, compare=False)
+    class_index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, copy=True)
@@ -214,14 +237,15 @@ class LabeledSet:
             raise ValueError("labels must align with features")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
-        feats.flags.writeable = False
-        labels.flags.writeable = False
+        classes, inverse = np.unique(labels, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        class_index = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
+        for a in (feats, labels, classes, *class_index):
+            a.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_index", tuple(class_index))
 
 
 def gen_tree_dataset(
@@ -313,20 +337,27 @@ def sample_episode(
     n_shot: int,
     n_query: int,
 ) -> Episode:
-    classes = dataset.classes
-    if n_way > classes.size:
-        raise ValueError(f"cannot sample {n_way} ways from {classes.size} classes")
-    chosen = rng.choice(classes, size=n_way, replace=False)
-    support = []
-    query = []
-    for cls in chosen:
-        idx = np.flatnonzero(dataset.labels == cls)
-        if idx.size < n_shot + n_query:
-            raise ValueError(f"class {cls} has fewer than {n_shot + n_query} samples")
-        picked = rng.choice(idx, size=n_shot + n_query, replace=False)
-        support.append(dataset.features[picked[:n_shot]])
-        query.append(dataset.features[picked[n_shot:]])
-    return Episode(np.array(support), np.array(query), tuple(int(c) for c in chosen))
+    """n_way distinct classes, then per class n_shot + n_query distinct rows.
+
+    Draws from the dataset's per-class index; one `rng.choice` for the
+    classes and one per class, so a seed fixes the episode.
+    """
+    n_classes = dataset.classes.size
+    if n_way > n_classes:
+        raise ValueError(f"cannot sample {n_way} ways from {n_classes} classes")
+    chosen = rng.choice(n_classes, size=n_way, replace=False)
+    per_class = n_shot + n_query
+    picked = np.empty((n_way, per_class), dtype=np.int64)
+    for row, j in enumerate(chosen):
+        idx = dataset.class_index[j]
+        if idx.size < per_class:
+            raise ValueError(
+                f"class {dataset.classes[j]} has fewer than {per_class} samples"
+            )
+        picked[row] = idx[rng.choice(idx.size, size=per_class, replace=False)]
+    samples = dataset.features[picked]
+    return Episode(samples[:, :n_shot], samples[:, n_shot:],
+                   tuple(dataset.classes[chosen].tolist()))
 
 
 def _fsl_scores(k: _Kernel, episode: Episode, mode: str, projection: Projection):
@@ -338,19 +369,19 @@ def _fsl_scores(k: _Kernel, episode: Episode, mode: str, projection: Projection)
     return _scores(k, queries, episode.support.mean(axis=1), mode, projection)
 
 
-def _fsl_targets(episode: Episode) -> np.ndarray:
-    return np.repeat(np.arange(episode.n_way), episode.query.shape[1])
+def _fsl_targets(n_way: int, n_query: int) -> np.ndarray:
+    return np.repeat(np.arange(n_way), n_query)
 
 
 def _fsl_loss(k: _Kernel, episode: Episode, mode: str, projection: Projection):
     scores = _fsl_scores(k, episode, mode, projection)
-    return _cross_entropy(scores, _fsl_targets(episode))
+    return _cross_entropy(scores, _fsl_targets(*episode.query.shape[:2]))
 
 
 def _zsl_loss(k: _Kernel, affine, semantics, visual, labels, mode, projection):
     # affine = [W | b] maps the semantic vectors s to anchors W s + b.
     lifted = np.hstack([semantics, np.ones((len(semantics), 1))])
-    scores = _scores(k, visual, lifted @ affine.T, mode, projection)
+    scores = _scores(k, visual, lifted @ affine.mT, mode, projection)
     return _cross_entropy(scores, np.asarray(labels))
 
 
@@ -446,28 +477,42 @@ class EvalResult:
     mean_loss: float | None = None
 
 
-def _baseline_episode_scores(episode: Episode, baseline: str, c: float,
-                             projection: Projection):
-    protos = episode.support.mean(axis=1)
-    if baseline == "geodesic":
-        curv = Curvature(c)
-        proto_pts = [BallPoint(projection.apply(p, c), curv) for p in protos]
-    correct = 0
-    total = 0
-    for i in range(episode.n_way):
-        for q in episode.query[i]:
-            if baseline == "euclidean":
-                scores = [euclidean_baseline_score(q, p) for p in protos]
-            else:
-                curv = Curvature(c)
-                q_pt = BallPoint(projection.apply(q, c), curv)
-                scores = [
-                    euclidean_baseline_score(q_pt, p, "geodesic") for p in proto_pts
-                ]
-            if int(np.argmax(scores)) == i:
-                correct += 1
-            total += 1
-    return correct, total
+BASELINES = ("euclidean", "geodesic")
+
+# Bound on the entries of the arrays of one stacked forward in `evaluate`,
+# counted as n x (n + dim) per episode of n = n_way * (n_query + 1) rows
+# and columns (the kernel matrix and the projected points): memory grows
+# neither with the number of episodes nor, beyond one episode per block,
+# with their size.
+EVAL_BLOCK_ENTRIES = 2**17
+
+
+def _eval_block(n_way: int, n_query: int, dim: int) -> int:
+    """Episodes per stacked forward in `evaluate`."""
+    n = n_way * (n_query + 1)
+    return max(1, EVAL_BLOCK_ENTRIES // (n * (n + dim)))
+
+
+def _baseline_scores(queries, protos, baseline: str, c: float,
+                     projection: Projection):
+    """Baseline scores of queries (... x n x dim) against prototypes
+    (... x m x dim): minus the squared Euclidean distance of the features,
+    or minus the geodesic distance of their projections onto the ball,
+    both from inner products (geometry.pseudo_distance_closed_form)."""
+    if baseline == "euclidean":
+        sq_q = (queries * queries).sum(axis=-1)
+        sq_p = (protos * protos).sum(axis=-1)
+        return 2.0 * (queries @ protos.mT) - sq_q[..., :, None] - sq_p[..., None, :]
+    c = Curvature(c).c
+    Q = projection.apply(queries, c)
+    P = projection.apply(protos, c)
+    cq = c * (Q * Q).sum(axis=-1)
+    cp = c * (P * P).sum(axis=-1)
+    if max(cq.max(), cp.max()) >= (1.0 - BOUNDARY_MARGIN) ** 2:
+        raise GeometryError("projected point too close to the ball boundary")
+    num = (1.0 - cq)[..., :, None] * (1.0 - cp)[..., None, :]
+    rho = np.sqrt(np.maximum(1.0 - num / (1.0 - c * (Q @ P.mT)) ** 2, 0.0))
+    return -2.0 / np.sqrt(c) * np.arctanh(rho)
 
 
 def evaluate(
@@ -486,34 +531,40 @@ def evaluate(
     """Episodic classification accuracy with a 95% confidence interval.
 
     Accuracy is argmax-score classification of queries against prototypes
-    and mean_loss the mean fsl loss, both from one score matrix per
-    episode; the CI halfwidth is 1.96 * stderr over per-episode accuracies.
+    and mean_loss the mean fsl loss, both from the same scores; the CI
+    halfwidth is 1.96 * stderr over per-episode accuracies.  Episodes are
+    sampled one by one from the seeded stream and scored a block at a time
+    (`_eval_block`) in one stacked forward.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if baseline is not None and baseline not in BASELINES:
+        raise ValueError(f"unknown baseline mode {baseline!r}")
     rng = np.random.default_rng(seed)
     k = _kernel_from_config(config) if config is not None else None
-    accs = []
+    targets = _fsl_targets(n_way, n_query)
+    block_size = _eval_block(n_way, n_query, dataset.features.shape[1])
+    correct = []
     losses = []
-    for _ in range(episodes):
-        episode = sample_episode(rng, dataset, n_way, n_shot, n_query)
+    for start in range(0, episodes, block_size):
+        block = [sample_episode(rng, dataset, n_way, n_shot, n_query)
+                 for _ in range(min(block_size, episodes - start))]
+        # Queries (class-major) and prototypes, as in _fsl_scores, stacked.
+        queries = np.array([e.query for e in block])
+        queries = queries.reshape(len(block), targets.size, queries.shape[-1])
+        protos = np.array([e.support for e in block]).mean(axis=2)
         if baseline is not None:
-            correct, total = _baseline_episode_scores(
-                episode, baseline, curvature, projection
-            )
+            scores = _baseline_scores(queries, protos, baseline, curvature, projection)
         else:
-            scores = _fsl_scores(k, episode, mode, projection)
-            targets = _fsl_targets(episode)
-            correct = int(np.count_nonzero(np.argmax(scores, axis=1) == targets))
-            total = targets.size
-            losses.append(float(_cross_entropy(scores, targets)))
-        accs.append(correct / total)
-    accs = np.array(accs)
+            scores = _scores(k, queries, protos, mode, projection)
+            losses.append(_cross_entropy(scores, targets))
+        correct.append((np.argmax(scores, axis=-1) == targets).sum(axis=-1))
+    accs = np.concatenate(correct) / targets.size
     if episodes > 1:
         ci = 1.96 * accs.std(ddof=1) / math.sqrt(episodes)
     else:
         ci = 0.0
-    mean_loss = float(np.mean(losses)) if losses else None
+    mean_loss = float(np.mean(np.concatenate(losses))) if losses else None
     return EvalResult(float(accs.mean()), float(ci), mean_loss)
 
 
@@ -592,10 +643,7 @@ def init_params(config: RunConfig) -> ParamVector:
 
 def _class_semantics(dataset: LabeledSet) -> np.ndarray:
     """Per-class mean feature, the synthetic stand-in for attribute vectors."""
-    return np.array(
-        [dataset.features[dataset.labels == cls].mean(axis=0)
-         for cls in dataset.classes]
-    )
+    return np.array([dataset.features[idx].mean(axis=0) for idx in dataset.class_index])
 
 
 def _make_step_loss(config: RunConfig, dataset: LabeledSet,
@@ -644,18 +692,36 @@ def _make_step_loss(config: RunConfig, dataset: LabeledSet,
 
 
 def _sample_triplets(rng: np.random.Generator, dataset: LabeledSet, batch: int):
-    anchors, positives, negatives = [], [], []
-    classes = dataset.classes
-    for _ in range(batch):
-        cls = rng.choice(classes)
-        idx = np.flatnonzero(dataset.labels == cls)
-        a, p = rng.choice(idx, size=2, replace=False)
-        other = rng.choice(classes[classes != cls])
-        n = rng.choice(np.flatnonzero(dataset.labels == other))
-        anchors.append(dataset.features[a])
-        positives.append(dataset.features[p])
-        negatives.append(dataset.features[n])
-    return np.array(anchors), np.array(positives), np.array(negatives)
+    """batch (anchor, positive, negative) rows: anchor and positive are two
+    distinct rows of a random class, the negative a row of another class."""
+    index = dataset.class_index
+    n_classes = len(index)
+    rows = np.empty((batch, 3), dtype=np.int64)
+    for t in range(batch):
+        j = rng.choice(n_classes)
+        rows[t, :2] = index[j][rng.choice(index[j].size, size=2, replace=False)]
+        other = rng.choice(n_classes - 1)   # counts the classes other than j
+        other += other >= j
+        rows[t, 2] = index[other][rng.choice(index[other].size)]
+    anchors, positives, negatives = dataset.features[rows.T]
+    return anchors, positives, negatives
+
+
+def _recording(loss, step_index: int, trace: list):
+    """loss that appends its value to trace, or raises DivergenceError on a
+    non-finite value.  Under `diff.grad` it runs inside the gradient's tape
+    forward, so a step's loss is computed once and checked before any
+    backward pass."""
+
+    def recorded(raws):
+        out = loss(raws)
+        val = float(value(out))
+        if not math.isfinite(val):
+            raise DivergenceError(step_index, val)
+        trace.append(val)
+        return out
+
+    return recorded
 
 
 def _run_eval(config: RunConfig, dataset: LabeledSet, p: ParamVector) -> EvalResult:
@@ -698,13 +764,10 @@ def train(config: RunConfig) -> TrainRun:
         blocks = blocks + ("affine",)
     trace = []
     for i in range(config.steps):
-        loss = _make_step_loss(config, dataset, rng)
-        val = float(loss(p))
-        if not math.isfinite(val):
-            raise DivergenceError(i, val)
-        trace.append(val)
+        loss = _recording(_make_step_loss(config, dataset, rng), i, trace)
         if config.lr > 0:
-            g = grad(loss, p)
-            state, p = step(state, p, g, config.lr, blocks)
+            state, p = step(state, p, grad(loss, p), config.lr, blocks)
+        else:
+            loss(p)
     final_eval = _run_eval(config, dataset, p)
     return TrainRun(config, tuple(trace), p, initial_eval, final_eval)

@@ -6,15 +6,99 @@ library's losses are defined, so they run on floats and on the 60-digit
 `hypkernels.learning` against them (values), and the array-tape gradient
 against high-precision central differences of them (`worst_grad_error`).
 `leaves` is a `_gmath.KernelLeaves`; `projection` a `learning.Projection`.
+
+The samplers and `evaluate` below are the per-episode, per-query loops
+that the indexed samplers and the stacked evaluation replaced; the tests
+require the same draws and the same results from both.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from hpfd import HPScalar, hp_central_diff
 from hypkernels import _gmath as gm
+from hypkernels import learning
 from hypkernels.diff import ParamVector, RawView, grad
+from hypkernels.geometry import BallPoint, Curvature
+
+
+def sample_episode(rng, dataset, n_way, n_shot, n_query):
+    """One label scan per drawn class, drawing from the label values."""
+    classes = np.unique(dataset.labels)
+    if n_way > classes.size:
+        raise ValueError(f"cannot sample {n_way} ways from {classes.size} classes")
+    chosen = rng.choice(classes, size=n_way, replace=False)
+    support = []
+    query = []
+    for cls in chosen:
+        idx = np.flatnonzero(dataset.labels == cls)
+        if idx.size < n_shot + n_query:
+            raise ValueError(f"class {cls} has fewer than {n_shot + n_query} samples")
+        picked = rng.choice(idx, size=n_shot + n_query, replace=False)
+        support.append(dataset.features[picked[:n_shot]])
+        query.append(dataset.features[picked[n_shot:]])
+    return learning.Episode(np.array(support), np.array(query),
+                            tuple(int(c) for c in chosen))
+
+
+def sample_triplets(rng, dataset, batch):
+    """One label scan per draw; negatives from the other label values."""
+    anchors, positives, negatives = [], [], []
+    classes = np.unique(dataset.labels)
+    for _ in range(batch):
+        cls = rng.choice(classes)
+        idx = np.flatnonzero(dataset.labels == cls)
+        a, p = rng.choice(idx, size=2, replace=False)
+        other = rng.choice(classes[classes != cls])
+        n = rng.choice(np.flatnonzero(dataset.labels == other))
+        anchors.append(dataset.features[a])
+        positives.append(dataset.features[p])
+        negatives.append(dataset.features[n])
+    return np.array(anchors), np.array(positives), np.array(negatives)
+
+
+def _baseline_correct(episode, baseline, c, projection):
+    """Correct queries of one episode, one query and one prototype at a time."""
+    protos = episode.support.mean(axis=1)
+    curv = Curvature(c)
+    if baseline == "geodesic":
+        protos = [BallPoint(projection.apply(p, c), curv) for p in protos]
+    correct = 0
+    for i in range(episode.n_way):
+        for q in episode.query[i]:
+            if baseline == "geodesic":
+                q = BallPoint(projection.apply(q, c), curv)
+            scores = [learning.euclidean_baseline_score(q, p, baseline) for p in protos]
+            correct += int(np.argmax(scores)) == i
+    return correct
+
+
+def evaluate(config, dataset, n_way, n_shot, n_query, episodes, seed,
+             mode="distance", projection=learning.Projection(), baseline=None,
+             curvature=1.0):
+    """`learning.evaluate` one episode at a time: the reference sampler, one
+    2-d score matrix per episode, the baselines per query."""
+    rng = np.random.default_rng(seed)
+    k = learning._kernel_from_config(config) if config is not None else None
+    targets = np.repeat(np.arange(n_way), n_query)
+    accs = []
+    losses = []
+    for _ in range(episodes):
+        episode = sample_episode(rng, dataset, n_way, n_shot, n_query)
+        if baseline is not None:
+            correct = _baseline_correct(episode, baseline, curvature, projection)
+        else:
+            scores = learning._fsl_scores(k, episode, mode, projection)
+            correct = int(np.count_nonzero(np.argmax(scores, axis=1) == targets))
+            losses.append(float(learning._cross_entropy(scores, targets)))
+        accs.append(correct / targets.size)
+    accs = np.array(accs)
+    ci = 1.96 * accs.std(ddof=1) / math.sqrt(episodes) if episodes > 1 else 0.0
+    mean_loss = float(np.mean(losses)) if losses else None
+    return learning.EvalResult(float(accs.mean()), float(ci), mean_loss)
 
 
 def project(projection, x, c):

@@ -94,7 +94,7 @@ class TestVar:
         A, B = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
         W = rng.standard_normal((3, 4))
         a, b = Node(A), Node(B)
-        backward((W * (a @ b.T)).sum(axis=1).sum())
+        backward((W * (a @ b.mT)).sum(axis=1).sum())
         np.testing.assert_allclose(a.grad, W @ B, rtol=1e-13)
         np.testing.assert_allclose(b.grad, W.T @ A, rtol=1e-13)
         m = Node(A)

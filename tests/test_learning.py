@@ -1,9 +1,15 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from hypkernels.diff import ParamVector, materialize
+from hypkernels import diff, learning
+from hypkernels.cli import EXIT_DIVERGENCE, main
+from hypkernels.diff import ParamVector, grad, materialize
 from hypkernels.kernels import KernelConfig, RadialCoeffs
 from hypkernels.learning import (
+    DivergenceError,
     Episode,
     LabeledSet,
     Projection,
@@ -252,6 +258,71 @@ class TestTrain:
         config = RunConfig(variant="ahrbf", bandwidth=1.0, truncation=4)
         kc = params_to_kernel_config(config, init_params(config))
         assert kc.variant == "ahrbf" and kc.bandwidth == 1.0
+
+    def test_da_trains_the_kernel_it_reports(self):
+        # The Drury-Arveson kernel has no multiplier: training must not see
+        # the poles, and its loss must be the loss of the reported kernel.
+        config = RunConfig(variant="da", steps=1, truncation=4, eval_episodes=2)
+        dataset = gen_tree_dataset(config.dataset_seed, config.depth,
+                                   config.branching, config.dim,
+                                   config.noise_sigma, config.samples_per_leaf)
+        p = init_params(config)
+        rng = np.random.default_rng(config.train_seed)
+        g = grad(learning._make_step_loss(config, dataset, rng), p)
+        assert not np.any(g.pole_raws) and not np.any(g.weight_logits)
+        episode = sample_episode(np.random.default_rng(config.train_seed), dataset,
+                                 config.n_way, config.n_shot, config.n_query)
+        reported = fsl_loss(params_to_kernel_config(config, p), episode)
+        step0 = train(config).loss_trace[0]
+        assert abs(step0 - reported) <= 1e-12 * abs(reported)
+
+
+def _nan_at_step(monkeypatch, bad_step):
+    """Make the step loss non-finite at training step bad_step; returns the
+    per-step loss calls and the backward passes made so far."""
+    calls = []
+    backwards = []
+    fsl = learning._fsl_loss
+    backward = diff.backward
+
+    def loss(*args):
+        calls.append(len(calls))
+        return math.nan if len(calls) - 1 == bad_step else fsl(*args)
+
+    def counted_backward(out):
+        backwards.append(len(calls))
+        return backward(out)
+
+    monkeypatch.setattr(learning, "_fsl_loss", loss)
+    monkeypatch.setattr(diff, "backward", counted_backward)
+    return calls, backwards
+
+
+class TestDivergence:
+    CONFIG = dict(steps=5, truncation=4, eval_episodes=3)
+
+    def test_one_loss_forward_per_step(self, monkeypatch):
+        calls, backwards = _nan_at_step(monkeypatch, bad_step=None)
+        run = train(RunConfig(**self.CONFIG))
+        assert len(calls) == len(run.loss_trace) == 5
+        assert backwards == [1, 2, 3, 4, 5]
+
+    def test_non_finite_loss_raises_before_backward(self, monkeypatch):
+        calls, backwards = _nan_at_step(monkeypatch, bad_step=2)
+        with pytest.raises(DivergenceError) as info:
+            train(RunConfig(**self.CONFIG))
+        assert info.value.step_index == 2 and math.isnan(info.value.value)
+        assert len(calls) == 3 and backwards == [1, 2]
+
+    def test_cli_exit_code(self, monkeypatch, tmp_path, capsys):
+        _nan_at_step(monkeypatch, bad_step=2)
+        cfg = {"version": 1, "kernel": {"variant": "ahrad", "truncation": 4},
+               "optimizer": {"steps": 5}, "eval": {"episodes": 3}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DIVERGENCE
+        assert "training step 2" in capsys.readouterr().err
 
 
 def kconfig_for(dim):
