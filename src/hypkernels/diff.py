@@ -3,11 +3,24 @@
 All learnable quantities live in unconstrained real raws; `materialize`
 maps them onto their constrained views (poles inside the ball via the
 exponential map, weights on the simplex via softmax, nonnegative radial
-coefficients via squaring, positive curvature via exp).  Gradients are
-computed by a reverse-mode tape over real arrays: `Node` carries an
-array and the vector-Jacobian products back to its operands, and
-`exp`/`log`/`tanh`/`sqrt`/`where`/`concat` accept plain arrays and nodes
-alike, so one forward serves values and gradients.
+coefficients via squaring, positive curvature via exp).
+
+Gradients come from a reverse-mode tape over real arrays.  A `Node`
+holds an array, its operands and one vector-Jacobian product (VJP) that
+maps the gradient of the node onto the cotangents of all its operands at
+once.  `record` makes the result of any array function such a node, so
+a whole pipeline layer (the projection, the multiplier, a loss; see
+`learning`) is one node whose VJP computes its shared intermediates
+once.  The arithmetic operators and `exp`/`log`/`tanh`/`sqrt`/`where`/
+`concat` are small cases of the same mechanism.  Everything accepts
+plain arrays as well: with no node among the operands a function returns
+its numpy result and records nothing, so one forward serves values and
+gradients.
+
+Nodes are appended to a tape, a list shared by the nodes of one
+computation, in the order they are created; that order is topological,
+so `backward` walks the tape once in reverse.  `grad` puts the leaves of
+each gradient on a fresh tape.
 """
 
 from __future__ import annotations
@@ -30,81 +43,88 @@ def value(x):
 class Node:
     """An array on the reverse-mode tape.
 
-    Each node keeps its value and, per operand on the tape, the
-    vector-Jacobian product that maps the gradient of the node onto the
-    gradient of the operand.  Operands that are plain arrays or numbers
-    are constants.  Binary operations broadcast as numpy does; the
-    backward pass sums gradients back to each operand's shape.
+    `Node(value)` is a leaf; it starts a tape of its own unless one is
+    passed.  `record` makes the other nodes: `parents` holds one entry
+    per operand (None for a constant) and `vjp(g)` one cotangent per
+    operand.  Binary operations broadcast as numpy does; `backward` sums
+    a cotangent back to its operand's shape where the two differ.
     """
 
-    __slots__ = ("value", "_parents", "grad")
+    __slots__ = ("value", "grad", "tape", "parents", "vjp")
     # ndarray (op) Node defers to the node's reflected operator.
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=()):
+    def __init__(self, value, tape=None, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self._parents = parents
         self.grad = None
+        self.tape = [] if tape is None else tape
+        self.parents = parents
+        self.vjp = vjp
 
     def __repr__(self):
         return f"Node({self.value!r})"
 
     def __add__(self, other):
-        return _node(self.value + value(other), (self, _same), (other, _same))
+        return record(self.value + value(other), lambda g: (g, g), self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _node(self.value - value(other), (self, _same), (other, np.negative))
+        return record(self.value - value(other), lambda g: (g, -g), self, other)
 
     def __rsub__(self, other):
-        return _node(value(other) - self.value, (self, np.negative))
+        return record(value(other) - self.value, lambda g: (-g,), self)
 
     def __mul__(self, other):
         a, b = self.value, value(other)
-        return _node(a * b, (self, lambda g: g * b), (other, lambda g: g * a))
+        return record(a * b, lambda g: (g * b, g * a), self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = self.value, value(other)
         out = a / b
-        return _node(out, (self, lambda g: g / b), (other, lambda g: -g * out / b))
+        return record(out, lambda g: (g / b, -g * out / b), self, other)
 
     def __rtruediv__(self, other):
         b = self.value
         out = value(other) / b
-        return _node(out, (self, lambda g: -g * out / b))
+        return record(out, lambda g: (-g * out / b,), self)
 
     def __neg__(self):
-        return _node(-self.value, (self, np.negative))
+        return record(-self.value, lambda g: (-g,), self)
 
     def __pow__(self, exponent):
         a = self.value
-        return _node(a**exponent, (self, lambda g: g * exponent * a ** (exponent - 1)))
+        return record(a**exponent,
+                      lambda g: (g * exponent * a ** (exponent - 1),), self)
 
     def __matmul__(self, other):
         a, b = self.value, value(other)
-        return _node(a @ b, (self, lambda g: g @ b.mT), (other, lambda g: a.mT @ g))
+        return record(a @ b, lambda g: (g @ b.mT, a.mT @ g), self, other)
 
     def __rmatmul__(self, other):
         a, b = value(other), self.value
-        return _node(a @ b, (self, lambda g: a.mT @ g))
+        return record(a @ b, lambda g: (a.mT @ g,), self)
 
     @property
     def mT(self):
         """Transpose of the last two axes (numpy's ndarray.mT)."""
-        return _node(self.value.mT, (self, lambda g: g.mT))
+        return record(self.value.mT, lambda g: (g.mT,), self)
 
     def __getitem__(self, index):
         shape = self.value.shape
+        basic = _is_basic(index)
 
         def vjp(g):
             out = np.zeros(shape)
-            np.add.at(out, index, g)
-            return out
+            if basic:
+                out[index] = g
+            else:
+                np.add.at(out, index, g)
+            return (out,)
 
-        return _node(self.value[index], (self, vjp))
+        return record(self.value[index], vjp, self)
 
     def sum(self, axis=None, keepdims=False):
         shape = self.value.shape
@@ -112,20 +132,56 @@ class Node:
         def vjp(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, shape)
+            return (np.broadcast_to(g, shape),)
 
-        return _node(self.value.sum(axis=axis, keepdims=keepdims), (self, vjp))
-
-
-def _same(g):
-    return g
+        return record(self.value.sum(axis=axis, keepdims=keepdims), vjp, self)
 
 
-def _node(out, *operands):
-    """A node over `out` whose parents are the operands on the tape; plain
-    `out` when no operand is on the tape."""
-    parents = tuple((x, vjp) for x, vjp in operands if isinstance(x, Node))
-    return Node(out, parents) if parents else out
+def _is_basic(index) -> bool:
+    """True for an index made of slices, integers, Ellipsis and None only.
+
+    Such an index selects every element at most once, so its VJP can
+    assign; an advanced (array) index may repeat elements and needs
+    np.add.at.
+    """
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer))
+               for p in parts)
+
+
+def record(out, vjp, *operands):
+    """out, computed from operands, as a node on their tape; out itself
+    when no operand is a node.
+
+    vjp(g) maps the gradient g of out onto a tuple with one cotangent per
+    operand, in order; entries of operands that are not nodes are ignored
+    (they may be None).  A cotangent may keep broadcast axes of out.
+    """
+    tape = None
+    parents = []
+    for x in operands:
+        if isinstance(x, Node):
+            if tape is None:
+                tape = x.tape
+            elif x.tape is not tape:
+                _merge(tape, x.tape)
+            parents.append(x)
+        else:
+            parents.append(None)
+    if tape is None:
+        return out
+    node = Node(out, tape, tuple(parents), vjp)
+    tape.append(node)
+    return node
+
+
+def _merge(tape, other):
+    """Append to tape the nodes of another tape it does not hold yet
+    (operands grown from leaves made apart).  Both lists are in creation
+    order and neither depends on the other's new nodes, so the result is
+    still topologically ordered."""
+    known = set(map(id, tape))
+    tape.extend(node for node in other if id(node) not in known)
 
 
 def _unary(fn, derivative):
@@ -135,8 +191,7 @@ def _unary(fn, derivative):
         if not isinstance(x, Node):
             return fn(x)
         out = fn(x.value)
-        local = derivative(x.value, out)
-        return Node(out, ((x, lambda g: g * local),))
+        return record(out, lambda g: (g * derivative(x.value, out),), x)
 
     return op
 
@@ -154,26 +209,20 @@ def where(cond, a, b):
     are multiplied by that zero, and 0 * inf is nan.
     """
     out = np.where(cond, value(a), value(b))
-    return _node(out, (a, lambda g: np.where(cond, g, 0.0)),
-                 (b, lambda g: np.where(cond, 0.0, g)))
+    return record(out, lambda g: (np.where(cond, g, 0.0), np.where(cond, 0.0, g)),
+                  a, b)
 
 
 def concat(parts, axis=0):
     """np.concatenate of arrays and tape nodes."""
     values = [value(x) for x in parts]
     bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
-
-    def piece(k):
-        return lambda g: np.split(g, bounds, axis=axis)[k]
-
-    return _node(np.concatenate(values, axis=axis),
-                 *((x, piece(k)) for k, x in enumerate(parts)))
+    return record(np.concatenate(values, axis=axis),
+                  lambda g: np.split(g, bounds, axis=axis), *parts)
 
 
 def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
     """Undo numpy broadcasting: sum g down to an operand's shape."""
-    if g.shape == shape:
-        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, n in enumerate(shape):
@@ -183,34 +232,26 @@ def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(out: Node) -> None:
-    """Accumulate d(out)/d(node) into .grad of every node out depends on.
+    """Accumulate d(out)/d(leaf) into .grad of every leaf out depends on.
 
-    The traversal is iterative, so deep tapes do not hit the recursion
-    limit.
+    Walks out's tape from the newest node to the oldest: every node's
+    gradient is complete before its VJP runs.  Nodes that out does not
+    depend on have no gradient and are skipped; a recorded node drops its
+    gradient once its VJP has run, so a later pass over the same tape
+    starts clean.
     """
-    order = []
-    seen = set()
-    stack = [(out, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
     out.grad = np.ones_like(out.value)
-    for node in reversed(order):
+    for node in reversed(out.tape):
         g = node.grad
         if g is None:
             continue
-        for parent, vjp in node._parents:
-            contrib = _sum_to_shape(vjp(g), parent.value.shape)
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+        node.grad = None
+        for parent, ct in zip(node.parents, node.vjp(g)):
+            if parent is None:
+                continue
+            if ct.shape != parent.value.shape:
+                ct = _sum_to_shape(ct, parent.value.shape)
+            parent.grad = ct if parent.grad is None else parent.grad + ct
 
 
 @dataclass(frozen=True)
@@ -329,17 +370,19 @@ def materialize(p: ParamVector) -> tuple[MultiplierParams, RadialCoeffs, Curvatu
 def grad(loss, p: ParamVector) -> Gradient:
     """Reverse-mode gradient of loss(view) at p.
 
-    `loss` receives a RawView whose blocks are tape nodes holding the raws
-    of p, and returns a scalar; it must evaluate finitely.  A frozen
-    curvature (log_c = None) produces no gradient component.
+    `loss` receives a RawView whose blocks are leaf nodes holding the raws
+    of p, all on one fresh tape, and returns a scalar; it must evaluate
+    finitely.  A frozen curvature (log_c = None) produces no gradient
+    component.
     """
+    tape = []
     view = RawView(
-        pole_raws=Node(p.pole_raws),
-        weight_logits=Node(p.weight_logits),
-        radial_raws=Node(p.radial_raws),
-        log_c=Node(p.log_c) if p.log_c is not None else None,
+        pole_raws=Node(p.pole_raws, tape),
+        weight_logits=Node(p.weight_logits, tape),
+        radial_raws=Node(p.radial_raws, tape),
+        log_c=Node(p.log_c, tape) if p.log_c is not None else None,
         fixed_c=p.fixed_c,
-        affine=Node(p.affine) if p.affine is not None else None,
+        affine=Node(p.affine, tape) if p.affine is not None else None,
     )
     out = loss(view)
     loss_value = float(value(out))

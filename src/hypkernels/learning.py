@@ -6,7 +6,11 @@ Three objectives share one batched forward: the rows of an episode
 and every loss is the row-wise log-sum-exp cross-entropy of that matrix
 against a target column.  The forward is written once over arrays that
 may be plain numpy (evaluation) or `diff.Node`s on the reverse-mode tape
-(gradients), and over leading batch axes: training scores one episode
+(gradients).  Each of its layers (exp0 projection, multiplier b(Z),
+de Branges-Rovnyak matrix, base normalisation, radial polynomial, Gram
+distance, cross-entropy) computes its numpy forward and records one tape
+node with a closed-form VJP, so on plain arrays it does no gradient work.
+The forward also runs over leading batch axes: training scores one episode
 (a 2-d score matrix on the tape), evaluation a stack of episodes at once
 (one score tensor per block of episodes).  The objectives are episodic
 few-shot classification, semantic/visual alignment with an affine
@@ -24,16 +28,16 @@ import numpy as np
 
 from .diff import (
     DEFAULT_BLOCKS,
+    Node,
     OptimizerState,
     ParamVector,
     concat,
     exp,
     grad,
-    log,
     materialize,
+    record,
     sqrt,
     step,
-    tanh,
     value,
     where,
 )
@@ -82,24 +86,35 @@ class Projection:
         """
         if not isinstance(value(x), np.ndarray):
             x = np.asarray(x, dtype=np.float64)
-        sq = (x * x).sum(axis=-1, keepdims=True)
         if self.kind == "exp0":
-            return _tanh_ratio(c * sq) * x
+            return _exp0(x, c)
+        sq = (x * x).sum(axis=-1, keepdims=True)
         s = sqrt(c) * sqrt(sq + 1e-300)
         inside = value(s) <= 1.0 - self.eps
         return where(inside, self.beta, self.beta * (1.0 - self.eps) / s) * x
 
 
-def _tanh_ratio(y):
-    """tanh(sqrt(y))/sqrt(y) for y >= 0, by its series below 1e-8."""
-    small = value(y) < 1e-8
-    r = sqrt(where(small, 1.0, y))
-    return where(small, 1.0 - y * (1.0 / 3.0) + (y * y) * (2.0 / 15.0), tanh(r) / r)
+def _exp0(x, c):
+    """Exponential map at the origin of each vector along the last axis of
+    x: tanh(r)/r * x with r = sqrt(c)|x|, by its series below r^2 = 1e-8
+    (zero rows included).  One tape node over x and c."""
+    xv, cv = value(x), value(c)
+    sq = (xv * xv).sum(axis=-1, keepdims=True)
+    y = cv * sq
+    small = y < 1e-8
+    r = np.sqrt(np.where(small, 1.0, y))
+    t = np.tanh(r)
+    f = np.where(small, 1.0 - y * (1.0 / 3.0) + (y * y) * (2.0 / 15.0), t / r)
 
+    def vjp(g):
+        df = np.where(small, (4.0 / 15.0) * y - 1.0 / 3.0,
+                      ((1.0 - t * t) - f) / r * (0.5 / r))
+        gy = (g * xv).sum(axis=-1, keepdims=True) * df
+        gx = g * f + (2.0 * cv) * gy * xv if isinstance(x, Node) else None
+        gc = (gy * sq).sum() if isinstance(c, Node) else None
+        return gx, gc
 
-def _clamp0(x):
-    """Zero out tiny negative rounding residues (constant past the kink)."""
-    return where(value(x) > 0.0, x, 0.0)
+    return record(f * xv, vjp, x, c)
 
 
 # Constrained kernel parameters, as arrays or tape nodes; poles is an
@@ -144,22 +159,137 @@ def _multiplier(k: _Kernel, Z):
 
     b(z) = sum_j w_j s_j (lead_j a_j - z) / (1 - (c<a_j,z>)^2) with
     s_j = sqrt(1 - c|a_j|^2) and lead_j = c<a_j,z>/(1 + s_j); it is
-    smooth at a_j = 0, where the term is -z.
+    smooth at a_j = 0, where the term is -z.  One tape node over Z, the
+    poles, the weights and c.
     """
-    c, P = k.c, k.poles
-    caz = c * (Z @ P.mT)
-    s = sqrt(1.0 - c * (P * P).sum(axis=-1))
-    coef = k.weights * s / (1.0 - caz * caz)
-    return (coef * (caz / (1.0 + s))) @ P - coef.sum(axis=-1, keepdims=True) * Z
+    c, P, w = k.c, k.poles, k.weights
+    cv, Pv, wv, Zv = value(c), value(P), value(w), value(Z)
+    ZP = Zv @ Pv.mT
+    caz = cv * ZP
+    pp = (Pv * Pv).sum(axis=-1)
+    s = np.sqrt(1.0 - cv * pp)
+    den = 1.0 - caz * caz
+    coef = wv * s / den
+    lead = caz / (1.0 + s)
+    M = coef * lead
+    coef_sum = coef.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gM = g @ Pv.mT
+        gcoef = gM * lead - (g * Zv).sum(axis=-1, keepdims=True)
+        glead = gM * coef
+        gcaz = glead / (1.0 + s) + gcoef * coef * (2.0 * caz) / den
+        # s_j enters lead and coef; q_j = 1 - c|a_j|^2 = s_j^2.
+        gq = (gcoef * wv / den - glead * lead / (1.0 + s)).sum(axis=-2) * (0.5 / s)
+        gZ = gP = gw = gc = None
+        if isinstance(Z, Node):
+            gZ = (cv * gcaz) @ Pv - coef_sum * g
+        if isinstance(P, Node):
+            gP = M.mT @ g + (cv * gcaz).mT @ Zv - (2.0 * cv) * gq[..., None] * Pv
+        if isinstance(w, Node):
+            gw = (gcoef * s / den).sum(axis=-2)
+        if isinstance(c, Node):
+            gc = (gcaz * ZP).sum() - (gq * pp).sum()
+        return gZ, gP, gw, gc
+
+    return record(M @ Pv - coef_sum * Zv, vjp, Z, P, w, c)
 
 
-def _dbr(k: _Kernel, Z):
-    """De Branges-Rovnyak matrix (1 - c B B^T)/(1 - c Z Z^T) over rows of Z."""
-    den = 1.0 - k.c * (Z @ Z.mT)
-    if k.poles is None:
-        return 1.0 / den
-    B = _multiplier(k, Z)
-    return (1.0 - k.c * (B @ B.mT)) / den
+def _dbr(c, Z, B=None):
+    """De Branges-Rovnyak matrix (1 - c B B^T)/(1 - c Z Z^T) over the rows
+    of Z and of B = b(Z); 1/(1 - c Z Z^T) without a multiplier.  One tape
+    node over c, Z and B."""
+    cv, Zv, Bv = value(c), value(Z), value(B)
+    ZZ = Zv @ Zv.mT
+    den = 1.0 - cv * ZZ
+    if B is None:
+        K = 1.0 / den
+    else:
+        BB = Bv @ Bv.mT
+        K = (1.0 - cv * BB) / den
+
+    def vjp(g):
+        gden = -g * K / den
+        gnum = g / den if B is not None else None
+        gc = gZ = gB = None
+        if isinstance(c, Node):
+            gc = -(gden * ZZ).sum()
+            if B is not None:
+                gc = gc - (gnum * BB).sum()
+        if isinstance(Z, Node):
+            gZ = -cv * ((gden + gden.mT) @ Zv)
+        if isinstance(B, Node):
+            gB = -cv * ((gnum + gnum.mT) @ Bv)
+        return gc, gZ, gB
+
+    return record(K, vjp, c, Z, B)
+
+
+def _base(K):
+    """Normalised kernel K_ij^2 / (K_ii K_jj) over the last two axes.  One
+    tape node over K."""
+    Kv = value(K)
+    diag = np.arange(Kv.shape[-1])
+    d = Kv[..., diag, diag]
+    dd = d[..., :, None] * d[..., None, :]
+    G = (Kv * Kv) / dd
+
+    def vjp(g):
+        gK = (2.0 * g) * Kv / dd
+        gG = g * G
+        gK[..., diag, diag] -= (gG.sum(axis=-1) + gG.sum(axis=-2)) / d
+        return (gK,)
+
+    return record(G, vjp, K)
+
+
+def _radial(beta, alphas):
+    """sum_l alphas[l] beta^l elementwise, by Horner's rule.  One tape node
+    over beta and the coefficients."""
+    bv, av = value(beta), value(alphas)
+    top = av.shape[0] - 1
+    out = av[-1]
+    for l in range(top - 1, -1, -1):
+        out = out * bv + av[l]
+
+    def vjp(g):
+        gb = ga = None
+        if isinstance(beta, Node):
+            slope = top * av[-1]
+            for l in range(top - 1, 0, -1):
+                slope = slope * bv + l * av[l]
+            gb = g * slope
+        if isinstance(alphas, Node):
+            ga = np.empty(top + 1)
+            power = g
+            for l in range(top + 1):
+                ga[l] = power.sum()
+                if l < top:
+                    power = power * bv
+        return gb, ga
+
+    return record(out, vjp, beta, alphas)
+
+
+def _gram_distance(G, n: int):
+    """Kernel-induced squared distance max(0, G_ii + G_jj - 2 G_ij) of the
+    first n rows of a Gram matrix G against its remaining columns
+    (... x n x (N - n)).  One tape node over G."""
+    Gv = value(G)
+    diag = np.arange(Gv.shape[-1])
+    g = Gv[..., diag, diag]
+    raw = g[..., :n, None] + g[..., None, n:] - 2.0 * Gv[..., :n, n:]
+    dist = np.where(raw > 0.0, raw, 0.0)
+
+    def vjp(h):
+        h = np.where(dist > 0.0, h, 0.0)
+        gG = np.zeros(Gv.shape)
+        gG[..., :n, n:] = -2.0 * h
+        gG[..., diag, diag] = np.concatenate((h.sum(axis=-1), h.sum(axis=-2)),
+                                             axis=-1)
+        return (gG,)
+
+    return record(dist, vjp, G)
 
 
 def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
@@ -175,12 +305,11 @@ def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
     if mode not in ("distance", "similarity"):
         raise ValueError(f"unknown score mode {mode!r}")
     n = value(rows).shape[-2]
-    K = _dbr(k, projection.apply(concat([rows, cols], axis=-2), k.c))
-    diag = np.arange(value(K).shape[-1])
-    d = K[..., diag, diag]
+    Z = projection.apply(concat([rows, cols], axis=-2), k.c)
+    K = _dbr(k.c, Z, _multiplier(k, Z) if k.poles is not None else None)
     variant = k.variant
     if variant in ("da", "ahl", "ahrbf", "ahlap"):
-        dist = _clamp0(d[..., :n, None] + d[..., None, n:] - 2.0 * K[..., :n, n:])
+        dist = _gram_distance(K, n)
         if variant == "ahrbf":
             dist = dist / (2.0 * k.bandwidth**2)
         elif variant == "ahlap":
@@ -192,26 +321,34 @@ def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
     if variant == "ahpoly":
         G = (K + k.offset) ** int(k.degree)
     elif variant in ("base", "ahrad"):
-        G = (K * K) / (d[..., :, None] * d[..., None, :])
+        G = _base(K)
         if variant == "ahrad":
-            beta, G = G, k.alphas[-1]
-            for l in range(value(k.alphas).shape[0] - 2, -1, -1):
-                G = G * beta + k.alphas[l]
+            G = _radial(G, k.alphas)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     if mode == "distance":
-        g = G[..., diag, diag]
-        return -_clamp0(g[..., :n, None] + g[..., None, n:] - 2.0 * G[..., :n, n:])
+        return -_gram_distance(G, n)
     return G[..., :n, n:]
 
 
 def _cross_entropy(scores, targets: np.ndarray):
     """Mean over rows of log-sum-exp(row) - row[target], one value per
-    score matrix in the stack (a scalar for a single matrix)."""
-    shift = np.max(value(scores), axis=-1)
-    lse = log(exp(scores - shift[..., None]).sum(axis=-1)) + shift
-    picked = scores[..., np.arange(targets.size), targets]
-    return (lse - picked).sum(axis=-1) / targets.size
+    score matrix in the stack (a scalar for a single matrix).  One tape
+    node over the scores; its VJP is (softmax - onehot) / rows."""
+    sv = value(scores)
+    rows = np.arange(targets.size)
+    shift = np.max(sv, axis=-1)
+    e = np.exp(sv - shift[..., None])
+    total = e.sum(axis=-1)
+    lse = np.log(total) + shift
+    out = (lse - sv[..., rows, targets]).sum(axis=-1) / targets.size
+
+    def vjp(g):
+        gs = e / total[..., None]
+        gs[..., rows, targets] -= 1.0
+        return (gs * (g[..., None, None] / targets.size),)
+
+    return record(out, vjp, scores)
 
 
 @dataclass(frozen=True)
@@ -534,7 +671,9 @@ def evaluate(
     and mean_loss the mean fsl loss, both from the same scores; the CI
     halfwidth is 1.96 * stderr over per-episode accuracies.  Episodes are
     sampled one by one from the seeded stream and scored a block at a time
-    (`_eval_block`) in one stacked forward.
+    (`_eval_block`) in one stacked forward.  Raises ArithmeticError when a
+    block's scores or losses are not finite (projected points that round
+    onto the ball boundary).
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -558,6 +697,12 @@ def evaluate(
         else:
             scores = _scores(k, queries, protos, mode, projection)
             losses.append(_cross_entropy(scores, targets))
+        finite = np.isfinite(scores).all()
+        if not (finite and (not losses or np.isfinite(losses[-1]).all())):
+            raise ArithmeticError(
+                f"non-finite scores in evaluation episodes {start}.."
+                f"{start + len(block) - 1} (points on the ball boundary?)"
+            )
         correct.append((np.argmax(scores, axis=-1) == targets).sum(axis=-1))
     accs = np.concatenate(correct) / targets.size
     if episodes > 1:
@@ -647,11 +792,13 @@ def _class_semantics(dataset: LabeledSet) -> np.ndarray:
 
 
 def _make_step_loss(config: RunConfig, dataset: LabeledSet,
-                    rng: np.random.Generator):
+                    rng: np.random.Generator, semantics: np.ndarray | None = None):
     """Sample one training batch and close over it as loss(raws).
 
     raws is a ParamVector (value) or the RawView of tape nodes that
     `diff.grad` passes (gradient); both go through the same forward.
+    A zsl step needs `semantics`, the `_class_semantics` of the dataset,
+    which `train` computes once per run.
     """
     projection = config.projection
     mode = config.score_mode
@@ -665,7 +812,6 @@ def _make_step_loss(config: RunConfig, dataset: LabeledSet,
             return _fsl_loss(_kernel_from_raws(raws, config), episode, mode, projection)
 
     elif config.task == "zsl":
-        semantics = _class_semantics(dataset)
         idx = rng.choice(dataset.features.shape[0], size=config.sts_batch,
                          replace=False)
         feats = dataset.features[idx]
@@ -762,9 +908,10 @@ def train(config: RunConfig) -> TrainRun:
         blocks = blocks + ("log_c",)
     if config.task == "zsl" and "affine" not in blocks:
         blocks = blocks + ("affine",)
+    semantics = _class_semantics(dataset) if config.task == "zsl" else None
     trace = []
     for i in range(config.steps):
-        loss = _recording(_make_step_loss(config, dataset, rng), i, trace)
+        loss = _recording(_make_step_loss(config, dataset, rng, semantics), i, trace)
         if config.lr > 0:
             state, p = step(state, p, grad(loss, p), config.lr, blocks)
         else:

@@ -10,6 +10,11 @@ against high-precision central differences of them (`worst_grad_error`).
 The samplers and `evaluate` below are the per-episode, per-query loops
 that the indexed samplers and the stacked evaluation replaced; the tests
 require the same draws and the same results from both.
+
+`COMPOSED` maps each fused layer of `learning` (one tape node with a
+closed-form VJP) to the same layer composed of generic `diff` operators,
+whose gradient the tape derives op by op; the tests substitute them for
+the fused layers and require the same values and gradients.
 """
 
 from __future__ import annotations
@@ -21,8 +26,74 @@ import numpy as np
 from hpfd import HPScalar, hp_central_diff
 from hypkernels import _gmath as gm
 from hypkernels import learning
-from hypkernels.diff import ParamVector, RawView, grad
+from hypkernels.diff import (ParamVector, RawView, exp, grad, log, sqrt, tanh, value,
+                             where)
 from hypkernels.geometry import BallPoint, Curvature
+
+
+def _tanh_ratio(y):
+    """tanh(sqrt(y))/sqrt(y) for y >= 0, by its series below 1e-8."""
+    small = value(y) < 1e-8
+    r = sqrt(where(small, 1.0, y))
+    return where(small, 1.0 - y * (1.0 / 3.0) + (y * y) * (2.0 / 15.0), tanh(r) / r)
+
+
+def exp0(x, c):
+    sq = (x * x).sum(axis=-1, keepdims=True)
+    return _tanh_ratio(c * sq) * x
+
+
+def multiplier(k, Z):
+    c, P = k.c, k.poles
+    caz = c * (Z @ P.mT)
+    s = sqrt(1.0 - c * (P * P).sum(axis=-1))
+    coef = k.weights * s / (1.0 - caz * caz)
+    return (coef * (caz / (1.0 + s))) @ P - coef.sum(axis=-1, keepdims=True) * Z
+
+
+def dbr(c, Z, B=None):
+    den = 1.0 - c * (Z @ Z.mT)
+    if B is None:
+        return 1.0 / den
+    return (1.0 - c * (B @ B.mT)) / den
+
+
+def base(K):
+    diag = np.arange(value(K).shape[-1])
+    d = K[..., diag, diag]
+    return (K * K) / (d[..., :, None] * d[..., None, :])
+
+
+def radial(beta, alphas):
+    G = alphas[-1]
+    for l in range(value(alphas).shape[0] - 2, -1, -1):
+        G = G * beta + alphas[l]
+    return G
+
+
+def gram_distance(G, n):
+    diag = np.arange(value(G).shape[-1])
+    g = G[..., diag, diag]
+    x = g[..., :n, None] + g[..., None, n:] - 2.0 * G[..., :n, n:]
+    return where(value(x) > 0.0, x, 0.0)
+
+
+def cross_entropy(scores, targets):
+    shift = np.max(value(scores), axis=-1)
+    lse = log(exp(scores - shift[..., None]).sum(axis=-1)) + shift
+    picked = scores[..., np.arange(targets.size), targets]
+    return (lse - picked).sum(axis=-1) / targets.size
+
+
+COMPOSED = {
+    "_exp0": exp0,
+    "_multiplier": multiplier,
+    "_dbr": dbr,
+    "_base": base,
+    "_radial": radial,
+    "_gram_distance": gram_distance,
+    "_cross_entropy": cross_entropy,
+}
 
 
 def sample_episode(rng, dataset, n_way, n_shot, n_query):

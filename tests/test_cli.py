@@ -6,6 +6,7 @@ import pytest
 from hypkernels import cli
 from hypkernels.geometry import Curvature, TangentVector, exp0
 from hypkernels.kernels import gram
+from hypkernels.learning import init_params
 
 
 @pytest.fixture
@@ -303,6 +304,27 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert captured.err == "numerical error: overflow in exp\n"
         assert captured.out == ""
+
+    def test_boundary_eval_exit_code(self, tmp_path, capsys):
+        # At curvature 100 the projected points round onto the ball boundary
+        # and the scores are nan: eval, and train at its initial eval, exit 5.
+        cfg = tmp_path / "boundary.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "task": "fsl", "curvature": 100.0,
+            "kernel": {"variant": "ahl", "truncation": 4},
+            "optimizer": {"steps": 2}, "eval": {"episodes": 20},
+        }))
+        params = tmp_path / "params.json"
+        run = cli._run_config_from_json(json.loads(cfg.read_text()))
+        params.write_text(json.dumps(cli._params_to_json(init_params(run))))
+        with np.errstate(all="ignore"):
+            assert cli.main(["eval", "--params", str(params),
+                             "--config", str(cfg)]) == cli.EXIT_NUMERICAL_ERROR
+            rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_NUMERICAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("numerical error: non-finite scores") == 2
 
     def test_ahpoly_runs_with_default_offset(self, tmp_path):
         cfg = tmp_path / "poly.json"

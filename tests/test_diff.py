@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import oracle
 from hpfd import HPScalar, hp_central_diff
 from hypkernels import _gmath as gm
+from hypkernels import diff
 from hypkernels.diff import (
     DEFAULT_BLOCKS,
     Node,
@@ -110,6 +112,45 @@ class TestVar:
         backward((concat([a, np.zeros((2, 3)), b]) * np.arange(5.0)[:, None]).sum())
         np.testing.assert_allclose(a.grad, [[0.0] * 3, [1.0] * 3])
         np.testing.assert_allclose(b.grad, [[4.0] * 3])
+
+    def test_basic_index_assigns_advanced_index_accumulates(self, monkeypatch):
+        add_at = []
+
+        class CountingNumpy:
+            """numpy, with np.add.at calls counted."""
+            add = types.SimpleNamespace(
+                at=lambda *args: add_at.append(1) or np.add.at(*args))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(diff, "np", CountingNumpy())
+        v = Node(np.arange(12.0).reshape(3, 4))
+        backward((v[1:, ::2] * 3.0).sum() + (v[..., None, 0] * 2.0).sum())
+        np.testing.assert_array_equal(
+            v.grad, [[2.0, 0.0, 0.0, 0.0], [5.0, 0.0, 3.0, 0.0], [5.0, 0.0, 3.0, 0.0]])
+        assert add_at == []
+        w = Node(np.arange(4.0))
+        backward((w[np.array([1, 1, 1, 2])] * 2.0).sum())
+        np.testing.assert_array_equal(w.grad, [0.0, 6.0, 2.0, 0.0])
+        assert add_at == [1]
+
+    def test_nodes_of_separate_leaves_share_one_backward(self):
+        # Operands grown on two tapes: the later node merges them.
+        a, b = Node(np.array([2.0])), Node(np.array([3.0]))
+        u, w = a * a, b * 5.0
+        out = (u * w + u).sum()
+        backward(out)
+        np.testing.assert_allclose(a.grad, [2 * 2.0 * 15.0 + 4.0])
+        np.testing.assert_allclose(b.grad, [20.0])
+
+    def test_second_pass_over_a_tape_starts_clean(self):
+        v = Node(np.array([1.5, -2.0]))
+        backward((v * v).sum())
+        np.testing.assert_allclose(v.grad, [3.0, -4.0])
+        v.grad = None
+        backward((v * 3.0).sum())
+        np.testing.assert_allclose(v.grad, [3.0, 3.0])
 
     def test_where_masks_gradient(self):
         v = Node(np.array([-1.0, 0.0, 4.0]))

@@ -207,6 +207,16 @@ class TestEvaluate:
         assert many.ci_halfwidth < few.ci_halfwidth
 
 
+    def test_boundary_scores_raise(self, dataset):
+        # At curvature 100 the projected points round onto the boundary,
+        # 1 - c|z|^2 = 0: the kernel is inf and the scores nan.
+        run = RunConfig(variant="ahl", curvature=100.0)
+        config = params_to_kernel_config(run, init_params(run))
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
+                                                      match="non-finite"):
+            evaluate(config, dataset, 5, 1, 3, episodes=20, seed=2)
+
+
 class TestTrain:
     def test_run_config_validation(self):
         with pytest.raises(ValueError):
@@ -275,6 +285,19 @@ class TestTrain:
         reported = fsl_loss(params_to_kernel_config(config, p), episode)
         step0 = train(config).loss_trace[0]
         assert abs(step0 - reported) <= 1e-12 * abs(reported)
+
+
+    def test_zsl_class_semantics_once_per_run(self, monkeypatch):
+        calls = []
+        semantics = learning._class_semantics
+
+        def counted(dataset):
+            calls.append(1)
+            return semantics(dataset)
+
+        monkeypatch.setattr(learning, "_class_semantics", counted)
+        run = train(RunConfig(task="zsl", steps=5, truncation=4, eval_episodes=3))
+        assert len(run.loss_trace) == 5 and len(calls) == 1
 
 
 def _nan_at_step(monkeypatch, bad_step):
