@@ -3,9 +3,10 @@
 This is the reference path, one pair at a time: every function works on
 plain floats and on any scalar type exposing exp/log/tanh/sqrt, such as
 the 60-digit scalar the tests take finite differences with.  Tests and
-the benchmark's output checks compare the batched training/eval forward
-(`learning`) and the complex Gram path (`kernels`) against it; the
-library itself does not call it.  Real inputs only.
+the benchmark's output checks compare the layers of `rkhs` and
+`kernels` against it, as training and evaluation (`learning`) run them
+and as `gram` runs them on real points stored as complex.  The library
+itself does not call it.  Real inputs only.
 """
 
 from __future__ import annotations

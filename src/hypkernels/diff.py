@@ -10,12 +10,12 @@ holds an array, its operands and one vector-Jacobian product (VJP) that
 maps the gradient of the node onto the cotangents of all its operands at
 once.  `record` makes the result of any array function such a node, so
 a whole pipeline layer (the projection, the multiplier, a loss; see
-`learning`) is one node whose VJP computes its shared intermediates
-once.  The arithmetic operators and `exp`/`log`/`tanh`/`sqrt`/`where`/
-`concat` are small cases of the same mechanism.  Everything accepts
-plain arrays as well: with no node among the operands a function returns
-its numpy result and records nothing, so one forward serves values and
-gradients.
+`learning`, `rkhs` and `kernels`) is one node whose VJP computes its
+shared intermediates once.  The arithmetic operators and `exp`/`log`/
+`tanh`/`sqrt`/`where`/`concat` are small cases of the same mechanism.
+Everything accepts plain arrays as well: with no node among the operands
+a function returns its numpy result and records nothing, so one forward
+serves values and gradients.
 
 Nodes are appended to a tape, a list shared by the nodes of one
 computation, in the order they are created; that order is topological,
@@ -31,8 +31,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import Curvature, TangentVector, exp0
-from .kernels import RadialCoeffs
-from .rkhs import MultiplierParams
 
 
 def value(x):
@@ -358,6 +356,11 @@ def materialize(p: ParamVector) -> tuple[MultiplierParams, RadialCoeffs, Curvatu
     Poles go through the exponential map so they are always strictly
     interior; weights through softmax; radial coefficients are squared.
     """
+    # Imported here, not at the top: `rkhs` and `kernels` record their
+    # layers on this module's tape, so they import it.
+    from .kernels import RadialCoeffs
+    from .rkhs import MultiplierParams
+
     curvature = Curvature(p.curvature_value)
     poles = tuple(
         exp0(TangentVector(row), curvature) for row in np.asarray(p.pole_raws)

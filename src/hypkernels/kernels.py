@@ -4,18 +4,25 @@ Variants: "da" (Drury-Arveson), "ahl" (adaptive hyperbolic linear, the
 de Branges-Rovnyak kernel itself), "ahpoly", "ahrbf", "ahlap", "base"
 (squared cosine similarity of normalized representers) and "ahrad"
 (truncated nonnegative power series in the base kernel).
+
+`_transform`, the one variant dispatch, turns the de Branges-Rovnyak
+matrix of `rkhs` into any variant for `gram`, `evaluate` and the
+training forward in `learning`; its layers `_base` and `_radial` are
+tape nodes like those of `rkhs`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from .diff import Node, exp, record, sqrt, value, where
 from .geometry import BallPoint, Curvature
-from .rkhs import MultiplierParams, _distance_sq, _kernel_matrix
+from .rkhs import MultiplierParams, _dbr, _gram_distance, _rows
 
 VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
 
@@ -150,29 +157,104 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def _base(K: np.ndarray) -> np.ndarray:
-    diag = K.diagonal().real
-    return np.abs(K) ** 2 / np.outer(diag, diag)
+# Constrained kernel parameters, as arrays or tape nodes; poles is an
+# m x dim matrix, or None for the Drury-Arveson kernel.
+_Kernel = namedtuple("_Kernel", "variant c poles weights alphas offset degree bandwidth")
 
 
-def _family(config: KernelConfig, K: np.ndarray) -> np.ndarray:
-    """Turn the de Branges-Rovnyak (or Drury-Arveson) matrix K into the variant."""
-    variant = config.variant
-    if variant in ("da", "ahl"):
-        return K
+def _kernel(config: KernelConfig) -> _Kernel:
+    """The parameters of a KernelConfig (c may be None); the poles are a
+    real matrix unless one of them has a nonzero imaginary part."""
+    curvature = config.get_curvature()
+    c = None if curvature is None else float(curvature.c)
+    poles = weights = alphas = None
+    if config.params is not None:
+        poles = np.array([p.coords for p in config.params.poles])
+        if not poles.imag.any():
+            poles = poles.real.copy()
+        weights = config.params.weights
+    if config.radial is not None:
+        alphas = config.radial.alphas
+    return _Kernel(config.variant, c, poles, weights, alphas, config.offset,
+                   config.degree, config.bandwidth)
+
+
+def _base(K):
+    """Normalised kernel |K_ij|^2 / (K_ii K_jj) over the last two axes.  One
+    tape node over K."""
+    Kv = value(K)
+    diag = np.arange(Kv.shape[-1])
+    d = Kv[..., diag, diag].real
+    dd = d[..., :, None] * d[..., None, :]
+    G = (Kv * Kv.conj()).real / dd
+
+    def vjp(g):
+        gK = (2.0 * g) * Kv / dd
+        gG = g * G
+        gK[..., diag, diag] -= (gG.sum(axis=-1) + gG.sum(axis=-2)) / d
+        return (gK,)
+
+    return record(G, vjp, K)
+
+
+def _radial(beta, alphas):
+    """sum_l alphas[l] beta^l elementwise, by Horner's rule.  One tape node
+    over beta and the coefficients."""
+    bv, av = value(beta), value(alphas)
+    top = av.shape[0] - 1
+    out = av[-1]
+    for l in range(top - 1, -1, -1):
+        out = out * bv + av[l]
+
+    def vjp(g):
+        gb = ga = None
+        if isinstance(beta, Node):
+            slope = top * av[-1]
+            for l in range(top - 1, 0, -1):
+                slope = slope * bv + l * av[l]
+            gb = g * slope
+        if isinstance(alphas, Node):
+            ga = np.empty(top + 1)
+            power = g
+            for l in range(top + 1):
+                ga[l] = power.sum()
+                if l < top:
+                    power = power * bv
+        return gb, ga
+
+    return record(out, vjp, beta, alphas)
+
+
+def _transform(k: _Kernel, K, n: int | None = None, mode: str = "similarity"):
+    """Variant k.variant of the de Branges-Rovnyak (or Drury-Arveson)
+    matrix K: its Gram matrix over the rows of K, or with n its block of
+    the first n rows against the remaining columns.  "similarity" mode
+    gives kernel values, "distance" mode minus the kernel-induced squared
+    distance (for ahrbf/ahlap minus the negative log-kernel).  The Gram
+    distance is formed only where the variant or the mode reads it.
+    """
+    variant = k.variant
+    if variant in ("da", "ahl", "ahrbf", "ahlap"):
+        if mode == "similarity" and variant in ("da", "ahl"):
+            return K if n is None else K[..., :n, n:]
+        dist = _gram_distance(K, n)
+        if variant == "ahrbf":
+            dist = dist / (2.0 * k.bandwidth**2)
+        elif variant == "ahlap":
+            positive = value(dist) > 0.0
+            dist = where(positive, sqrt(where(positive, dist, 1.0)), 0.0) / k.bandwidth
+        return -dist if mode == "distance" else exp(-dist)
     if variant == "ahpoly":
-        return (K + config.offset) ** int(config.degree)
-    if variant == "ahrbf":
-        return np.exp(-_distance_sq(K) / (2.0 * config.bandwidth**2))
-    if variant == "ahlap":
-        return np.exp(-np.sqrt(_distance_sq(K)) / config.bandwidth)
-    beta = _base(K)
-    if variant == "base":
-        return beta
-    total = np.zeros_like(beta)
-    for alpha in config.radial.alphas[::-1]:
-        total = total * beta + alpha
-    return total
+        G = (K + k.offset) ** int(k.degree)
+    elif variant in ("base", "ahrad"):
+        G = _base(K)
+        if variant == "ahrad":
+            G = _radial(G, k.alphas)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    if mode == "distance":
+        return -_gram_distance(G, n)
+    return G if n is None else G[..., :n, n:]
 
 
 def base_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> float:
@@ -180,7 +262,7 @@ def base_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> flo
 
     Bounded in [0, 1] by Cauchy-Schwarz; equals 1 on the diagonal.
     """
-    return float(_base(_kernel_matrix(params, [z_i, z_j]))[0, 1])
+    return float(_base(_dbr(*_rows(params, [z_i, z_j])))[0, 1])
 
 
 def ahrad(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> float:
@@ -192,7 +274,8 @@ def ahrad(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> float:
 
 def evaluate(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> complex:
     """Evaluate the configured kernel at a pair of ball points."""
-    return complex(_family(config, _kernel_matrix(config.params, [z_i, z_j]))[0, 1])
+    K = _dbr(*_rows(config.params, [z_i, z_j]))
+    return complex(_transform(_kernel(config), K)[0, 1])
 
 
 def gram(config: KernelConfig, points: list[BallPoint]) -> GramMatrix:
@@ -210,14 +293,13 @@ def gram(config: KernelConfig, points: list[BallPoint]) -> GramMatrix:
     kc = config.get_curvature()
     if kc is not None and kc != points[0].curvature:
         raise ConfigError("points do not match the configured curvature")
-    K = _kernel_matrix(config.params, points)
-    entries = _family(config, K).astype(np.complex128)
+    c, Z, B = _rows(config.params, points)
+    entries = _transform(_kernel(config), _dbr(c, Z, B)).astype(np.complex128)
     lower = np.tril_indices(n, -1)
     entries[lower] = entries.T[lower].conj()
     diag = entries.diagonal()
     if np.any(np.abs(diag.imag) > 1e-12) or np.any(diag.real <= 0.0):
         raise ArithmeticError("Gram diagonal must be real and positive")
     entries[np.diag_indices(n)] = diag.real
-    blob = np.ascontiguousarray(np.stack([p.coords for p in points])).tobytes()
-    point_set_id = hashlib.sha256(blob).hexdigest()[:16]
+    point_set_id = hashlib.sha256(Z.tobytes()).hexdigest()[:16]
     return GramMatrix(entries, config.fingerprint(), point_set_id)

@@ -6,10 +6,11 @@ Three objectives share one batched forward: the rows of an episode
 and every loss is the row-wise log-sum-exp cross-entropy of that matrix
 against a target column.  The forward is written once over arrays that
 may be plain numpy (evaluation) or `diff.Node`s on the reverse-mode tape
-(gradients).  Each of its layers (exp0 projection, multiplier b(Z),
-de Branges-Rovnyak matrix, base normalisation, radial polynomial, Gram
-distance, cross-entropy) computes its numpy forward and records one tape
-node with a closed-form VJP, so on plain arrays it does no gradient work.
+(gradients).  Each of its layers (the exp0 projection and the
+cross-entropy here, b(Z), the de Branges-Rovnyak matrix and the variant
+transform from `rkhs` and `kernels`, shared with `gram`) computes its
+numpy forward and records one tape node with a closed-form VJP, so on
+plain arrays it does no gradient work.
 The forward also runs over leading batch axes: training scores one episode
 (a 2-d score matrix on the tape), evaluation a stack of episodes at once
 (one score tensor per block of episodes).  The objectives are episodic
@@ -21,7 +22,6 @@ a geodesic baseline are provided for comparison.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +48,8 @@ from .geometry import (
     GeometryError,
     geodesic_distance,
 )
-from .kernels import KernelConfig
+from .kernels import KernelConfig, _Kernel, _kernel, _transform
+from .rkhs import _dbr, _multiplier, softmax
 
 
 class DivergenceError(RuntimeError):
@@ -117,24 +118,15 @@ def _exp0(x, c):
     return record(f * xv, vjp, x, c)
 
 
-# Constrained kernel parameters, as arrays or tape nodes; poles is an
-# m x dim matrix, or None for the Drury-Arveson kernel.
-_Kernel = namedtuple("_Kernel", "variant c poles weights alphas offset degree bandwidth")
-
-
 def _kernel_from_config(config: KernelConfig) -> _Kernel:
-    """Real parts of a numpy KernelConfig."""
-    curvature = config.get_curvature()
-    if curvature is None:
+    """A numpy KernelConfig on real coordinates, as the features are."""
+    k = _kernel(config)
+    if k.c is None:
         raise ValueError("kernel config must carry a curvature")
-    poles = weights = alphas = None
-    if config.params is not None:
-        poles = np.array([p.coords.real for p in config.params.poles])
-        weights = np.asarray(config.params.weights, dtype=np.float64)
-    if config.radial is not None:
-        alphas = config.radial.alphas
-    return _Kernel(config.variant, float(curvature.c), poles, weights, alphas,
-                   config.offset, config.degree, config.bandwidth)
+    if np.iscomplexobj(k.poles):
+        raise ValueError("kernel config has complex poles; training and "
+                         "evaluation need real ones")
+    return k
 
 
 def _kernel_from_raws(raws, config: RunConfig) -> _Kernel:
@@ -147,149 +139,10 @@ def _kernel_from_raws(raws, config: RunConfig) -> _Kernel:
     poles = weights = None
     if config.variant != "da":
         poles = Projection().apply(raws.pole_raws, c)
-        e = exp(raws.weight_logits - np.max(value(raws.weight_logits)))
-        weights = e / e.sum()
+        weights = softmax(raws.weight_logits)
     return _Kernel(config.variant, c, poles, weights,
                    raws.radial_raws * raws.radial_raws,
                    config.offset, config.degree, config.bandwidth)
-
-
-def _multiplier(k: _Kernel, Z):
-    """b(z) for every row z of Z (... x n x dim), all poles in one matrix product.
-
-    b(z) = sum_j w_j s_j (lead_j a_j - z) / (1 - (c<a_j,z>)^2) with
-    s_j = sqrt(1 - c|a_j|^2) and lead_j = c<a_j,z>/(1 + s_j); it is
-    smooth at a_j = 0, where the term is -z.  One tape node over Z, the
-    poles, the weights and c.
-    """
-    c, P, w = k.c, k.poles, k.weights
-    cv, Pv, wv, Zv = value(c), value(P), value(w), value(Z)
-    ZP = Zv @ Pv.mT
-    caz = cv * ZP
-    pp = (Pv * Pv).sum(axis=-1)
-    s = np.sqrt(1.0 - cv * pp)
-    den = 1.0 - caz * caz
-    coef = wv * s / den
-    lead = caz / (1.0 + s)
-    M = coef * lead
-    coef_sum = coef.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        gM = g @ Pv.mT
-        gcoef = gM * lead - (g * Zv).sum(axis=-1, keepdims=True)
-        glead = gM * coef
-        gcaz = glead / (1.0 + s) + gcoef * coef * (2.0 * caz) / den
-        # s_j enters lead and coef; q_j = 1 - c|a_j|^2 = s_j^2.
-        gq = (gcoef * wv / den - glead * lead / (1.0 + s)).sum(axis=-2) * (0.5 / s)
-        gZ = gP = gw = gc = None
-        if isinstance(Z, Node):
-            gZ = (cv * gcaz) @ Pv - coef_sum * g
-        if isinstance(P, Node):
-            gP = M.mT @ g + (cv * gcaz).mT @ Zv - (2.0 * cv) * gq[..., None] * Pv
-        if isinstance(w, Node):
-            gw = (gcoef * s / den).sum(axis=-2)
-        if isinstance(c, Node):
-            gc = (gcaz * ZP).sum() - (gq * pp).sum()
-        return gZ, gP, gw, gc
-
-    return record(M @ Pv - coef_sum * Zv, vjp, Z, P, w, c)
-
-
-def _dbr(c, Z, B=None):
-    """De Branges-Rovnyak matrix (1 - c B B^T)/(1 - c Z Z^T) over the rows
-    of Z and of B = b(Z); 1/(1 - c Z Z^T) without a multiplier.  One tape
-    node over c, Z and B."""
-    cv, Zv, Bv = value(c), value(Z), value(B)
-    ZZ = Zv @ Zv.mT
-    den = 1.0 - cv * ZZ
-    if B is None:
-        K = 1.0 / den
-    else:
-        BB = Bv @ Bv.mT
-        K = (1.0 - cv * BB) / den
-
-    def vjp(g):
-        gden = -g * K / den
-        gnum = g / den if B is not None else None
-        gc = gZ = gB = None
-        if isinstance(c, Node):
-            gc = -(gden * ZZ).sum()
-            if B is not None:
-                gc = gc - (gnum * BB).sum()
-        if isinstance(Z, Node):
-            gZ = -cv * ((gden + gden.mT) @ Zv)
-        if isinstance(B, Node):
-            gB = -cv * ((gnum + gnum.mT) @ Bv)
-        return gc, gZ, gB
-
-    return record(K, vjp, c, Z, B)
-
-
-def _base(K):
-    """Normalised kernel K_ij^2 / (K_ii K_jj) over the last two axes.  One
-    tape node over K."""
-    Kv = value(K)
-    diag = np.arange(Kv.shape[-1])
-    d = Kv[..., diag, diag]
-    dd = d[..., :, None] * d[..., None, :]
-    G = (Kv * Kv) / dd
-
-    def vjp(g):
-        gK = (2.0 * g) * Kv / dd
-        gG = g * G
-        gK[..., diag, diag] -= (gG.sum(axis=-1) + gG.sum(axis=-2)) / d
-        return (gK,)
-
-    return record(G, vjp, K)
-
-
-def _radial(beta, alphas):
-    """sum_l alphas[l] beta^l elementwise, by Horner's rule.  One tape node
-    over beta and the coefficients."""
-    bv, av = value(beta), value(alphas)
-    top = av.shape[0] - 1
-    out = av[-1]
-    for l in range(top - 1, -1, -1):
-        out = out * bv + av[l]
-
-    def vjp(g):
-        gb = ga = None
-        if isinstance(beta, Node):
-            slope = top * av[-1]
-            for l in range(top - 1, 0, -1):
-                slope = slope * bv + l * av[l]
-            gb = g * slope
-        if isinstance(alphas, Node):
-            ga = np.empty(top + 1)
-            power = g
-            for l in range(top + 1):
-                ga[l] = power.sum()
-                if l < top:
-                    power = power * bv
-        return gb, ga
-
-    return record(out, vjp, beta, alphas)
-
-
-def _gram_distance(G, n: int):
-    """Kernel-induced squared distance max(0, G_ii + G_jj - 2 G_ij) of the
-    first n rows of a Gram matrix G against its remaining columns
-    (... x n x (N - n)).  One tape node over G."""
-    Gv = value(G)
-    diag = np.arange(Gv.shape[-1])
-    g = Gv[..., diag, diag]
-    raw = g[..., :n, None] + g[..., None, n:] - 2.0 * Gv[..., :n, n:]
-    dist = np.where(raw > 0.0, raw, 0.0)
-
-    def vjp(h):
-        h = np.where(dist > 0.0, h, 0.0)
-        gG = np.zeros(Gv.shape)
-        gG[..., :n, n:] = -2.0 * h
-        gG[..., diag, diag] = np.concatenate((h.sum(axis=-1), h.sum(axis=-2)),
-                                             axis=-1)
-        return (gG,)
-
-    return record(dist, vjp, G)
 
 
 def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
@@ -298,37 +151,16 @@ def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
     rows (... x n x dim) and cols (... x m x dim) give ... x n x m scores;
     leading axes are independent batches (stacked episodes).  Both sets
     are projected onto the ball and the kernel is formed once over their
-    union.  In "distance" mode the score is minus the kernel-induced
-    squared distance k_ii + k_jj - 2 k_ij (for ahrbf/ahlap minus the
-    negative log-kernel); in "similarity" mode it is the kernel.
+    union (the union shape of `kernels._transform`).  In "distance" mode
+    the score is minus the kernel-induced squared distance
+    k_ii + k_jj - 2 k_ij (for ahrbf/ahlap minus the negative log-kernel);
+    in "similarity" mode it is the kernel.
     """
     if mode not in ("distance", "similarity"):
         raise ValueError(f"unknown score mode {mode!r}")
-    n = value(rows).shape[-2]
     Z = projection.apply(concat([rows, cols], axis=-2), k.c)
-    K = _dbr(k.c, Z, _multiplier(k, Z) if k.poles is not None else None)
-    variant = k.variant
-    if variant in ("da", "ahl", "ahrbf", "ahlap"):
-        dist = _gram_distance(K, n)
-        if variant == "ahrbf":
-            dist = dist / (2.0 * k.bandwidth**2)
-        elif variant == "ahlap":
-            positive = value(dist) > 0.0
-            dist = where(positive, sqrt(where(positive, dist, 1.0)), 0.0) / k.bandwidth
-        if mode == "distance":
-            return -dist
-        return K[..., :n, n:] if variant in ("da", "ahl") else exp(-dist)
-    if variant == "ahpoly":
-        G = (K + k.offset) ** int(k.degree)
-    elif variant in ("base", "ahrad"):
-        G = _base(K)
-        if variant == "ahrad":
-            G = _radial(G, k.alphas)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if mode == "distance":
-        return -_gram_distance(G, n)
-    return G[..., :n, n:]
+    B = _multiplier(Z, k.poles, k.weights, k.c) if k.poles is not None else None
+    return _transform(k, _dbr(k.c, Z, B), value(rows).shape[-2], mode)
 
 
 def _cross_entropy(scores, targets: np.ndarray):
@@ -679,6 +511,8 @@ def evaluate(
         raise ValueError("episodes must be >= 1")
     if baseline is not None and baseline not in BASELINES:
         raise ValueError(f"unknown baseline mode {baseline!r}")
+    if config is None and baseline is None:
+        raise ValueError("evaluate needs a kernel config or a baseline")
     rng = np.random.default_rng(seed)
     k = _kernel_from_config(config) if config is not None else None
     targets = _fsl_targets(n_way, n_query)

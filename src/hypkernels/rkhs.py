@@ -3,6 +3,11 @@
 The multiplier b is a convex combination of symmetrized Mobius
 self-mappings with learnable poles; it keeps the induced kernel positive
 definite for any number of poles.
+
+b(Z), the de Branges-Rovnyak matrix, the Gram distance and softmax are
+defined once, here, for the pointwise functions, `kernels` and training
+(`learning`).  The first three each record one `diff` tape node with a
+real-only closed-form VJP; their forwards also run on complex points.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diff import Node, exp, record, value
 from .geometry import (
     BallPoint,
     Curvature,
@@ -20,10 +26,9 @@ from .geometry import (
 )
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.asarray(logits, dtype=np.float64)
-    shifted = shifted - shifted.max()
-    e = np.exp(shifted)
+def softmax(logits):
+    """exp(logits) normalised onto the simplex; arrays and tape nodes alike."""
+    e = exp(logits - value(logits).max())
     return e / e.sum()
 
 
@@ -73,54 +78,120 @@ class MultiplierParams:
         check_compatible(self.poles[0], z)
 
 
-def _multiplier_rows(params: MultiplierParams, Z: np.ndarray, c: float):
-    # Row k of the result is b(Z[k]).  Each pole a contributes
-    # s*[c(a*z)a/(1+s) - z]/(1 - (c a*z)^2), which is smooth at a = 0 (where
-    # it reduces to -z); the weighted sum over poles is one matrix product.
-    A = np.stack([a.coords for a in params.poles])
-    s = np.sqrt(1.0 - c * np.array([a.norm for a in params.poles]) ** 2)[:, None]
-    caz = c * (A.conj() @ Z.T)
-    coef = params.weights[:, None] * s / (1.0 - caz * caz)
-    B = (coef * caz / (1.0 + s)).T @ A - coef.sum(axis=0)[:, None] * Z
-    if np.any(np.sqrt(c) * np.linalg.norm(B, axis=1) >= 1.0):
-        raise GeometryError("operation produced a point outside the ball")
-    return B
+def _multiplier(Z, P, w, c):
+    """b(z) for every row z of Z (... x n x dim), all poles in one matrix product.
 
-
-def _kernel_matrix(params: MultiplierParams | None, points: list[BallPoint]):
-    """K[i, j] = (1 - c b(z_i)* b(z_j)) / (1 - c z_i* z_j) over a point set.
-
-    With params None the numerator is 1 (the Drury-Arveson kernel).
+    b(z) = sum_j w_j s_j (lead_j a_j - z) / (1 - (c<a_j,z>)^2) over the
+    poles a_j (the rows of P) with s_j = sqrt(1 - c|a_j|^2) and
+    lead_j = c<a_j,z>/(1 + s_j); it is smooth at a_j = 0, where the term
+    is -z.  One tape node over Z, P, the weights w and c.
     """
+    cv, Pv, wv, Zv = value(c), value(P), value(w), value(Z)
+    ZP = Zv @ Pv.conj().mT
+    caz = cv * ZP
+    pp = (Pv * Pv.conj()).real.sum(axis=-1)
+    s = np.sqrt(1.0 - cv * pp)
+    den = 1.0 - caz * caz
+    coef = wv * s / den
+    lead = caz / (1.0 + s)
+    M = coef * lead
+    coef_sum = coef.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gM = g @ Pv.mT
+        gcoef = gM * lead - (g * Zv).sum(axis=-1, keepdims=True)
+        glead = gM * coef
+        gcaz = glead / (1.0 + s) + gcoef * coef * (2.0 * caz) / den
+        # s_j enters lead and coef; q_j = 1 - c|a_j|^2 = s_j^2.
+        gq = (gcoef * wv / den - glead * lead / (1.0 + s)).sum(axis=-2) * (0.5 / s)
+        gZ = gP = gw = gc = None
+        if isinstance(Z, Node):
+            gZ = (cv * gcaz) @ Pv - coef_sum * g
+        if isinstance(P, Node):
+            gP = M.mT @ g + (cv * gcaz).mT @ Zv - (2.0 * cv) * gq[..., None] * Pv
+        if isinstance(w, Node):
+            gw = (gcoef * s / den).sum(axis=-2)
+        if isinstance(c, Node):
+            gc = (gcaz * ZP).sum() - (gq * pp).sum()
+        return gZ, gP, gw, gc
+
+    return record(M @ Pv - coef_sum * Zv, vjp, Z, P, w, c)
+
+
+def _dbr(c, Z, B=None):
+    """De Branges-Rovnyak matrix (1 - c B B*)/(1 - c Z Z*) over the rows
+    of Z and of B = b(Z), K_ij = (1 - c<b_i,b_j>)/(1 - c<z_i,z_j>);
+    1/(1 - c Z Z*) (Drury-Arveson) without a multiplier.  One tape node
+    over c, Z and B."""
+    cv, Zv, Bv = value(c), value(Z), value(B)
+    # Unnamed products let numpy reuse their buffers (n x n each, for
+    # `gram`); the VJP forms them again when c needs a gradient.
+    den = 1.0 - cv * (Zv.conj() @ Zv.mT)
+    K = 1.0 / den if B is None else (1.0 - cv * (Bv.conj() @ Bv.mT)) / den
+
+    def vjp(g):
+        gden = -g * K / den
+        gnum = g / den if B is not None else None
+        gc = gZ = gB = None
+        if isinstance(c, Node):
+            gc = -(gden * (Zv @ Zv.mT)).sum()
+            if B is not None:
+                gc = gc - (gnum * (Bv @ Bv.mT)).sum()
+        if isinstance(Z, Node):
+            gZ = -cv * ((gden + gden.mT) @ Zv)
+        if isinstance(B, Node):
+            gB = -cv * ((gnum + gnum.mT) @ Bv)
+        return gc, gZ, gB
+
+    return record(K, vjp, c, Z, B)
+
+
+def _gram_distance(G, n=None):
+    """Kernel-induced squared distance max(0, G_ii + G_jj - 2 Re G_ij) over
+    the last two axes of G: every row against every column, where a value
+    below -1e-12 raises ArithmeticError, or with n (training) the first n
+    rows against the remaining columns, clamping silently.  One tape node
+    over G."""
+    Gv = value(G)
+    diag = np.arange(Gv.shape[-1])
+    g = Gv[..., diag, diag].real
+    rows, cols = (slice(None), slice(None)) if n is None else (slice(n), slice(n, None))
+    raw = g[..., rows, None] + g[..., None, cols] - 2.0 * Gv[..., rows, cols].real
+    if n is None and raw.min() < -1e-12:
+        raise ArithmeticError(f"squared distance {raw.min()} below rounding tolerance")
+    dist = np.where(raw > 0.0, raw, 0.0)
+
+    def vjp(h):
+        h = np.where(dist > 0.0, h, 0.0)
+        gG = np.zeros(Gv.shape)
+        gG[..., rows, cols] = -2.0 * h
+        gG[..., diag[rows], diag[rows]] += h.sum(axis=-1)
+        gG[..., diag[cols], diag[cols]] += h.sum(axis=-2)
+        return (gG,)
+
+    return record(dist, vjp, G)
+
+
+def _rows(params: MultiplierParams | None, points: list[BallPoint]):
+    """The operands (c, Z, B = b(Z) or None) of `_dbr` over compatible
+    points; GeometryError when a row of B leaves the ball."""
     for p in points[1:]:
         check_compatible(points[0], p)
     c = points[0].curvature.c
     Z = np.stack([p.coords for p in points])
-    den = 1.0 - c * (Z.conj() @ Z.T)
     if params is None:
-        return 1.0 / den
+        return c, Z, None
     params.check_point(points[0])
-    B = _multiplier_rows(params, Z, c)
-    return (1.0 - c * (B.conj() @ B.T)) / den
-
-
-def _distance_sq(K: np.ndarray) -> np.ndarray:
-    """Squared RKHS distances d2[i, j] = K[i, i] + K[j, j] - 2 Re K[i, j].
-
-    The diagonal is read from K itself, so d2[i, i] is exactly 0; tiny
-    negative rounding residues are clamped to zero.
-    """
-    diag = K.diagonal().real
-    d2 = diag[:, None] + diag[None, :] - 2.0 * K.real
-    worst = d2.min()
-    if worst < -1e-12:
-        raise ArithmeticError(f"squared distance {worst} below rounding tolerance")
-    return np.maximum(d2, 0.0)
+    P = np.stack([a.coords for a in params.poles])
+    B = _multiplier(Z, P, params.weights, c)
+    if np.any(np.sqrt(c) * np.linalg.norm(B, axis=-1) >= 1.0):
+        raise GeometryError("operation produced a point outside the ball")
+    return c, Z, B
 
 
 def da_kernel(z_i: BallPoint, z_j: BallPoint) -> complex:
     """Drury-Arveson kernel 1/(1 - c * z_i* z_j)."""
-    return complex(_kernel_matrix(None, [z_i, z_j])[0, 1])
+    return complex(_dbr(*_rows(None, [z_i, z_j]))[0, 1])
 
 
 def multiplier_b(params: MultiplierParams, z: BallPoint) -> BallPoint:
@@ -129,9 +200,8 @@ def multiplier_b(params: MultiplierParams, z: BallPoint) -> BallPoint:
     The output is a convex combination of ball points, hence strictly
     inside the ball; b(0) = 0 and b(-z) = -b(z).
     """
-    params.check_point(z)
-    b = _multiplier_rows(params, z.coords[None, :], z.curvature.c)[0]
-    return _interior_point(b, z.curvature)
+    _, _, B = _rows(params, [z])
+    return _interior_point(B[0], z.curvature)
 
 
 def dbr_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> complex:
@@ -140,7 +210,7 @@ def dbr_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> comp
     k_c^b(z_i, z_j) = (1 - c * b(z_i)* b(z_j)) / (1 - c * z_i* z_j).
     Diagonal values are real and strictly positive.
     """
-    return complex(_kernel_matrix(params, [z_i, z_j])[0, 1])
+    return complex(_dbr(*_rows(params, [z_i, z_j]))[0, 1])
 
 
 def rkhs_distance_sq(
@@ -151,7 +221,7 @@ def rkhs_distance_sq(
     ||k^_{z_i} - k^_{z_j}||^2 = k(z_i,z_i) + k(z_j,z_j) - 2 Re k(z_i,z_j),
     with tiny negative rounding residues clamped to zero.
     """
-    return float(_distance_sq(_kernel_matrix(params, [z_i, z_j]))[0, 1])
+    return float(_gram_distance(_dbr(*_rows(params, [z_i, z_j])))[0, 1])
 
 
 def pointwise_contraction_check(params: MultiplierParams, z: BallPoint) -> bool:

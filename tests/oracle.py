@@ -11,10 +11,11 @@ The samplers and `evaluate` below are the per-episode, per-query loops
 that the indexed samplers and the stacked evaluation replaced; the tests
 require the same draws and the same results from both.
 
-`COMPOSED` maps each fused layer of `learning` (one tape node with a
-closed-form VJP) to the same layer composed of generic `diff` operators,
-whose gradient the tape derives op by op; the tests substitute them for
-the fused layers and require the same values and gradients.
+`COMPOSED` maps each fused layer of the forward (one tape node with a
+closed-form VJP, in `learning`, `rkhs` or `kernels`) to the same layer
+composed of generic `diff` operators, whose gradient the tape derives op
+by op; the tests substitute them for the fused layers and require the
+same values and gradients.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ def exp0(x, c):
     return _tanh_ratio(c * sq) * x
 
 
-def multiplier(k, Z):
-    c, P = k.c, k.poles
+def multiplier(Z, P, w, c):
     caz = c * (Z @ P.mT)
     s = sqrt(1.0 - c * (P * P).sum(axis=-1))
-    coef = k.weights * s / (1.0 - caz * caz)
+    coef = w * s / (1.0 - caz * caz)
     return (coef * (caz / (1.0 + s))) @ P - coef.sum(axis=-1, keepdims=True) * Z
 
 
@@ -71,10 +71,13 @@ def radial(beta, alphas):
     return G
 
 
-def gram_distance(G, n):
+def gram_distance(G, n=None):
     diag = np.arange(value(G).shape[-1])
     g = G[..., diag, diag]
-    x = g[..., :n, None] + g[..., None, n:] - 2.0 * G[..., :n, n:]
+    if n is None:
+        x = g[..., :, None] + g[..., None, :] - 2.0 * G
+    else:
+        x = g[..., :n, None] + g[..., None, n:] - 2.0 * G[..., :n, n:]
     return where(value(x) > 0.0, x, 0.0)
 
 

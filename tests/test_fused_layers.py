@@ -1,16 +1,19 @@
 """The fused layers of the batched forward against their composed references.
 
-Each layer in `learning` (exp0 projection, multiplier b(Z), de Branges-
-Rovnyak matrix, base normalisation, radial Horner polynomial, Gram
-distance, cross-entropy) is one tape node with a closed-form VJP.
-`oracle.COMPOSED` builds the same layers from generic `diff` operators.
-Forward values must be bit-identical (the arithmetic is the same, so
-evaluation is unchanged) and gradients must agree to 1e-12 relative to
-each block's largest entry: per layer on stacked leading axes with the
-curvature on the tape, and through whole losses for every variant, score
-mode, projection and task, at the branch points (zero-norm rows take the
-tanh(r)/r series, a zero pole, a query on its prototype meets the clamp
-and the ahlap sqrt).  A tape-size guard keeps the layers fused.
+Each layer of the forward (exp0 projection and cross-entropy in
+`learning`; multiplier b(Z), de Branges-Rovnyak matrix and Gram distance
+in `rkhs`; base normalisation and radial Horner polynomial in `kernels`)
+is one tape node with a closed-form VJP.  `oracle.COMPOSED` builds the
+same layers from generic `diff` operators.  Forward values must be
+bit-identical (the arithmetic is the same, so evaluation is unchanged)
+and gradients must agree to 1e-12 relative to each block's largest
+entry: per layer on stacked leading axes with the curvature on the tape,
+and through whole losses for every variant, score mode, projection and
+task, at the branch points (zero-norm rows take the tanh(r)/r series, a
+zero pole, a query on its prototype meets the clamp and the ahlap sqrt).
+The whole-loss cases substitute each layer wherever it is bound and
+require exactly the layers the case reads to have run in composed form.
+A tape-size guard keeps the layers fused.
 """
 
 import json
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 import oracle
-from hypkernels import learning
+from hypkernels import kernels, learning, rkhs
 from hypkernels.cli import _run_config_from_json
 from hypkernels.diff import Node, ParamVector, backward, grad, value
 from hypkernels.kernels import VARIANTS
@@ -42,6 +45,9 @@ GRAD_RTOL = 1e-12
 MAX_TAPE_NODES = 30
 QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
 PROJECTIONS = {"exp0": Projection(), "clip": Projection("clip", beta=0.9, eps=0.2)}
+# The module that defines each fused layer.
+OWNERS = {"_exp0": learning, "_multiplier": rkhs, "_dbr": rkhs, "_gram_distance": rkhs,
+          "_base": kernels, "_radial": kernels, "_cross_entropy": learning}
 
 
 def _assert_close(got, ref):
@@ -95,14 +101,7 @@ def test_multiplier(on_tape):
     P = _ball_points(rng, (3, 3), c)
     P[0] = 0.0   # a zero pole: s = 1, the term is -z
     w = np.array([0.5, 0.3, 0.2])
-
-    def layer(impl):
-        def f(Z, P, w, c):
-            return impl(learning._Kernel("ahl", c, P, w, None, None, None, None), Z)
-        return f
-
-    _compare(layer(learning._multiplier), layer(oracle.multiplier),
-             (Z, P, w, np.array(c)), on_tape)
+    _compare(rkhs._multiplier, oracle.multiplier, (Z, P, w, np.array(c)), on_tape)
 
 
 @pytest.mark.parametrize("on_tape", [(True, True, True), (False, False, True),
@@ -111,31 +110,31 @@ def test_dbr(on_tape):
     rng = np.random.default_rng(3)
     Z = _ball_points(rng, (2, 5, 3), 0.8)
     B = 0.7 * _ball_points(rng, (2, 5, 3), 0.8)
-    _compare(learning._dbr, oracle.dbr, (np.array(0.8), Z, B), on_tape)
+    _compare(rkhs._dbr, oracle.dbr, (np.array(0.8), Z, B), on_tape)
 
 
 @pytest.mark.parametrize("on_tape", [(True, True), (False, True), (True, False)])
 def test_dbr_without_multiplier(on_tape):
     Z = _ball_points(np.random.default_rng(3), (2, 5, 3), 0.8)
-    _compare(learning._dbr, oracle.dbr, (np.array(0.8), Z), on_tape)
+    _compare(rkhs._dbr, oracle.dbr, (np.array(0.8), Z), on_tape)
 
 
 def _gram(rng, c=0.8, stack=2, n=5):
     Z = _ball_points(rng, (stack, n, 3), c)
     B = 0.7 * _ball_points(rng, (stack, n, 3), c)
-    return learning._dbr(c, Z, B)
+    return rkhs._dbr(c, Z, B)
 
 
 def test_base():
-    _compare(learning._base, oracle.base, (_gram(np.random.default_rng(4)),), (True,))
+    _compare(kernels._base, oracle.base, (_gram(np.random.default_rng(4)),), (True,))
 
 
 @pytest.mark.parametrize("on_tape", [(True, True), (True, False), (False, True)])
 def test_radial(on_tape):
     rng = np.random.default_rng(5)
-    beta = learning._base(_gram(rng))
+    beta = kernels._base(_gram(rng))
     alphas = rng.uniform(0.1, 1.0, 5)
-    _compare(learning._radial, oracle.radial, (beta, alphas), on_tape)
+    _compare(kernels._radial, oracle.radial, (beta, alphas), on_tape)
 
 
 def test_gram_distance_kinks():
@@ -143,13 +142,21 @@ def test_gram_distance_kinks():
     n = 2
     Z = _ball_points(rng, (2, 5, 3), 0.8)
     Z[:, n] = Z[:, 0]          # the first query sits on the first column
-    G = learning._dbr(0.8, Z, 0.7 * _ball_points(rng, (2, 5, 3), 0.8))
+    G = rkhs._dbr(0.8, Z, 0.7 * _ball_points(rng, (2, 5, 3), 0.8))
     G[1, 1, 3] = G[1, 3, 1] = 10.0   # a negative squared distance, clamped
     raw = (np.einsum("...ii->...i", G)[..., :n, None]
            + np.einsum("...ii->...i", G)[..., None, n:] - 2.0 * G[..., :n, n:])
     assert (raw <= 0.0).any() and (raw > 0.0).any()
-    _compare(lambda G: learning._gram_distance(G, n),
+    _compare(lambda G: rkhs._gram_distance(G, n),
              lambda G: oracle.gram_distance(G, n), (G,), (True,))
+
+
+def test_gram_distance_gram_shape():
+    """Every row against every column, as `gram` forms it, of a
+    Drury-Arveson Gram matrix: the diagonal is exactly 0 (the clamp's
+    kink) and the rest positive."""
+    G = rkhs._dbr(0.8, _ball_points(np.random.default_rng(9), (2, 5, 3), 0.8))
+    _compare(rkhs._gram_distance, oracle.gram_distance, (G,), (True,))
 
 
 def test_cross_entropy():
@@ -194,6 +201,41 @@ PIPELINE_CASES = [(task, variant, mode, projection)
                   for projection in sorted(PROJECTIONS)]
 
 
+def _substitute_composed(monkeypatch) -> set:
+    """Put each composed layer in place of its fused one, in the module that
+    owns the layer and in every module that imported it; returns the set
+    that collects the names of the composed layers that ran."""
+    assert set(OWNERS) == set(oracle.COMPOSED)
+    ran = set()
+    for name, composed in oracle.COMPOSED.items():
+        fused = getattr(OWNERS[name], name)
+
+        def substitute(*args, name=name, composed=composed):
+            ran.add(name)
+            return composed(*args)
+
+        for module in (learning, kernels, rkhs):
+            if getattr(module, name, None) is fused:
+                monkeypatch.setattr(module, name, substitute)
+    return ran
+
+
+def _layers_read(variant, mode, projection) -> set:
+    """The layers a loss of this variant, score mode and projection runs."""
+    layers = {"_dbr", "_cross_entropy"}
+    if projection == "exp0":
+        layers.add("_exp0")
+    if variant != "da":
+        layers |= {"_exp0", "_multiplier"}   # the poles go through exp0
+    if variant in ("base", "ahrad"):
+        layers.add("_base")
+    if variant == "ahrad":
+        layers.add("_radial")
+    if mode == "distance" or variant in ("ahrbf", "ahlap"):
+        layers.add("_gram_distance")
+    return layers
+
+
 @pytest.mark.parametrize("train_c", [True, False])
 @pytest.mark.parametrize("task,variant,mode,projection", PIPELINE_CASES)
 def test_losses_match_composed_layers(task, variant, mode, projection, train_c,
@@ -212,10 +254,10 @@ def test_losses_match_composed_layers(task, variant, mode, projection, train_c,
                     affine=affine)
     loss = _task_loss(task, run, mode, PROJECTIONS[projection], rng)
     fused_value, fused = loss(p), grad(loss, p)
-    for name, layer in oracle.COMPOSED.items():
-        monkeypatch.setattr(learning, name, layer)
+    ran = _substitute_composed(monkeypatch)
     assert loss(p) == fused_value
     composed = grad(loss, p)
+    assert ran == _layers_read(variant, mode, projection)
     for block in ("pole_raws", "weight_logits", "radial_raws", "log_c", "affine"):
         ref = getattr(composed, block)
         if ref is None:

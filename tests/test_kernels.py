@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hypkernels import _gmath as gm
+from hypkernels import kernels, rkhs
 from hypkernels.checks import random_multiplier, sample_ball_points
-from hypkernels.geometry import BallPoint, Curvature, mobius_map
+from hypkernels.geometry import BallPoint, Curvature, GeometryError, mobius_map
 from hypkernels.kernels import (
     MAX_GRAM_SIZE,
     ConfigError,
@@ -14,7 +15,12 @@ from hypkernels.kernels import (
     evaluate,
     gram,
 )
-from hypkernels.rkhs import MultiplierParams, dbr_kernel, rkhs_distance_sq
+from hypkernels.rkhs import (
+    MultiplierParams,
+    dbr_kernel,
+    multiplier_b,
+    rkhs_distance_sq,
+)
 
 C1 = Curvature(1.0)
 
@@ -212,6 +218,46 @@ class TestGram:
 
         with pytest.raises(DimensionMismatch):
             gram(KernelConfig("ahl", params=params), pts)
+
+
+def _substitute_output(monkeypatch, name, output):
+    """Make the rkhs layer `name` return output(its own result), in rkhs and
+    in every module that imported it."""
+    layer = getattr(rkhs, name)
+
+    def substitute(*args):
+        return output(layer(*args))
+
+    for module in (rkhs, kernels):
+        if getattr(module, name, None) is layer:
+            monkeypatch.setattr(module, name, substitute)
+
+
+class TestKernelPathGuards:
+    """The checks of the public kernel path on the output of its layers."""
+
+    def test_multiplier_outside_ball(self, params, points, monkeypatch):
+        # Rows of b(Z) pushed to norm 1.5 at c = 1.
+        _substitute_output(monkeypatch, "_multiplier",
+                           lambda B: 1.5 * B / np.linalg.norm(B, axis=-1, keepdims=True))
+        for call in (lambda: gram(KernelConfig("ahl", params=params), points),
+                     lambda: evaluate(KernelConfig("ahl", params=params), *points[:2]),
+                     lambda: multiplier_b(params, points[0]),
+                     lambda: dbr_kernel(params, *points[:2]),
+                     lambda: rkhs_distance_sq(params, *points[:2])):
+            with pytest.raises(GeometryError, match="outside the ball"):
+                call()
+
+    def test_negative_squared_distance(self, params, points, monkeypatch):
+        # Off-diagonal entries raised by 10 make k_ii + k_jj - 2 Re k_ij < 0.
+        _substitute_output(monkeypatch, "_dbr",
+                           lambda K: K + 10.0 * (1.0 - np.eye(K.shape[-1])))
+        for variant in ("ahrbf", "ahlap"):
+            config = KernelConfig(variant, params=params, bandwidth=1.0)
+            with pytest.raises(ArithmeticError, match="squared distance"):
+                gram(config, points)
+        with pytest.raises(ArithmeticError, match="squared distance"):
+            rkhs_distance_sq(params, *points[:2])
 
 
 def _family_configs(params, curvature, radial):

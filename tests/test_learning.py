@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from hypkernels import diff, learning
+from hypkernels.checks import random_multiplier
 from hypkernels.cli import EXIT_DIVERGENCE, main
 from hypkernels.diff import ParamVector, grad, materialize
+from hypkernels.geometry import Curvature
 from hypkernels.kernels import KernelConfig, RadialCoeffs
 from hypkernels.learning import (
     DivergenceError,
@@ -165,6 +167,20 @@ class TestLosses:
             sts_loss(kconfig, np.zeros((2, 8)), np.zeros((2, 8)),
                      np.zeros((2, 8)), 0.0)
 
+    def test_complex_poles_rejected(self, dataset):
+        # The losses and evaluate run on real features; dropping the
+        # imaginary pole parts would score a different kernel.
+        params = random_multiplier(np.random.default_rng(0), 2, 8, Curvature(0.02),
+                                   complex_coords=True)
+        config = KernelConfig("ahl", params=params)
+        ep = sample_episode(np.random.default_rng(2), dataset, 5, 1, 3)
+        with pytest.raises(ValueError, match="complex poles"):
+            fsl_loss(config, ep)
+        with pytest.raises(ValueError, match="complex poles"):
+            sts_loss(config, *dataset.features[:12].reshape(3, 4, 8), 0.5)
+        with pytest.raises(ValueError, match="complex poles"):
+            evaluate(config, dataset, 5, 1, 3, episodes=2, seed=0)
+
 
 class TestBaselines:
     def test_euclidean_score(self):
@@ -205,6 +221,10 @@ class TestEvaluate:
         few = evaluate(None, dataset, 5, 1, 3, 20, 0, baseline="euclidean")
         many = evaluate(None, dataset, 5, 1, 3, 200, 0, baseline="euclidean")
         assert many.ci_halfwidth < few.ci_halfwidth
+
+    def test_needs_config_or_baseline(self, dataset):
+        with pytest.raises(ValueError, match="kernel config or a baseline"):
+            evaluate(None, dataset, 5, 1, 3, episodes=2, seed=0)
 
 
     def test_boundary_scores_raise(self, dataset):
