@@ -26,7 +26,7 @@ each gradient on a fresh tape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -309,6 +309,14 @@ class ParamVector:
     def curvature_value(self) -> float:
         return math.exp(self.log_c) if self.log_c is not None else self.fixed_c
 
+    def _updated(self, blocks: dict) -> "ParamVector":
+        """A copy with some raw fields replaced, taken as they are: the
+        caller passes read-only float64 blocks of the same shapes (floats
+        for log_c), already checked finite."""
+        out = object.__new__(ParamVector)
+        out.__dict__.update(self.__dict__, **blocks)
+        return out
+
     def view(self) -> "RawView":
         """Plain-float view, the input of the scalar reference path."""
         return RawView(
@@ -436,6 +444,11 @@ _BLOCK_FIELDS = {
 }
 
 
+def _flat(blocks) -> np.ndarray:
+    """The entries of arrays and floats laid end to end, as float64."""
+    return np.concatenate([np.asarray(x, dtype=np.float64).reshape(-1) for x in blocks])
+
+
 def step(
     state: OptimizerState,
     p: ParamVector,
@@ -446,43 +459,63 @@ def step(
     """One first-order update; returns new state and parameters.
 
     In "adam" mode the update is normalized by bias-corrected accumulated
-    squared gradients; "sgd" is the plain update p - lr*g.
+    squared gradients; "sgd" is the plain update p - lr*g.  The selected
+    blocks are updated together: their raws, gradients and moments are
+    laid end to end in flat float64 buffers, a few ufunc calls update
+    them, and the new blocks are read-only views of the result, which is
+    checked for finiteness once (ValueError).
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    updates = {}
-    new_m = dict(state.m)
-    new_v = dict(state.v)
-    t = state.t + 1
+    # (block, field, shape, slice of the flat buffers) per updated block
+    active = []
+    size = 0
     for block in blocks:
-        if block not in _BLOCK_FIELDS:
+        fname = _BLOCK_FIELDS.get(block)
+        if fname is None:
             raise ValueError(f"unknown parameter block {block!r}")
-        fname = _BLOCK_FIELDS[block]
         pv = getattr(p, fname)
-        gv = getattr(g, fname)
         if pv is None:
             continue
+        gv = getattr(g, fname)
         if gv is None:
             raise ValueError(f"gradient missing for block {block!r}")
-        pv = np.asarray(pv, dtype=np.float64)
-        gv = np.asarray(gv, dtype=np.float64)
-        if pv.shape != gv.shape:
+        shape = np.shape(pv)
+        if shape != np.shape(gv):
             raise ValueError(f"shape mismatch in block {block!r}")
-        if state.mode == "sgd":
-            updates[fname] = pv - lr * gv
-        else:
-            m = state.m.get(block, np.zeros_like(pv))
-            v = state.v.get(block, np.zeros_like(pv))
-            m = state.beta1 * m + (1.0 - state.beta1) * gv
-            v = state.beta2 * v + (1.0 - state.beta2) * gv * gv
-            m_hat = m / (1.0 - state.beta1**t)
-            v_hat = v / (1.0 - state.beta2**t)
-            updates[fname] = pv - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-            new_m[block] = m
-            new_v[block] = v
-    kwargs = {}
-    for fname, arr in updates.items():
-        kwargs[fname] = float(arr) if fname == "log_c" else arr
-    new_p = replace(p, **kwargs)
-    new_state = replace(state, t=t, m=new_m, v=new_v)
-    return new_state, new_p
+        n = math.prod(shape)
+        active.append((block, fname, shape, slice(size, size + n)))
+        size += n
+    t = state.t + 1
+    new_m, new_v = state.m, state.v
+    if not active:
+        return OptimizerState(state.mode, state.beta1, state.beta2, state.eps, t,
+                              new_m, new_v), p
+
+    flat_p = _flat([getattr(p, f) for _, f, _, _ in active])
+    flat_g = _flat([getattr(g, f) for _, f, _, _ in active])
+    if state.mode == "sgd":
+        new = flat_p - lr * flat_g
+    else:
+        def moments(acc):
+            return _flat([acc[b] if b in acc else np.zeros(shape)
+                          for b, _, shape, _ in active])
+
+        b1, b2 = state.beta1, state.beta2
+        m = b1 * moments(state.m) + (1.0 - b1) * flat_g
+        v = b2 * moments(state.v) + (1.0 - b2) * flat_g * flat_g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        new = flat_p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_m, new_v = dict(new_m), dict(new_v)
+        for block, _, shape, part in active:
+            new_m[block] = m[part].reshape(shape)
+            new_v[block] = v[part].reshape(shape)
+    if not np.isfinite(new).all():
+        raise ValueError("all raw entries must be finite")
+    new.flags.writeable = False
+    updates = {f: float(new[part][0]) if f == "log_c" else new[part].reshape(shape)
+               for _, f, shape, part in active}
+    return (OptimizerState(state.mode, state.beta1, state.beta2, state.eps, t,
+                           new_m, new_v),
+            p._updated(updates))

@@ -272,9 +272,18 @@ def ahrad(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> float:
     return evaluate(config, z_i, z_j).real
 
 
+def _config_rows(config: KernelConfig, points: list[BallPoint]):
+    """`rkhs._rows` of points that carry the config's curvature (when it
+    sets one); ConfigError otherwise."""
+    kc = config.get_curvature()
+    if kc is not None and kc != points[0].curvature:
+        raise ConfigError("points do not match the configured curvature")
+    return _rows(config.params, points)
+
+
 def evaluate(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> complex:
     """Evaluate the configured kernel at a pair of ball points."""
-    K = _dbr(*_rows(config.params, [z_i, z_j]))
+    K = _dbr(*_config_rows(config, [z_i, z_j]))
     return complex(_transform(_kernel(config), K)[0, 1])
 
 
@@ -290,10 +299,7 @@ def gram(config: KernelConfig, points: list[BallPoint]) -> GramMatrix:
         raise ConfigError("at least one point is required")
     if n > MAX_GRAM_SIZE:
         raise ConfigError(f"point set of size {n} exceeds the maximum {MAX_GRAM_SIZE}")
-    kc = config.get_curvature()
-    if kc is not None and kc != points[0].curvature:
-        raise ConfigError("points do not match the configured curvature")
-    c, Z, B = _rows(config.params, points)
+    c, Z, B = _config_rows(config, points)
     entries = _transform(_kernel(config), _dbr(c, Z, B)).astype(np.complex128)
     lower = np.tril_indices(n, -1)
     entries[lower] = entries.T[lower].conj()

@@ -188,7 +188,9 @@ class LabeledSet:
     """Synthetic feature set with integer class labels.
 
     `classes` holds the sorted distinct labels and `class_index[j]` the
-    ascending row indices of class `classes[j]`; both are built once.
+    ascending row indices of class `classes[j]`; `class_rows` holds the
+    same indices as one padded matrix (row j: the `class_sizes[j]` indices
+    of class j, then zeros).  All are built once.
     """
 
     features: np.ndarray
@@ -196,6 +198,8 @@ class LabeledSet:
     meta: dict = field(default_factory=dict)
     classes: np.ndarray = field(init=False, repr=False, compare=False)
     class_index: tuple = field(init=False, repr=False, compare=False)
+    class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    class_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, copy=True)
@@ -208,13 +212,19 @@ class LabeledSet:
             raise ValueError("features must be finite")
         classes, inverse = np.unique(labels, return_inverse=True)
         order = np.argsort(inverse, kind="stable")
-        class_index = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
-        for a in (feats, labels, classes, *class_index):
+        sizes = np.bincount(inverse)
+        starts = np.cumsum(sizes) - sizes
+        class_index = np.split(order, starts[1:])
+        class_rows = np.zeros((classes.size, sizes.max()), dtype=np.int64)
+        class_rows[inverse[order], np.arange(order.size) - starts[inverse[order]]] = order
+        for a in (feats, labels, classes, sizes, class_rows, *class_index):
             a.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "class_index", tuple(class_index))
+        object.__setattr__(self, "class_sizes", sizes)
+        object.__setattr__(self, "class_rows", class_rows)
 
 
 def gen_tree_dataset(
@@ -273,30 +283,40 @@ def shuffle_labels(dataset: LabeledSet, seed: int) -> LabeledSet:
 
 @dataclass(frozen=True)
 class Episode:
-    """A C-way M-shot task with disjoint support and query samples."""
+    """A C-way M-shot task with disjoint support and query samples.
+
+    A stack of E such tasks has a leading axis of length E on support and
+    query (E x C x M x dim) and an E x C array of class ids.
+    """
 
     support: np.ndarray
     query: np.ndarray
-    class_ids: tuple
+    class_ids: tuple | np.ndarray
 
     def __post_init__(self):
         sup = np.array(self.support, dtype=np.float64, copy=True)
         qry = np.array(self.query, dtype=np.float64, copy=True)
-        if sup.ndim != 3 or qry.ndim != 3:
-            raise ValueError("support/query must be C x M x dim arrays")
-        if sup.shape[0] != qry.shape[0] or sup.shape[2] != qry.shape[2]:
+        if sup.ndim not in (3, 4) or qry.ndim != sup.ndim:
+            raise ValueError("support/query must be C x M x dim arrays, or "
+                             "E x C x M x dim stacks")
+        if sup.shape[:-2] != qry.shape[:-2] or sup.shape[-1] != qry.shape[-1]:
             raise ValueError("support and query disagree on classes or dim")
-        if sup.shape[0] != len(self.class_ids):
+        if np.shape(self.class_ids) != sup.shape[:-2]:
             raise ValueError("class_ids must align with the class axis")
+        if sup.ndim == 3:
+            class_ids = tuple(self.class_ids)
+        else:
+            class_ids = np.array(self.class_ids, dtype=np.int64, copy=True)
+            class_ids.flags.writeable = False
         sup.flags.writeable = False
         qry.flags.writeable = False
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "query", qry)
-        object.__setattr__(self, "class_ids", tuple(self.class_ids))
+        object.__setattr__(self, "class_ids", class_ids)
 
     @property
     def n_way(self) -> int:
-        return self.support.shape[0]
+        return self.support.shape[-3]
 
 
 def sample_episode(
@@ -305,37 +325,59 @@ def sample_episode(
     n_way: int,
     n_shot: int,
     n_query: int,
+    episodes: int | None = None,
 ) -> Episode:
-    """n_way distinct classes, then per class n_shot + n_query distinct rows.
+    """n_way distinct classes, then per class n_shot + n_query distinct rows
+    (the first n_shot are the support); with `episodes` = E, a stack of E
+    such episodes, drawn at once.
 
-    Draws from the dataset's per-class index; one `rng.choice` for the
-    classes and one per class, so a seed fixes the episode.
+    Each episode's classes are the first n_way of an argsort of uniform
+    keys over all classes, and each class's rows the first n_shot + n_query
+    of an argsort of uniform keys over the class's row index
+    (`LabeledSet.class_rows`), whose padding gets keys that sort last.  A
+    seed fixes the draw; `episodes=None` draws the episode that
+    `episodes=1` stacks.
     """
     n_classes = dataset.classes.size
     if n_way > n_classes:
         raise ValueError(f"cannot sample {n_way} ways from {n_classes} classes")
-    chosen = rng.choice(n_classes, size=n_way, replace=False)
+    count = 1 if episodes is None else episodes
+    if count < 1:
+        raise ValueError("episodes must be >= 1")
     per_class = n_shot + n_query
-    picked = np.empty((n_way, per_class), dtype=np.int64)
-    for row, j in enumerate(chosen):
-        idx = dataset.class_index[j]
-        if idx.size < per_class:
-            raise ValueError(
-                f"class {dataset.classes[j]} has fewer than {per_class} samples"
-            )
-        picked[row] = idx[rng.choice(idx.size, size=per_class, replace=False)]
-    samples = dataset.features[picked]
-    return Episode(samples[:, :n_shot], samples[:, n_shot:],
-                   tuple(dataset.classes[chosen].tolist()))
+    chosen = np.argsort(rng.random((count, n_classes)), axis=-1)[:, :n_way]
+    sizes = dataset.class_sizes[chosen]
+    short = sizes < per_class
+    if short.any():
+        raise ValueError(
+            f"class {dataset.classes[chosen[short][0]]} has fewer than "
+            f"{per_class} samples"
+        )
+    width = dataset.class_rows.shape[1]
+    keys = rng.random((count, n_way, width))
+    keys[np.arange(width) >= sizes[..., None]] = 2.0
+    order = np.argsort(keys, axis=-1)[..., :per_class]
+    samples = dataset.features[
+        np.take_along_axis(dataset.class_rows[chosen], order, axis=-1)]
+    class_ids = dataset.classes[chosen]
+    if episodes is None:
+        return Episode(samples[0, :, :n_shot], samples[0, :, n_shot:],
+                       tuple(class_ids[0].tolist()))
+    return Episode(samples[..., :n_shot, :], samples[..., n_shot:, :], class_ids)
+
+
+def _fsl_rows(episode: Episode):
+    """Queries (class-major) and class prototypes of an episode, or of each
+    episode of a stack.  Prototypes are means of support features in the
+    pre-projection space."""
+    query = episode.query
+    queries = query.reshape(*query.shape[:-3], -1, query.shape[-1])
+    return queries, episode.support.mean(axis=-2)
 
 
 def _fsl_scores(k: _Kernel, episode: Episode, mode: str, projection: Projection):
-    """Queries (class-major) against class prototypes.
-
-    Prototypes are means of support features in the pre-projection space.
-    """
-    queries = episode.query.reshape(-1, episode.query.shape[2])
-    return _scores(k, queries, episode.support.mean(axis=1), mode, projection)
+    """Queries against class prototypes, one score matrix per episode."""
+    return _scores(k, *_fsl_rows(episode), mode, projection)
 
 
 def _fsl_targets(n_way: int, n_query: int) -> np.ndarray:
@@ -502,10 +544,12 @@ def evaluate(
     Accuracy is argmax-score classification of queries against prototypes
     and mean_loss the mean fsl loss, both from the same scores; the CI
     halfwidth is 1.96 * stderr over per-episode accuracies.  Episodes are
-    sampled one by one from the seeded stream and scored a block at a time
-    (`_eval_block`) in one stacked forward.  Raises ArithmeticError when a
-    block's scores or losses are not finite (projected points that round
-    onto the ball boundary).
+    drawn and scored a block at a time (`_eval_block`): one
+    `sample_episode` call draws the block's stack from the seeded stream
+    and one stacked forward scores it, so `episodes=1` scores the episode
+    that `sample_episode` draws from `default_rng(seed)`.  Raises
+    ArithmeticError when a block's scores or losses are not finite
+    (projected points that round onto the ball boundary).
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -520,12 +564,9 @@ def evaluate(
     correct = []
     losses = []
     for start in range(0, episodes, block_size):
-        block = [sample_episode(rng, dataset, n_way, n_shot, n_query)
-                 for _ in range(min(block_size, episodes - start))]
-        # Queries (class-major) and prototypes, as in _fsl_scores, stacked.
-        queries = np.array([e.query for e in block])
-        queries = queries.reshape(len(block), targets.size, queries.shape[-1])
-        protos = np.array([e.support for e in block]).mean(axis=2)
+        size = min(block_size, episodes - start)
+        block = sample_episode(rng, dataset, n_way, n_shot, n_query, episodes=size)
+        queries, protos = _fsl_rows(block)
         if baseline is not None:
             scores = _baseline_scores(queries, protos, baseline, curvature, projection)
         else:
@@ -535,7 +576,7 @@ def evaluate(
         if not (finite and (not losses or np.isfinite(losses[-1]).all())):
             raise ArithmeticError(
                 f"non-finite scores in evaluation episodes {start}.."
-                f"{start + len(block) - 1} (points on the ball boundary?)"
+                f"{start + size - 1} (points on the ball boundary?)"
             )
         correct.append((np.argmax(scores, axis=-1) == targets).sum(axis=-1))
     accs = np.concatenate(correct) / targets.size
@@ -625,9 +666,34 @@ def _class_semantics(dataset: LabeledSet) -> np.ndarray:
     return np.array([dataset.features[idx].mean(axis=0) for idx in dataset.class_index])
 
 
-def _make_step_loss(config: RunConfig, dataset: LabeledSet,
-                    rng: np.random.Generator, semantics: np.ndarray | None = None):
-    """Sample one training batch and close over it as loss(raws).
+def _step_batches(config: RunConfig, dataset: LabeledSet,
+                  rng: np.random.Generator):
+    """The batches of a run's `config.steps` training steps, in order: an
+    Episode (fsl), a (features, labels) sample (zsl) or (anchor, positive,
+    negative) rows (sts).  Episodes are drawn a block at a time, blocks
+    sized as `evaluate` sizes them, so memory does not grow with the
+    number of steps; zsl and sts batches are drawn step by step."""
+    if config.task == "fsl":
+        block_size = _eval_block(config.n_way, config.n_query, dataset.features.shape[1])
+        for start in range(0, config.steps, block_size):
+            block = sample_episode(rng, dataset, config.n_way, config.n_shot,
+                                   config.n_query,
+                                   episodes=min(block_size, config.steps - start))
+            for e in range(len(block.class_ids)):
+                yield Episode(block.support[e], block.query[e],
+                              block.class_ids[e].tolist())
+    elif config.task == "zsl":
+        for _ in range(config.steps):
+            idx = rng.choice(dataset.features.shape[0], size=config.sts_batch,
+                             replace=False)
+            yield dataset.features[idx], dataset.labels[idx]
+    else:
+        for _ in range(config.steps):
+            yield _sample_triplets(rng, dataset, config.sts_batch)
+
+
+def _make_step_loss(config: RunConfig, batch, semantics: np.ndarray | None = None):
+    """Close over one training batch (from `_step_batches`) as loss(raws).
 
     raws is a ParamVector (value) or the RawView of tape nodes that
     `diff.grad` passes (gradient); both go through the same forward.
@@ -638,18 +704,12 @@ def _make_step_loss(config: RunConfig, dataset: LabeledSet,
     mode = config.score_mode
 
     if config.task == "fsl":
-        episode = sample_episode(
-            rng, dataset, config.n_way, config.n_shot, config.n_query
-        )
 
         def loss(raws):
-            return _fsl_loss(_kernel_from_raws(raws, config), episode, mode, projection)
+            return _fsl_loss(_kernel_from_raws(raws, config), batch, mode, projection)
 
     elif config.task == "zsl":
-        idx = rng.choice(dataset.features.shape[0], size=config.sts_batch,
-                         replace=False)
-        feats = dataset.features[idx]
-        labels = dataset.labels[idx]
+        feats, labels = batch
 
         def loss(raws):
             return _zsl_loss(
@@ -658,9 +718,7 @@ def _make_step_loss(config: RunConfig, dataset: LabeledSet,
             )
 
     else:
-        anchors, positives, negatives = _sample_triplets(
-            rng, dataset, config.sts_batch
-        )
+        anchors, positives, negatives = batch
 
         def loss(raws):
             return _sts_loss(
@@ -744,8 +802,8 @@ def train(config: RunConfig) -> TrainRun:
         blocks = blocks + ("affine",)
     semantics = _class_semantics(dataset) if config.task == "zsl" else None
     trace = []
-    for i in range(config.steps):
-        loss = _recording(_make_step_loss(config, dataset, rng, semantics), i, trace)
+    for i, batch in enumerate(_step_batches(config, dataset, rng)):
+        loss = _recording(_make_step_loss(config, batch, semantics), i, trace)
         if config.lr > 0:
             state, p = step(state, p, grad(loss, p), config.lr, blocks)
         else:

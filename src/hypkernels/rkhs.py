@@ -6,8 +6,9 @@ definite for any number of poles.
 
 b(Z), the de Branges-Rovnyak matrix, the Gram distance and softmax are
 defined once, here, for the pointwise functions, `kernels` and training
-(`learning`).  The first three each record one `diff` tape node with a
-real-only closed-form VJP; their forwards also run on complex points.
+(`learning`).  Each records one `diff` tape node with a real-only
+closed-form VJP; the forwards of the first three also run on complex
+points.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff import Node, exp, record, value
+from .diff import Node, record, value
 from .geometry import (
     BallPoint,
     Curvature,
@@ -27,9 +28,12 @@ from .geometry import (
 
 
 def softmax(logits):
-    """exp(logits) normalised onto the simplex; arrays and tape nodes alike."""
-    e = exp(logits - value(logits).max())
-    return e / e.sum()
+    """exp(logits) normalised onto the simplex; arrays and tape nodes alike.
+    One tape node over the logits; its VJP is y * (g - sum(g * y))."""
+    x = value(logits)
+    e = np.exp(x - x.max())
+    y = e / e.sum()
+    return record(y, lambda g: (y * (g - (g * y).sum()),), logits)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,15 @@ library's losses are defined, so they run on floats and on the 60-digit
 against high-precision central differences of them (`worst_grad_error`).
 `leaves` is a `_gmath.KernelLeaves`; `projection` a `learning.Projection`.
 
-The samplers and `evaluate` below are the per-episode, per-query loops
-that the indexed samplers and the stacked evaluation replaced; the tests
-require the same draws and the same results from both.
+The samplers below are the per-draw loops that the indexed and the
+vectorised samplers replaced: `sample_triplets` draws what
+`learning._sample_triplets` draws, and `sample_episode` (a different
+stream from `learning.sample_episode`) is the distribution the vectorised
+draw must reproduce.  `evaluate` scores the episodes of
+`learning.sample_episode` one episode and one query at a time; the tests
+require the same results from the stacked evaluation.  `step` is the
+per-block optimizer step that the flat-buffer `diff.step` replaced; the
+tests require bit-identical updates.
 
 `COMPOSED` maps each fused layer of the forward (one tape node with a
 closed-form VJP, in `learning`, `rkhs` or `kernels`) to the same layer
@@ -21,14 +27,15 @@ same values and gradients.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from hpfd import HPScalar, hp_central_diff
 from hypkernels import _gmath as gm
 from hypkernels import learning
-from hypkernels.diff import (ParamVector, RawView, exp, grad, log, sqrt, tanh, value,
-                             where)
+from hypkernels.diff import (DEFAULT_BLOCKS, ParamVector, RawView, exp, grad, log, sqrt,
+                             tanh, value, where)
 from hypkernels.geometry import BallPoint, Curvature
 
 
@@ -81,6 +88,11 @@ def gram_distance(G, n=None):
     return where(value(x) > 0.0, x, 0.0)
 
 
+def softmax(logits):
+    e = exp(logits - value(logits).max())
+    return e / e.sum()
+
+
 def cross_entropy(scores, targets):
     shift = np.max(value(scores), axis=-1)
     lse = log(exp(scores - shift[..., None]).sum(axis=-1)) + shift
@@ -96,6 +108,7 @@ COMPOSED = {
     "_radial": radial,
     "_gram_distance": gram_distance,
     "_cross_entropy": cross_entropy,
+    "softmax": softmax,
 }
 
 
@@ -153,26 +166,77 @@ def _baseline_correct(episode, baseline, c, projection):
 def evaluate(config, dataset, n_way, n_shot, n_query, episodes, seed,
              mode="distance", projection=learning.Projection(), baseline=None,
              curvature=1.0):
-    """`learning.evaluate` one episode at a time: the reference sampler, one
-    2-d score matrix per episode, the baselines per query."""
+    """`learning.evaluate` one episode at a time: the episodes that its
+    blocks draw, one 2-d score matrix per episode, the baselines per query."""
     rng = np.random.default_rng(seed)
     k = learning._kernel_from_config(config) if config is not None else None
     targets = np.repeat(np.arange(n_way), n_query)
+    block_size = learning._eval_block(n_way, n_query, dataset.features.shape[1])
     accs = []
     losses = []
-    for _ in range(episodes):
-        episode = sample_episode(rng, dataset, n_way, n_shot, n_query)
-        if baseline is not None:
-            correct = _baseline_correct(episode, baseline, curvature, projection)
-        else:
-            scores = learning._fsl_scores(k, episode, mode, projection)
-            correct = int(np.count_nonzero(np.argmax(scores, axis=1) == targets))
-            losses.append(float(learning._cross_entropy(scores, targets)))
-        accs.append(correct / targets.size)
+    for start in range(0, episodes, block_size):
+        block = learning.sample_episode(rng, dataset, n_way, n_shot, n_query,
+                                        episodes=min(block_size, episodes - start))
+        for e in range(len(block.class_ids)):
+            episode = learning.Episode(block.support[e], block.query[e],
+                                       block.class_ids[e])
+            if baseline is not None:
+                correct = _baseline_correct(episode, baseline, curvature, projection)
+            else:
+                scores = learning._fsl_scores(k, episode, mode, projection)
+                correct = int(np.count_nonzero(np.argmax(scores, axis=1) == targets))
+                losses.append(float(learning._cross_entropy(scores, targets)))
+            accs.append(correct / targets.size)
     accs = np.array(accs)
     ci = 1.96 * accs.std(ddof=1) / math.sqrt(episodes) if episodes > 1 else 0.0
     mean_loss = float(np.mean(losses)) if losses else None
     return learning.EvalResult(float(accs.mean()), float(ci), mean_loss)
+
+
+_BLOCK_FIELDS = {"poles": "pole_raws", "weights": "weight_logits",
+                 "alphas": "radial_raws", "log_c": "log_c", "affine": "affine"}
+
+
+def step(state, p, g, lr, blocks=DEFAULT_BLOCKS):
+    """`diff.step` block by block, rebuilding both dataclasses by `replace`."""
+    if lr <= 0:
+        raise ValueError("learning rate must be positive")
+    updates = {}
+    new_m = dict(state.m)
+    new_v = dict(state.v)
+    t = state.t + 1
+    for block in blocks:
+        if block not in _BLOCK_FIELDS:
+            raise ValueError(f"unknown parameter block {block!r}")
+        fname = _BLOCK_FIELDS[block]
+        pv = getattr(p, fname)
+        gv = getattr(g, fname)
+        if pv is None:
+            continue
+        if gv is None:
+            raise ValueError(f"gradient missing for block {block!r}")
+        pv = np.asarray(pv, dtype=np.float64)
+        gv = np.asarray(gv, dtype=np.float64)
+        if pv.shape != gv.shape:
+            raise ValueError(f"shape mismatch in block {block!r}")
+        if state.mode == "sgd":
+            updates[fname] = pv - lr * gv
+        else:
+            m = state.m.get(block, np.zeros_like(pv))
+            v = state.v.get(block, np.zeros_like(pv))
+            m = state.beta1 * m + (1.0 - state.beta1) * gv
+            v = state.beta2 * v + (1.0 - state.beta2) * gv * gv
+            m_hat = m / (1.0 - state.beta1**t)
+            v_hat = v / (1.0 - state.beta2**t)
+            updates[fname] = pv - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            new_m[block] = m
+            new_v[block] = v
+    kwargs = {}
+    for fname, arr in updates.items():
+        kwargs[fname] = float(arr) if fname == "log_c" else arr
+    new_p = replace(p, **kwargs)
+    new_state = replace(state, t=t, m=new_m, v=new_v)
+    return new_state, new_p
 
 
 def project(projection, x, c):

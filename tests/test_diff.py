@@ -321,6 +321,46 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             OptimizerState(mode="rmsprop")
 
+    @pytest.mark.parametrize("mode", ["adam", "sgd"])
+    @pytest.mark.parametrize("blocks", [DEFAULT_BLOCKS, ("weights",),
+                                        ("alphas", "log_c"), ("affine", "poles"),
+                                        ("poles", "weights", "alphas", "log_c", "affine")])
+    def test_matches_per_block_step(self, mode, blocks):
+        """Bit-identical to the per-block reference step over 300 steps, with
+        gradients that change sign and scale from step to step."""
+        rng = np.random.default_rng(5)
+        p = ParamVector(rng.standard_normal((2, 3)), rng.standard_normal(2),
+                        rng.standard_normal(4), log_c=-0.3, fixed_c=0.7,
+                        affine=rng.standard_normal((3, 4)))
+        q = p
+        state = ref_state = OptimizerState(mode=mode)
+        for i in range(300):
+            scale = 10.0 ** rng.integers(-6, 3)
+            g = diff.Gradient(scale * rng.standard_normal((2, 3)),
+                              scale * rng.standard_normal(2),
+                              scale * rng.standard_normal(4),
+                              log_c=float(scale * rng.standard_normal()),
+                              affine=scale * rng.standard_normal((3, 4)))
+            state, p = step(state, p, g, 0.01, blocks)
+            ref_state, q = oracle.step(ref_state, q, g, 0.01, blocks)
+            for name in ("pole_raws", "weight_logits", "radial_raws", "affine"):
+                np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+                assert not getattr(p, name).flags.writeable
+            assert p.log_c == q.log_c and p.fixed_c == q.fixed_c
+            assert state.t == ref_state.t == i + 1
+            for acc, ref in ((state.m, ref_state.m), (state.v, ref_state.v)):
+                assert acc.keys() == ref.keys()
+                for key in ref:
+                    np.testing.assert_array_equal(acc[key], ref[key])
+
+    @pytest.mark.parametrize("mode", ["adam", "sgd"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_raises(self, mode, bad):
+        g = self.make_grad()
+        g.weight_logits[0] = bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            step(OptimizerState(mode=mode), self.make(), g, 0.1)
+
     def test_state_accumulates(self):
         p = self.make()
         g = self.make_grad()

@@ -1,8 +1,9 @@
 """The fused layers of the batched forward against their composed references.
 
 Each layer of the forward (exp0 projection and cross-entropy in
-`learning`; multiplier b(Z), de Branges-Rovnyak matrix and Gram distance
-in `rkhs`; base normalisation and radial Horner polynomial in `kernels`)
+`learning`; multiplier b(Z), de Branges-Rovnyak matrix, Gram distance and
+the weights' softmax in `rkhs`; base normalisation and radial Horner
+polynomial in `kernels`)
 is one tape node with a closed-form VJP.  `oracle.COMPOSED` builds the
 same layers from generic `diff` operators.  Forward values must be
 bit-identical (the arithmetic is the same, so evaluation is unchanged)
@@ -41,13 +42,14 @@ from hypkernels.learning import (
 
 GRAD_RTOL = 1e-12
 # Node constructions (leaves included) in one gradient of the quickstart
-# step; the composed layers needed 89.
-MAX_TAPE_NODES = 30
+# step; the composed layers needed 89, the fused ones need 13.
+MAX_TAPE_NODES = 13
 QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
 PROJECTIONS = {"exp0": Projection(), "clip": Projection("clip", beta=0.9, eps=0.2)}
 # The module that defines each fused layer.
 OWNERS = {"_exp0": learning, "_multiplier": rkhs, "_dbr": rkhs, "_gram_distance": rkhs,
-          "_base": kernels, "_radial": kernels, "_cross_entropy": learning}
+          "_base": kernels, "_radial": kernels, "_cross_entropy": learning,
+          "softmax": rkhs}
 
 
 def _assert_close(got, ref):
@@ -167,6 +169,11 @@ def test_cross_entropy():
              lambda s: oracle.cross_entropy(s, targets), (scores,), (True,))
 
 
+def test_softmax():
+    logits = np.array([0.3, -1.2, 2.0, 0.0])
+    _compare(rkhs.softmax, oracle.softmax, (logits,), (True,))
+
+
 def _task_loss(task, run, mode, proj, rng):
     """A loss over the raws: fsl on two stacked episodes (a query on its
     prototype, a zero-norm query), zsl and sts with a zero-norm row."""
@@ -226,7 +233,8 @@ def _layers_read(variant, mode, projection) -> set:
     if projection == "exp0":
         layers.add("_exp0")
     if variant != "da":
-        layers |= {"_exp0", "_multiplier"}   # the poles go through exp0
+        # the poles go through exp0, the weights through softmax
+        layers |= {"_exp0", "_multiplier", "softmax"}
     if variant in ("base", "ahrad"):
         layers.add("_base")
     if variant == "ahrad":
@@ -273,8 +281,9 @@ def test_quickstart_step_tape_size(monkeypatch):
     dataset = gen_tree_dataset(config.dataset_seed, config.depth, config.branching,
                                config.dim, config.noise_sigma, config.samples_per_leaf,
                                config.step_length)
-    loss = learning._make_step_loss(config, dataset,
-                                    np.random.default_rng(config.train_seed))
+    episode = next(learning._step_batches(config, dataset,
+                                          np.random.default_rng(config.train_seed)))
+    loss = learning._make_step_loss(config, episode)
     built = []
     init = Node.__init__
 

@@ -170,6 +170,22 @@ class TestEvaluate:
             config = KernelConfig(variant, params=params, bandwidth=1.0)
             assert evaluate(config, points[0], points[0]).real == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("variant", ["da", "ahl"])
+    def test_curvature_mismatch_as_gram(self, params, variant):
+        """Points at c = 1 against a kernel configured at another curvature:
+        evaluate raises the ConfigError that gram raises."""
+        if variant == "da":
+            config = KernelConfig("da", curvature=Curvature(2.0))
+        else:
+            scaled = MultiplierParams(
+                tuple(pt(a.coords / 2.0, Curvature(2.0)) for a in params.poles),
+                params.weight_logits)
+            config = KernelConfig("ahl", params=scaled)
+        pair = [pt([0.1, 0.2]), pt([0.2, -0.3])]
+        for call in (lambda: gram(config, pair), lambda: evaluate(config, *pair)):
+            with pytest.raises(ConfigError, match="configured curvature"):
+                call()
+
 
 class TestGram:
     def test_hermitian_bit_exact(self, params, points):

@@ -1,12 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypkernels import diff, learning
 from hypkernels.checks import random_multiplier
-from hypkernels.cli import EXIT_DIVERGENCE, main
+from hypkernels.cli import EXIT_DIVERGENCE, _run_config_from_json, main
 from hypkernels.diff import ParamVector, grad, materialize
 from hypkernels.geometry import Curvature
 from hypkernels.kernels import KernelConfig, RadialCoeffs
@@ -297,11 +298,10 @@ class TestTrain:
                                    config.branching, config.dim,
                                    config.noise_sigma, config.samples_per_leaf)
         p = init_params(config)
-        rng = np.random.default_rng(config.train_seed)
-        g = grad(learning._make_step_loss(config, dataset, rng), p)
+        episode = next(learning._step_batches(
+            config, dataset, np.random.default_rng(config.train_seed)))
+        g = grad(learning._make_step_loss(config, episode), p)
         assert not np.any(g.pole_raws) and not np.any(g.weight_logits)
-        episode = sample_episode(np.random.default_rng(config.train_seed), dataset,
-                                 config.n_way, config.n_shot, config.n_query)
         reported = fsl_loss(params_to_kernel_config(config, p), episode)
         step0 = train(config).loss_trace[0]
         assert abs(step0 - reported) <= 1e-12 * abs(reported)
@@ -318,6 +318,31 @@ class TestTrain:
         monkeypatch.setattr(learning, "_class_semantics", counted)
         run = train(RunConfig(task="zsl", steps=5, truncation=4, eval_episodes=3))
         assert len(run.loss_trace) == 5 and len(calls) == 1
+
+    def test_quickstart_draws_episodes_in_blocks(self, monkeypatch):
+        # One sampler call per block of `_eval_block` episodes: the 300
+        # training steps and each 500-episode evaluation take 2 + 3 + 3.
+        config = _run_config_from_json(json.loads(QUICKSTART.read_text()))
+        calls = []
+        sampler = learning.sample_episode
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("episodes"))
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "sample_episode", counted)
+        train(config)
+        block = learning._eval_block(config.n_way, config.n_query, config.dim)
+        assert sum(calls) == config.steps + 2 * config.eval_episodes
+        assert len(calls) == (math.ceil(config.steps / block)
+                              + 2 * math.ceil(config.eval_episodes / block))
+        assert len(calls) <= MAX_QUICKSTART_SAMPLER_CALLS
+
+
+# Sampler calls in one quickstart `train`; drawing one episode per call
+# made 1300.
+MAX_QUICKSTART_SAMPLER_CALLS = 8
+QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
 
 
 def _nan_at_step(monkeypatch, bad_step):

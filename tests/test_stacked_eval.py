@@ -1,8 +1,16 @@
-"""The indexed samplers and the stacked evaluation against the loops they
-replaced (`oracle.sample_episode`, `oracle.sample_triplets`,
+"""The episode and triplet samplers and the stacked evaluation against the
+loops they replaced (`oracle.sample_episode`, `oracle.sample_triplets`,
 `oracle.evaluate`).
 
-Samplers: the same draws and the same generator state afterwards.
+Episode sampler: it draws a different stream from the reference loop, so
+it is checked for its distribution, not its draws: valid episodes (distinct
+classes, rows of their class, disjoint support and query), every class
+and row reachable in both roles, class and row frequencies that pass the
+goodness-of-fit test the reference sampler passes (fixed seeds, fixed
+thresholds), ragged classes (the padding of the row index), the reference
+sampler's errors, and `episodes=1` drawing the episode that `evaluate`
+scores for the same seed.
+Triplet sampler: the same draws and the same generator state afterwards.
 Evaluation: every variant, score mode and projection, and both
 baselines, on one episode and on more than one block of episodes;
 accuracy and CI halfwidth exactly, mean_loss at 1e-12 relative.
@@ -30,6 +38,18 @@ PROJECTIONS = {"exp0": Projection(), "clip": Projection("clip", beta=0.9, eps=0.
 SHAPES = [(5, 1, 3), (3, 2, 2), (7, 3, 5), (27, 1, 1)]
 EPISODE_COUNTS = [1, learning._eval_block(5, 3, 8) + 3]
 LOSS_RTOL = 1e-12
+# Episodes per sampler in a frequency check, and the bound on its Pearson
+# statistic: the number of cells plus six standard deviations of a
+# chi-square with that many degrees of freedom.
+FREQ_EPISODES = 1500
+
+
+def _chi2_bound(cells):
+    return cells + 6.0 * np.sqrt(2.0 * cells)
+
+
+def _pearson(counts, expected):
+    return float((((counts - expected) ** 2) / expected).sum())
 
 
 @pytest.fixture(scope="module")
@@ -37,44 +57,172 @@ def dataset():
     return gen_tree_dataset(0, 3, 3, 8, 0.5, 12)
 
 
+def _indexed(sizes):
+    """A dataset whose first feature is the row number; class j has
+    sizes[j] rows, its rows interleaved with the other classes' rows."""
+    labels = np.concatenate([np.full(n, j) for j, n in enumerate(sizes)])
+    labels = labels[np.random.default_rng(0).permutation(labels.size)]
+    rows = np.arange(labels.size, dtype=np.float64)
+    return LabeledSet(np.column_stack([rows, np.zeros_like(rows)]), labels)
+
+
+def _rows(a):
+    return a[..., 0].astype(np.int64)
+
+
+def _assert_valid(ds, episode, n_way, n_shot, n_query):
+    """Distinct classes per episode, every row of its class, and the rows
+    of a class distinct (support and query disjoint)."""
+    ids = np.asarray(episode.class_ids)
+    lead = ids.shape[:-1]
+    assert episode.support.shape == (*lead, n_way, n_shot, ds.features.shape[1])
+    assert episode.query.shape == (*lead, n_way, n_query, ds.features.shape[1])
+    rows = np.concatenate([_rows(episode.support), _rows(episode.query)], axis=-1)
+    np.testing.assert_array_equal(ds.labels[rows], np.broadcast_to(ids[..., None],
+                                                                  rows.shape))
+    assert (np.diff(np.sort(ids, axis=-1), axis=-1) > 0).all()
+    assert (np.diff(np.sort(rows, axis=-1), axis=-1) > 0).all()
+
+
 def test_class_index_matches_label_scans(dataset):
     np.testing.assert_array_equal(dataset.classes, np.unique(dataset.labels))
-    for cls, idx in zip(dataset.classes, dataset.class_index):
+    for j, (cls, idx) in enumerate(zip(dataset.classes, dataset.class_index)):
         np.testing.assert_array_equal(idx, np.flatnonzero(dataset.labels == cls))
+        assert dataset.class_sizes[j] == idx.size
+        np.testing.assert_array_equal(dataset.class_rows[j, :idx.size], idx)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-def test_sample_episode_matches_reference(dataset, shape):
-    for seed in range(60):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_episode(rng, dataset, *shape)
-        ref = oracle.sample_episode(ref_rng, dataset, *shape)
-        np.testing.assert_array_equal(got.support, ref.support)
-        np.testing.assert_array_equal(got.query, ref.query)
-        assert got.class_ids == ref.class_ids
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+def test_sampled_episodes_are_valid(dataset, shape):
+    ds = _indexed([12] * 27)
+    for seed in range(20):
+        single = sample_episode(np.random.default_rng(seed), ds, *shape)
+        assert isinstance(single.class_ids, tuple)
+        _assert_valid(ds, single, *shape)
+        stack = sample_episode(np.random.default_rng(seed), ds, *shape, episodes=7)
+        assert stack.class_ids.shape == (7, shape[0])
+        _assert_valid(ds, stack, *shape)
+        again = sample_episode(np.random.default_rng(seed), ds, *shape, episodes=7)
+        np.testing.assert_array_equal(stack.support, again.support)
+        np.testing.assert_array_equal(stack.query, again.query)
+        np.testing.assert_array_equal(stack.class_ids, again.class_ids)
+
+
+def _frequencies(ds, episodes):
+    """Per class the episodes that draw it, per row its draws as support
+    and as query."""
+    n = ds.labels.size
+    classes = np.zeros(ds.classes.size)
+    support = np.zeros(n)
+    query = np.zeros(n)
+    for e in episodes:
+        np.add.at(classes, np.asarray(e.class_ids), 1)
+        np.add.at(support, _rows(e.support).ravel(), 1)
+        np.add.at(query, _rows(e.query).ravel(), 1)
+    return classes, support, query
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sample_episode_matches_reference(shape):
+    """The vectorised draw and the reference loop pass the same
+    goodness-of-fit test against the uniform law: every class equally
+    likely, and within a drawn class every row equally likely as support
+    and as query.  Every class and row is reached in both roles."""
+    n_way, n_shot, n_query = shape
+    ds = _indexed([12] * 27)
+    rng = np.random.default_rng(1)
+    ref = [oracle.sample_episode(rng, ds, *shape) for _ in range(FREQ_EPISODES)]
+    stack = sample_episode(np.random.default_rng(1), ds, *shape,
+                           episodes=FREQ_EPISODES)
+    for episodes in (ref, [stack]):
+        classes, support, query = _frequencies(ds, episodes)
+        assert (support > 0).all() and (query > 0).all()
+        assert classes.sum() == FREQ_EPISODES * n_way
+        if n_way < 27:
+            assert _pearson(classes, FREQ_EPISODES * n_way / 27) < _chi2_bound(27)
+        for counts, per_class in ((support, n_shot), (query, n_query)):
+            expected = FREQ_EPISODES * n_way / 27 * per_class / 12
+            assert _pearson(counts, expected) < _chi2_bound(counts.size)
+
+
+def test_ragged_classes_draw_through_the_padding():
+    """Classes of 4 to 12 rows: padded row indices are never drawn, and
+    within a drawn class every row is equally likely."""
+    sizes = np.arange(4, 13)
+    ds = _indexed(sizes)
+    assert ds.class_rows.shape == (9, 12)
+    stack = sample_episode(np.random.default_rng(3), ds, 3, 1, 3, episodes=3000)
+    _assert_valid(ds, stack, 3, 1, 3)
+    classes, support, query = _frequencies(ds, [stack])
+    assert (support > 0).all() and (query > 0).all()
+    assert _pearson(classes, 3000 * 3 / 9) < _chi2_bound(9)
+    # A class drawn c times gives each of its n rows 4c/n draws on average.
+    expected = classes[ds.labels] * 4.0 / sizes[ds.labels]
+    assert _pearson(support + query, expected) < _chi2_bound(ds.labels.size)
+    # The smallest class gives all its rows to every episode that draws it.
+    smallest = ds.labels == 0
+    np.testing.assert_array_equal(support[smallest] + query[smallest], classes[0])
 
 
 def test_sample_episode_errors_match_reference(dataset):
     # Class 7 keeps 3 of its rows: 4-sample episodes fail once it is drawn.
     keep = (dataset.labels != 7) | (np.cumsum(dataset.labels == 7) <= 3)
     small = LabeledSet(dataset.features[keep], dataset.labels[keep])
+    messages = set()
+    for seed in range(60):
+        try:
+            oracle.sample_episode(np.random.default_rng(seed), small, 5, 1, 3)
+        except ValueError as exc:
+            messages.add(str(exc))
+    assert messages == {"class 7 has fewer than 4 samples"}
     failed = 0
     for seed in range(60):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         try:
-            ref = oracle.sample_episode(ref_rng, small, 5, 1, 3)
+            episode = sample_episode(np.random.default_rng(seed), small, 5, 1, 3)
         except ValueError as exc:
             failed += 1
-            with pytest.raises(ValueError, match=str(exc)):
-                sample_episode(rng, small, 5, 1, 3)
+            assert str(exc) in messages
         else:
-            got = sample_episode(rng, small, 5, 1, 3)
-            np.testing.assert_array_equal(got.query, ref.query)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert failed > 0
-    with pytest.raises(ValueError, match="cannot sample 28 ways from 27 classes"):
-        sample_episode(np.random.default_rng(0), dataset, 28, 1, 1)
+            assert 7 not in episode.class_ids
+    assert 0 < failed < 60
+    with pytest.raises(ValueError, match="class 7 has fewer than 4 samples"):
+        sample_episode(np.random.default_rng(0), small, 5, 1, 3, episodes=100)
+    for sampler in (sample_episode, oracle.sample_episode):
+        with pytest.raises(ValueError, match="cannot sample 28 ways from 27 classes"):
+            sampler(np.random.default_rng(0), dataset, 28, 1, 1)
+
+
+def test_sample_episode_needs_an_episode(dataset):
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        sample_episode(np.random.default_rng(0), dataset, 5, 1, 3, episodes=0)
+
+
+def test_one_episode_is_the_evaluated_episode(dataset):
+    """`evaluate(episodes=1, seed=s)` scores `sample_episode(default_rng(s))`,
+    which is also the one-episode stack of the same seed."""
+    rng = np.random.default_rng(11)
+    run = RunConfig(variant="ahrad", dim=8, m=2, truncation=4, curvature=0.3)
+    p = ParamVector(0.3 * rng.standard_normal((2, 8)), rng.standard_normal(2),
+                    0.7 + 0.2 * rng.standard_normal(5), fixed_c=0.3)
+    config = params_to_kernel_config(run, p)
+    k = learning._kernel_from_config(config)
+    targets = np.repeat(np.arange(5), 3)
+    for seed in range(10):
+        episode = sample_episode(np.random.default_rng(seed), dataset, 5, 1, 3)
+        stack = sample_episode(np.random.default_rng(seed), dataset, 5, 1, 3,
+                               episodes=1)
+        np.testing.assert_array_equal(stack.support[0], episode.support)
+        np.testing.assert_array_equal(stack.query[0], episode.query)
+        assert tuple(stack.class_ids[0]) == episode.class_ids
+        scores = learning._fsl_scores(k, episode, "distance", Projection())
+        loss = float(learning._cross_entropy(scores, targets))
+        got = evaluate(config, dataset, 5, 1, 3, episodes=1, seed=seed)
+        assert got.accuracy == np.mean(np.argmax(scores, axis=1) == targets)
+        assert abs(got.mean_loss - loss) <= LOSS_RTOL * abs(loss)
+        base = evaluate(None, dataset, 5, 1, 3, episodes=1, seed=seed,
+                        baseline="euclidean")
+        assert base.accuracy == oracle._baseline_correct(
+            episode, "euclidean", 1.0, Projection()) / targets.size
 
 
 def test_sample_triplets_matches_reference(dataset):
