@@ -1,8 +1,9 @@
 """Command-line entry point: gram computation, validation suites, training.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 input/parse error,
-3 geometry error, 4 training divergence, 5 numerical error (an
-ArithmeticError escaping `gram`, `train` or `eval`).  Every
+Exit codes: 0 success, 1 validation-suite failure, 2 input/parse error
+or an output path that cannot be written, 3 geometry error, 4 training
+divergence, 5 numerical error (an ArithmeticError escaping `gram`,
+`train` or `eval`).  Every
 command is deterministic given config plus seeds; floating-point output
 is formatted with 17 significant digits so reruns are byte-identical.
 """
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +23,7 @@ import numpy as np
 from .checks import (check_identities, check_isometry, check_psd,
                      random_multiplier, sample_ball_points)
 from .diff import DEFAULT_BLOCKS, ParamVector, materialize
-from .geometry import Curvature, GeometryError, TangentVector, clip_project, exp0
+from .geometry import Curvature, GeometryError, clip_project_rows, exp0_rows
 from .kernels import ConfigError, KernelConfig, RadialCoeffs, gram
 from .learning import (DivergenceError, Projection, RunConfig, evaluate,
                        gen_tree_dataset, init_params, params_to_kernel_config,
@@ -44,10 +47,41 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def fmt_complex(z: complex) -> str:
-    if z.imag == 0.0:
-        return fmt(z.real)
-    return f"{z.real:.17g}{z.imag:+.17g}j"
+def _format_entries(z: np.ndarray) -> np.ndarray:
+    """Each complex entry as text: its real part, followed by a signed
+    imaginary part and "j" when that is nonzero, each to 17 significant
+    digits.  The real and the complex entries are each formatted by one
+    %-operation."""
+    out = np.empty(z.size, dtype=object)
+    real = z.imag == 0.0
+    for mask, spec, values in (
+        (real, "%.17g", z.real[real]),
+        (~real, "%.17g%+.17gj", np.stack([z.real[~real], z.imag[~real]], axis=-1)),
+    ):
+        count = len(values)
+        if count:
+            out[mask] = (",".join([spec] * count) % tuple(values.ravel().tolist())).split(",")
+    return out
+
+
+def gram_csv(entries: np.ndarray) -> str:
+    """The CSV text of a Hermitian matrix, one row per line.
+
+    Each upper-triangle entry is formatted once.  A lower-triangle cell
+    reuses the text of its mirror, unless its imaginary part is nonzero;
+    then its own value, the mirror's conjugate, is formatted.  The
+    output is exact only if the lower triangle holds the bit-exact
+    conjugates of the upper one, as `kernels.gram` guarantees.
+    """
+    n = entries.shape[0]
+    cells = np.empty((n, n), dtype=object)
+    upper = np.triu_indices(n)
+    cells[upper] = _format_entries(entries[upper])
+    lower = np.tril_indices(n, -1)
+    cells[lower] = cells.T[lower]
+    rows, cols = (idx[entries.imag[lower] != 0.0] for idx in lower)
+    cells[rows, cols] = _format_entries(entries[rows, cols])
+    return "".join([",".join(row) + "\n" for row in cells.tolist()])
 
 
 def _check_keys(obj: dict, allowed: set, context: str) -> None:
@@ -131,7 +165,7 @@ def _read_features(path: str):
                 raise ConfigFileError(
                     f"{path}: line {lineno}, column {colno}: not a number: {cell!r}"
                 ) from exc
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ConfigFileError(
                     f"{path}: line {lineno}, column {colno}: non-finite value"
                 )
@@ -144,15 +178,21 @@ def _read_features(path: str):
 
 def _project_features(features: np.ndarray, projection: Projection,
                       curvature: Curvature):
-    points = []
-    for row in features:
-        if projection.kind == "exp0":
-            points.append(exp0(TangentVector(row), curvature))
-        else:
-            points.append(
-                clip_project(row, curvature, projection.beta, projection.eps)
-            )
-    return points
+    if projection.kind == "exp0":
+        return exp0_rows(features, curvature)
+    return clip_project_rows(features, curvature, projection.beta, projection.eps)
+
+
+def _write_outputs(files: dict) -> int:
+    """Write each {path: text}; exit code 2 when a path cannot be written."""
+    for path, text in files.items():
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+    return EXIT_OK
 
 
 def cmd_gram(args) -> int:
@@ -180,10 +220,7 @@ def cmd_gram(args) -> int:
     except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    with open(args.out, "w", newline="") as fh:
-        for row in G.entries:
-            fh.write(",".join(fmt_complex(complex(v)) for v in row) + "\n")
-    return EXIT_OK
+    return _write_outputs({args.out: gram_csv(G.entries)})
 
 
 CHECK_KEYS = {
@@ -281,9 +318,11 @@ def cmd_check(args) -> int:
         rec["suite"] = "identities"
         records.append(rec)
         ok = ok and rep.passed
-    with open(args.out, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    rc = _write_outputs(
+        {args.out: "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)}
+    )
+    if rc != EXIT_OK:
+        return rc
     return EXIT_OK if ok else EXIT_SUITE_FAILURE
 
 
@@ -399,7 +438,11 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         run = train(run_config)
     except DivergenceError as exc:
@@ -408,23 +451,15 @@ def cmd_train(args) -> int:
     except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    with open(out_dir / "loss_trace.csv", "w", newline="") as fh:
-        fh.write("step,loss\n")
-        for i, v in enumerate(run.loss_trace):
-            fh.write(f"{i},{fmt(v)}\n")
-    with open(out_dir / "params.json", "w") as fh:
-        json.dump(_params_to_json(run.final_params), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(out_dir / "eval.json", "w") as fh:
-        json.dump(
-            {
-                "initial": _eval_to_json(run.initial_eval),
-                "final": _eval_to_json(run.final_eval),
-            },
-            fh, sort_keys=True, indent=2,
-        )
-        fh.write("\n")
-    return EXIT_OK
+    evals = {"initial": _eval_to_json(run.initial_eval),
+             "final": _eval_to_json(run.final_eval)}
+    return _write_outputs({
+        out_dir / "loss_trace.csv": "step,loss\n" + "".join(
+            f"{i},{fmt(v)}\n" for i, v in enumerate(run.loss_trace)),
+        out_dir / "params.json": json.dumps(
+            _params_to_json(run.final_params), sort_keys=True, indent=2) + "\n",
+        out_dir / "eval.json": json.dumps(evals, sort_keys=True, indent=2) + "\n",
+    })
 
 
 def cmd_eval(args) -> int:
@@ -458,9 +493,9 @@ def cmd_eval(args) -> int:
         return EXIT_NUMERICAL_ERROR
     print(f"accuracy {fmt(res.accuracy)} ci {fmt(res.ci_halfwidth)}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(_eval_to_json(res), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        return _write_outputs(
+            {args.out: json.dumps(_eval_to_json(res), sort_keys=True, indent=2) + "\n"}
+        )
     return EXIT_OK
 
 
@@ -501,8 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -124,6 +124,60 @@ def conformal_factor(z: BallPoint) -> float:
     return 1.0 / (1.0 - z.curvature.c * z.norm**2)
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """||x|| of each row of a real matrix, one `dot` per row: the
+    reduction `np.linalg.norm` applies to a single vector, so the bits
+    match it (a reduction over axis 1 sums in another order)."""
+    return np.sqrt([row.dot(row) for row in X])
+
+
+def _checked_rows(X, message: str) -> np.ndarray:
+    """X as a float64 matrix of finite rows of dimension >= 1."""
+    arr = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise GeometryError(message)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise GeometryError("coords must be a vector of dimension >= 1")
+    return np.ascontiguousarray(arr)
+
+
+def _ball_points(Y: np.ndarray, curvature: Curvature) -> list[BallPoint]:
+    """BallPoints over the rows of a finite real matrix, checked against
+    the boundary margin as `BallPoint` checks each point; the rows share
+    one read-only complex array."""
+    Z = Y.astype(np.complex128)
+    # np.linalg.norm of a complex row: real and imaginary dots, summed.
+    r = np.sqrt(curvature.c) * np.sqrt(
+        [a.dot(a) + b.dot(b) for a, b in zip(Z.real, Z.imag)])
+    outside = np.flatnonzero(r >= 1.0 - BOUNDARY_MARGIN)
+    if outside.size:
+        raise GeometryError(
+            "point too close to the ball boundary: sqrt(c)*||z|| = "
+            f"{r[outside[0]]}"
+        )
+    Z.flags.writeable = False
+    points = []
+    for row in Z:
+        p = object.__new__(BallPoint)
+        object.__setattr__(p, "coords", row)
+        object.__setattr__(p, "curvature", curvature)
+        points.append(p)
+    return points
+
+
+def exp0_rows(V, curvature: Curvature) -> list[BallPoint]:
+    """`exp0` of each row of an n x dim real matrix, in one pass.
+
+    Each point is bit-identical to `exp0(TangentVector(row), curvature)`.
+    """
+    X = _checked_rows(V, "tangent vector must be finite")
+    x = np.sqrt(curvature.c) * _row_norms(X)
+    t = np.minimum(np.tanh(x), 1.0 - 2.0 * BOUNDARY_MARGIN)
+    # Rows with x < 1e-150 are mapped unscaled.
+    scale = np.divide(t, x, out=np.ones_like(x), where=x >= 1e-150)
+    return _ball_points(scale[:, np.newaxis] * X, curvature)
+
+
 def exp0(v: TangentVector, curvature: Curvature) -> BallPoint:
     """Exponential map at the origin: v -> tanh(sqrt(c)*||v||) * v/(sqrt(c)*||v||).
 
@@ -131,18 +185,16 @@ def exp0(v: TangentVector, curvature: Curvature) -> BallPoint:
     factor is clamped just inside the construction margin so that
     arbitrarily large tangent vectors still produce valid points.
     """
-    coords = np.asarray(v.coords, dtype=np.float64)
-    x = np.sqrt(curvature.c) * np.linalg.norm(coords)
-    if x < 1e-150:
-        return BallPoint(coords.astype(np.complex128), curvature)
-    t = min(np.tanh(x), 1.0 - 2.0 * BOUNDARY_MARGIN)
-    return BallPoint((t / x) * coords.astype(np.complex128), curvature)
+    return exp0_rows(v.coords[np.newaxis], curvature)[0]
 
 
-def clip_project(
-    x: np.ndarray, curvature: Curvature, beta: float, eps: float
-) -> BallPoint:
-    """Clipped projection beta * min{1, (1-eps)/(sqrt(c)*||x||)} * x."""
+def clip_project_rows(
+    X, curvature: Curvature, beta: float, eps: float
+) -> list[BallPoint]:
+    """`clip_project` of each row of an n x dim real matrix, in one pass.
+
+    Each point is bit-identical to `clip_project(row, curvature, beta, eps)`.
+    """
     if not (beta > 0 and np.isfinite(beta)):
         raise GeometryError(f"beta must be positive, got {beta}")
     if not (0.0 < eps < 1.0):
@@ -152,14 +204,22 @@ def clip_project(
             f"beta*(1-eps) = {beta * (1.0 - eps)} >= 1 would allow points "
             "on or outside the ball boundary"
         )
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise GeometryError("input vector must be finite")
-    nrm = np.linalg.norm(arr)
-    if nrm == 0.0:
-        return BallPoint(arr.astype(np.complex128), curvature)
-    factor = beta * min(1.0, (1.0 - eps) / (np.sqrt(curvature.c) * nrm))
-    return BallPoint((factor * arr).astype(np.complex128), curvature)
+    X = _checked_rows(X, "input vector must be finite")
+    nrm = _row_norms(X)
+    # Rows whose norm is 0 (it underflows for tiny entries) map unscaled.
+    ratio = np.divide(1.0 - eps, np.sqrt(curvature.c) * nrm,
+                      out=np.ones_like(nrm), where=nrm != 0.0)
+    factor = np.where(nrm == 0.0, 1.0, beta * np.minimum(1.0, ratio))
+    return _ball_points(factor[:, np.newaxis] * X, curvature)
+
+
+def clip_project(
+    x: np.ndarray, curvature: Curvature, beta: float, eps: float
+) -> BallPoint:
+    """Clipped projection beta * min{1, (1-eps)/(sqrt(c)*||x||)} * x."""
+    return clip_project_rows(
+        np.asarray(x, dtype=np.float64)[np.newaxis], curvature, beta, eps
+    )[0]
 
 
 def mobius_decompose(a: BallPoint, z: BallPoint):

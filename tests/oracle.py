@@ -22,6 +22,11 @@ closed-form VJP, in `learning`, `rkhs` or `kernels`) to the same layer
 composed of generic `diff` operators, whose gradient the tape derives op
 by op; the tests substitute them for the fused layers and require the
 same values and gradients.
+
+`exp0_point` and `clip_project_point` are the per-row projections that
+`geometry.exp0_rows` and `geometry.clip_project_rows` replaced, and
+`gram_csv` is the per-entry writer that `cli.gram_csv` replaced; the
+tests require bit-identical points and byte-identical text from them.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from hypkernels import _gmath as gm
 from hypkernels import learning
 from hypkernels.diff import (DEFAULT_BLOCKS, ParamVector, RawView, exp, grad, log, sqrt,
                              tanh, value, where)
-from hypkernels.geometry import BallPoint, Curvature
+from hypkernels.geometry import BOUNDARY_MARGIN, BallPoint, Curvature, GeometryError
 
 
 def _tanh_ratio(y):
@@ -357,3 +362,46 @@ def worst_grad_error(loss, reference, p: ParamVector, h: float = 1e-5) -> float:
         ga = float(np.asarray(getattr(g, name))[idx])
         worst = max(worst, abs(ga - fd) / max(1e-8, abs(fd)))
     return worst
+
+
+def exp0_point(v, curvature: Curvature) -> BallPoint:
+    """`geometry.exp0` of one tangent vector, before the batched core."""
+    coords = np.asarray(v.coords, dtype=np.float64)
+    x = np.sqrt(curvature.c) * np.linalg.norm(coords)
+    if x < 1e-150:
+        return BallPoint(coords.astype(np.complex128), curvature)
+    t = min(np.tanh(x), 1.0 - 2.0 * BOUNDARY_MARGIN)
+    return BallPoint((t / x) * coords.astype(np.complex128), curvature)
+
+
+def clip_project_point(x, curvature: Curvature, beta, eps) -> BallPoint:
+    """`geometry.clip_project` of one vector, before the batched core."""
+    if not (beta > 0 and np.isfinite(beta)):
+        raise GeometryError(f"beta must be positive, got {beta}")
+    if not (0.0 < eps < 1.0):
+        raise GeometryError(f"eps must lie in (0,1), got {eps}")
+    if beta * (1.0 - eps) >= 1.0:
+        raise GeometryError(
+            f"beta*(1-eps) = {beta * (1.0 - eps)} >= 1 would allow points "
+            "on or outside the ball boundary"
+        )
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise GeometryError("input vector must be finite")
+    nrm = np.linalg.norm(arr)
+    if nrm == 0.0:
+        return BallPoint(arr.astype(np.complex128), curvature)
+    factor = beta * min(1.0, (1.0 - eps) / (np.sqrt(curvature.c) * nrm))
+    return BallPoint((factor * arr).astype(np.complex128), curvature)
+
+
+def fmt_complex(z: complex) -> str:
+    if z.imag == 0.0:
+        return f"{float(z.real):.17g}"
+    return f"{z.real:.17g}{z.imag:+.17g}j"
+
+
+def gram_csv(entries) -> str:
+    """The CSV text of a Gram matrix, formatted entry by entry."""
+    return "".join(",".join(fmt_complex(complex(v)) for v in row) + "\n"
+                   for row in entries)

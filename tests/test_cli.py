@@ -1,12 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypkernels import cli
-from hypkernels.geometry import Curvature, TangentVector, exp0
+import oracle
+from hypkernels import cli, diff, geometry
+from hypkernels.geometry import BallPoint, Curvature, TangentVector, exp0
 from hypkernels.kernels import gram
 from hypkernels.learning import init_params
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
+VARIANT_EXTRA = {
+    "ahpoly": {"offset": 1.0, "degree": 2},
+    "ahrbf": {"bandwidth": 1.0},
+    "ahlap": {"bandwidth": 1.0},
+}
 
 
 @pytest.fixture
@@ -147,12 +160,206 @@ class TestGramCommand:
         assert "numerical error:" in capsys.readouterr().err
 
     def test_complex_entries_round_trip(self, tmp_path):
-        # Clip projection of mirrored features gives complex off-diagonals
-        # only when coordinates mix; real features keep entries real, so
-        # check the complex formatter directly instead.
-        assert cli.fmt_complex(complex(1.5, 0.0)) == "1.5"
+        # Real features keep entries real, so check the writer directly.
         z = complex(0.123456789012345678, -9.87654321e-5)
-        assert complex(cli.fmt_complex(z)) == z
+        G = np.array([[1.5, z], [z.conjugate(), 2.0]])
+        text = cli.gram_csv(G)
+        assert text.splitlines()[0].split(",")[0] == "1.5"
+        got = np.array([[complex(v) for v in line.split(",")]
+                        for line in text.splitlines()])
+        assert np.array_equal(got, G)
+
+
+def _write_features(path, x):
+    lines = [",".join(f"x{k}" for k in range(x.shape[1]))]
+    lines += [",".join(repr(float(v)) for v in row) for row in x]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _gram_config(path, variant, c):
+    path.write_text(json.dumps({
+        "version": 1, "curvature": c, "projection": {"kind": "exp0"},
+        "kernel": {"variant": variant, "m": 2, "truncation": 50, "init_seed": 0,
+                   "init_scale": 0.1, **VARIANT_EXTRA.get(variant, {})},
+    }))
+
+
+class TestGramWriter:
+    """`cli.gram_csv` and the batched projection against the per-entry
+    writer and per-row exp0 they replaced (tests/oracle.py), byte for byte."""
+
+    @pytest.mark.parametrize("c", [0.02, 1.0])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gram_command_matches_per_entry_reference(self, tmp_path, variant, c):
+        cfg = tmp_path / "cfg.json"
+        _gram_config(cfg, variant, c)
+        curvature = Curvature(c)
+        config = cli._kernel_config_from_json(json.loads(cfg.read_text())["kernel"],
+                                              8, c)
+        for n in (1, 2, 33, 128):
+            feats = tmp_path / f"x{n}.csv"
+            _write_features(feats, np.random.default_rng([n, 8]).standard_normal((n, 8)))
+            out = tmp_path / f"G{n}.csv"
+            assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
+                             "--out", str(out)]) == 0
+            x, _ = cli._read_features(str(feats))
+            points = [oracle.exp0_point(TangentVector(row), curvature) for row in x]
+            assert out.read_text() == oracle.gram_csv(gram(config, points).entries), n
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_complex_points(self, variant):
+        rng = np.random.default_rng(7)
+        curvature = Curvature(1.0)
+        config = cli._kernel_config_from_json(
+            {"variant": variant, "m": 2, **VARIANT_EXTRA.get(variant, {})}, 3, 1.0)
+        Z = rng.standard_normal((17, 3)) + 1j * rng.standard_normal((17, 3))
+        Z *= 0.9 / np.linalg.norm(Z, axis=1, keepdims=True) * rng.uniform(0, 1, (17, 1))
+        G = gram(config, [BallPoint(z, curvature) for z in Z]).entries
+        # da, ahl and ahpoly are complex off the diagonal; the other families
+        # are real, with -0.0 imaginary parts in the lower triangle.
+        if variant in ("da", "ahl", "ahpoly"):
+            assert np.count_nonzero(G.imag) == 17 * 16
+        else:
+            assert np.signbit(G.imag[np.tril_indices(17, -1)]).all()
+        assert cli.gram_csv(G) == oracle.gram_csv(G)
+
+    def test_hand_built_hermitian(self):
+        values = [0.0, -0.0, 5e-324, -1e-320, 1e-300, 1e-20, 0.1, 1 / 3, -2.25,
+                  1.0, 123456789.0, 1e300, -1e300, np.nan, np.inf, -np.inf]
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5, 24):
+            G = np.empty((n, n), dtype=np.complex128)
+            G.real = rng.choice(values, (n, n))
+            G.imag = rng.choice(values, (n, n))
+            G.imag[rng.uniform(size=(n, n)) < 0.3] = 0.0
+            G.imag[rng.uniform(size=(n, n)) < 0.2] = -0.0
+            G[np.diag_indices(n)] = G.diagonal().real
+            lower = np.tril_indices(n, -1)
+            G[lower] = G.T[lower].conj()
+            assert cli.gram_csv(G) == oracle.gram_csv(G), n
+
+    def test_projection_calls_exp0_only_for_poles(self, tmp_path, monkeypatch):
+        # The features are projected in one batch; geometry.exp0 is left to
+        # the m poles of diff.materialize.
+        calls = []
+        original = geometry.exp0
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (geometry, diff):
+            monkeypatch.setattr(module, "exp0", counted)
+        cfg = tmp_path / "cfg.json"
+        _gram_config(cfg, "ahrad", 1.0)
+        feats = tmp_path / "x.csv"
+        _write_features(feats, np.random.default_rng(0).standard_normal((128, 8)))
+        assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
+                         "--out", str(tmp_path / "G.csv")]) == 0
+        assert 0 < len(calls) <= 2
+
+
+class TestReader:
+    def test_first_bad_line_reported(self, tmp_path):
+        # A non-finite cell on line 2 is reported before a non-number on line 5.
+        feats = tmp_path / "x.csv"
+        feats.write_text("x0,x1\n0.1,inf\n0.1,0.2\n0.3,0.4\n0.5,oops\n")
+        with pytest.raises(cli.ConfigFileError, match="line 2, column 2: non-finite"):
+            cli._read_features(str(feats))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_cells(self, tmp_path, cell):
+        feats = tmp_path / "x.csv"
+        feats.write_text(f"label,x0,x1\na,0.1,0.2\nb,0.3,{cell}\n")
+        with pytest.raises(cli.ConfigFileError) as err:
+            cli._read_features(str(feats))
+        assert str(err.value) == f"{feats}: line 3, column 3: non-finite value"
+
+
+class TestParser:
+    def test_build_parser_returns_fresh_parsers(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
+
+    def test_commands_in_one_process_match_separate_processes(
+            self, tmp_path, features_csv, gram_config, train_config):
+        check_cfg = tmp_path / "check.json"
+        check_cfg.write_text(json.dumps({
+            "version": 1, "seed": 0, "trials": 20, "points": 6, "m": 2,
+            "curvatures": [1.0], "dims": [2],
+        }))
+
+        def commands(out):
+            return [
+                ["gram", "--features", str(features_csv), "--config", str(gram_config),
+                 "--out", str(out / "G1.csv")],
+                ["train", "--config", str(train_config), "--out", str(out / "run")],
+                ["check", "--suite", "psd", "--config", str(check_cfg),
+                 "--out", str(out / "check.ndjson")],
+                ["gram", "--features", str(features_csv), "--config", str(gram_config),
+                 "--out", str(out / "G2.csv")],
+            ]
+
+        one, separate = tmp_path / "one", tmp_path / "separate"
+        one.mkdir()
+        separate.mkdir()
+        codes = [cli.main(argv) for argv in commands(one)]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        separate_codes = [
+            subprocess.run([sys.executable, "-c",
+                            "import sys; from hypkernels import cli; "
+                            "raise SystemExit(cli.main(sys.argv[1:]))", *argv],
+                           env=env, timeout=120).returncode
+            for argv in commands(separate)
+        ]
+        assert codes == separate_codes == [0, 0, 0, 0]
+        names = sorted(str(p.relative_to(one)) for p in one.rglob("*") if p.is_file())
+        assert len(names) == 6
+        for name in names:
+            assert (one / name).read_bytes() == (separate / name).read_bytes(), name
+
+
+class TestUnwritableOutput:
+    """A path that cannot be written is an input error (exit 2), not a
+    suite failure (exit 1) or a traceback."""
+
+    def test_gram(self, tmp_path, features_csv, gram_config, capsys):
+        out = tmp_path / "missing" / "G.csv"
+        assert cli.main(["gram", "--features", str(features_csv),
+                         "--config", str(gram_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_check(self, tmp_path, capsys):
+        cfg = tmp_path / "check.json"
+        cfg.write_text(json.dumps({"version": 1, "points": 6, "curvatures": [1.0],
+                                   "dims": [2]}))
+        out = tmp_path / "missing" / "report.ndjson"
+        assert cli.main(["check", "--suite", "psd", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_train(self, tmp_path, train_config, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "run"
+        assert cli.main(["train", "--config", str(train_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        out = tmp_path / "run"
+        (out / "params.json").mkdir(parents=True)
+        assert cli.main(["train", "--config", str(train_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {out / 'params.json'}: ")
+
+    def test_eval(self, tmp_path, train_config, capsys):
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", str(train_config), "--out", str(run)]) == 0
+        out = tmp_path / "missing" / "eval.json"
+        capsys.readouterr()
+        assert cli.main(["eval", "--params", str(run / "params.json"),
+                         "--config", str(train_config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("accuracy ")
+        assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 class TestKnownOutputs:

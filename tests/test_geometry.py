@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from hypkernels.geometry import (
     BallPoint,
     Curvature,
@@ -8,8 +9,10 @@ from hypkernels.geometry import (
     GeometryError,
     TangentVector,
     clip_project,
+    clip_project_rows,
     conformal_factor,
     exp0,
+    exp0_rows,
     geodesic_distance,
     mobius_decompose,
     mobius_map,
@@ -127,6 +130,106 @@ class TestClipProject:
     def test_invalid_parameters(self, beta, eps):
         with pytest.raises(GeometryError):
             clip_project(np.array([0.1]), C1, beta, eps)
+
+
+def _bits(points):
+    return np.stack([p.coords for p in points]).view(np.uint64)
+
+
+def _rows(rng, n, dim):
+    """Rows whose norms span 1e-160 (the origin branch of exp0) to 1e150
+    (past the tanh clamp), with exact zero and signed-zero rows."""
+    X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-160, 150, (n, 1))
+    X[0] = 0.0
+    X[1] = -0.0
+    X[2, 0] = -0.0
+    X[3] *= 1e-300
+    return X
+
+
+class TestBatchedProjection:
+    """exp0_rows / clip_project_rows against the per-row functions they
+    replaced (tests/oracle.py), bit for bit."""
+
+    @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
+    def test_exp0_rows_bit_identical(self, c):
+        rng = np.random.default_rng(int(c * 100))
+        curvature = Curvature(c)
+        for dim in range(1, 41):
+            X = _rows(rng, 40, dim)
+            want = [oracle.exp0_point(TangentVector(row), curvature) for row in X]
+            assert np.array_equal(_bits(exp0_rows(X, curvature)), _bits(want)), dim
+            assert np.array_equal(_bits([exp0(TangentVector(X[5]), curvature)]),
+                                  _bits(want[5:6]))
+
+    def test_exp0_rows_hit_both_branches_and_the_clamp(self):
+        X = np.array([[0.0, 0.0], [1e-151, 0.0], [1e-140, 0.0], [50.0, 0.0]])
+        points = exp0_rows(X, C1)
+        assert points[1].coords[0] == 1e-151    # origin branch: unscaled
+        assert points[3].norm == pytest.approx(1.0 - 2e-9, rel=1e-15)
+
+    @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
+    @pytest.mark.parametrize("beta,eps", [(0.9, 0.1), (1.0, 1e-3), (0.5, 0.6)])
+    def test_clip_project_rows_bit_identical(self, c, beta, eps):
+        rng = np.random.default_rng(int(c * 100))
+        curvature = Curvature(c)
+        shell = (1.0 - eps) / np.sqrt(c)
+        for dim in range(1, 41):
+            X = _rows(rng, 40, dim)
+            # rows a few ulps either side of the clip threshold
+            for k, steps in enumerate(range(-6, 7), start=4):
+                u = rng.standard_normal(dim)
+                X[k] = u * (shell / np.linalg.norm(u)) * (1.0 + steps * 2.0**-52)
+            want = [oracle.clip_project_point(row, curvature, beta, eps) for row in X]
+            assert np.array_equal(
+                _bits(clip_project_rows(X, curvature, beta, eps)), _bits(want)), dim
+            assert np.array_equal(_bits([clip_project(X[7], curvature, beta, eps)]),
+                                  _bits(want[7:8]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_same_error(self, bad):
+        X = np.zeros((3, 2))
+        X[2, 1] = bad
+        with pytest.raises(GeometryError, match="^tangent vector must be finite$"):
+            exp0_rows(X, C1)
+        with pytest.raises(GeometryError) as got:
+            clip_project_rows(X, C1, 0.9, 0.1)
+        with pytest.raises(GeometryError) as want:
+            oracle.clip_project_point(X[2], C1, 0.9, 0.1)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("beta,eps", [(0.0, 0.1), (-1.0, 0.1), (np.inf, 0.1),
+                                          (np.nan, 0.1), (1.0, 0.0), (1.0, 1.0),
+                                          (0.5, np.nan), (2.0, 0.1)])
+    def test_bad_parameters_same_error(self, beta, eps):
+        x = np.array([0.1, 0.2])
+        with pytest.raises(GeometryError) as want:
+            oracle.clip_project_point(x, C1, beta, eps)
+        for project in (lambda: clip_project_rows(x[None], C1, beta, eps),
+                        lambda: clip_project(x, C1, beta, eps)):
+            with pytest.raises(GeometryError) as got:
+                project()
+            assert str(got.value) == str(want.value)
+
+    def test_boundary_rejection_same_error(self):
+        # beta*(1-eps) < 1 passes the parameter check, but the clipped
+        # points sit inside the construction margin.
+        beta, eps = 1.0, 1e-12
+        X = np.array([[0.1, 0.0], [3.0, 4.0], [5.0, 0.0]])
+        with pytest.raises(GeometryError) as want:
+            oracle.clip_project_point(X[1], C1, beta, eps)
+        with pytest.raises(GeometryError) as got:
+            clip_project_rows(X, C1, beta, eps)
+        assert str(got.value) == str(want.value)
+        assert str(want.value).startswith("point too close to the ball boundary")
+
+    def test_rows_are_read_only_points(self):
+        X = np.array([[0.1, 0.2], [0.3, -0.4]])
+        points = exp0_rows(X, C1)
+        assert all(isinstance(p, BallPoint) and p.curvature == C1 for p in points)
+        assert not points[0].coords.flags.writeable
+        X[0, 0] = 9.0
+        assert points[0].coords[0].real < 1.0
 
 
 class TestMobius:
