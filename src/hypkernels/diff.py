@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Curvature, TangentVector, exp0
+from .geometry import Curvature, exp0_rows
 
 
 def value(x):
@@ -214,9 +214,11 @@ def where(cond, a, b):
 def concat(parts, axis=0):
     """np.concatenate of arrays and tape nodes."""
     values = [value(x) for x in parts]
-    bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
-    return record(np.concatenate(values, axis=axis),
-                  lambda g: np.split(g, bounds, axis=axis), *parts)
+
+    def vjp(g):
+        return np.split(g, np.cumsum([v.shape[axis] for v in values])[:-1], axis=axis)
+
+    return record(np.concatenate(values, axis=axis), vjp, *parts)
 
 
 def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
@@ -250,6 +252,14 @@ def backward(out: Node) -> None:
             if ct.shape != parent.value.shape:
                 ct = _sum_to_shape(ct, parent.value.shape)
             parent.grad = ct if parent.grad is None else parent.grad + ct
+
+
+def _exp(x: float) -> float:
+    """math.exp, with inf in place of OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -286,8 +296,9 @@ class ParamVector:
             arrays.append(af)
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError("all raw entries must be finite")
-        if self.log_c is not None and not np.isfinite(self.log_c):
-            raise ValueError("log_c must be finite")
+        if self.log_c is not None and not (
+                np.isfinite(self.log_c) and 0.0 < _exp(self.log_c) < math.inf):
+            raise ValueError(f"log_c = {self.log_c} gives no positive finite curvature")
         if not (np.isfinite(self.fixed_c) and self.fixed_c > 0):
             raise ValueError("fixed_c must be positive and finite")
         for a in arrays:
@@ -361,8 +372,9 @@ class Gradient:
 def materialize(p: ParamVector) -> tuple[MultiplierParams, RadialCoeffs, Curvature]:
     """Map raws onto constrained parameter values.
 
-    Poles go through the exponential map so they are always strictly
-    interior; weights through softmax; radial coefficients are squared.
+    Poles go through the exponential map, all in one `exp0_rows` call, so
+    they are always strictly interior; weights through softmax; radial
+    coefficients are squared.
     """
     # Imported here, not at the top: `rkhs` and `kernels` record their
     # layers on this module's tape, so they import it.
@@ -370,10 +382,7 @@ def materialize(p: ParamVector) -> tuple[MultiplierParams, RadialCoeffs, Curvatu
     from .rkhs import MultiplierParams
 
     curvature = Curvature(p.curvature_value)
-    poles = tuple(
-        exp0(TangentVector(row), curvature) for row in np.asarray(p.pole_raws)
-    )
-    params = MultiplierParams(poles, p.weight_logits)
+    params = MultiplierParams(exp0_rows(p.pole_raws, curvature), p.weight_logits)
     radial = RadialCoeffs(p.radial_raws)
     return params, radial, curvature
 

@@ -5,14 +5,18 @@ de Branges-Rovnyak kernel itself), "ahpoly", "ahrbf", "ahlap", "base"
 (squared cosine similarity of normalized representers) and "ahrad"
 (truncated nonnegative power series in the base kernel).
 
-`_transform`, the one variant dispatch, turns the de Branges-Rovnyak
-matrix of `rkhs` into any variant for `gram`, `evaluate` and the
-training forward in `learning`; its layers `_base` and `_radial` are
-tape nodes like those of `rkhs`.
+`_transform`, the one variant dispatch, turns a de Branges-Rovnyak
+cross matrix of `rkhs` (a block of kernel values bordered by the
+self-kernels of its rows and columns, see `rkhs._dbr`) into any variant:
+for `gram` and `evaluate` the Hermitian Gram matrix bordered by its
+diagonal, for the episodes of `learning` the queries-by-prototypes block
+with closed-form self-kernels.  Its layers `_base` and `_radial` are tape
+nodes like those of `rkhs`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import namedtuple
@@ -22,7 +26,7 @@ import numpy as np
 
 from .diff import Node, exp, record, sqrt, value, where
 from .geometry import BallPoint, Curvature
-from .rkhs import MultiplierParams, _dbr, _gram_distance, _rows
+from .rkhs import MultiplierParams, _bordered, _dbr, _gram_distance, _rows
 
 VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
 
@@ -135,6 +139,28 @@ class KernelConfig:
         blob = json.dumps(desc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
+    @functools.cached_property
+    def _derived(self) -> "_Kernel":
+        """The constrained parameters as a `_Kernel` (c may be None),
+        derived on first use and kept: the config is immutable, and so are
+        the arrays.  The poles are a real matrix unless one of them has a
+        nonzero imaginary part."""
+        curvature = self.get_curvature()
+        c = None if curvature is None else float(curvature.c)
+        poles = weights = alphas = None
+        if self.params is not None:
+            poles = np.array([p.coords for p in self.params.poles])
+            if not poles.imag.any():
+                poles = poles.real.copy()
+            weights = self.params.weights
+        if self.radial is not None:
+            alphas = self.radial.alphas
+        for a in (poles, weights, alphas):
+            if a is not None:
+                a.flags.writeable = False
+        return _Kernel(self.variant, c, poles, weights, alphas, self.offset,
+                       self.degree, self.bandwidth)
+
 
 @dataclass(frozen=True)
 class GramMatrix:
@@ -162,39 +188,27 @@ class GramMatrix:
 _Kernel = namedtuple("_Kernel", "variant c poles weights alphas offset degree bandwidth")
 
 
-def _kernel(config: KernelConfig) -> _Kernel:
-    """The parameters of a KernelConfig (c may be None); the poles are a
-    real matrix unless one of them has a nonzero imaginary part."""
-    curvature = config.get_curvature()
-    c = None if curvature is None else float(curvature.c)
-    poles = weights = alphas = None
-    if config.params is not None:
-        poles = np.array([p.coords for p in config.params.poles])
-        if not poles.imag.any():
-            poles = poles.real.copy()
-        weights = config.params.weights
-    if config.radial is not None:
-        alphas = config.radial.alphas
-    return _Kernel(config.variant, c, poles, weights, alphas, config.offset,
-                   config.degree, config.bandwidth)
-
-
-def _base(K):
-    """Normalised kernel |K_ij|^2 / (K_ii K_jj) over the last two axes.  One
-    tape node over K."""
-    Kv = value(K)
-    diag = np.arange(Kv.shape[-1])
-    d = Kv[..., diag, diag].real
-    dd = d[..., :, None] * d[..., None, :]
-    G = (Kv * Kv.conj()).real / dd
+def _base(X):
+    """Normalised kernel |K_ij|^2 / (k_ii k_jj) of a cross matrix X (see
+    `rkhs._dbr`): its block over its border, bordered by ones (a point's
+    normalised self-kernel).  One tape node over X."""
+    Xv = value(X)
+    K = Xv[..., :-1, :-1]
+    rows, cols = Xv[..., :-1, -1:].real, Xv[..., -1:, :-1].real
+    dd = rows * cols
+    G = np.ones(Xv.shape)
+    block = np.divide((K * K.conj()).real, dd, out=G[..., :-1, :-1])
 
     def vjp(g):
-        gK = (2.0 * g) * Kv / dd
-        gG = g * G
-        gK[..., diag, diag] -= (gG.sum(axis=-1) + gG.sum(axis=-2)) / d
-        return (gK,)
+        g = g[..., :-1, :-1]
+        gX = np.zeros(Xv.shape)
+        gX[..., :-1, :-1] = (2.0 * g) * K / dd
+        gG = g * block
+        gX[..., :-1, -1] = -gG.sum(axis=-1) / rows[..., 0]
+        gX[..., -1, :-1] = -gG.sum(axis=-2) / cols[..., 0, :]
+        return (gX,)
 
-    return record(G, vjp, K)
+    return record(G, vjp, X)
 
 
 def _radial(beta, alphas):
@@ -225,36 +239,39 @@ def _radial(beta, alphas):
     return record(out, vjp, beta, alphas)
 
 
-def _transform(k: _Kernel, K, n: int | None = None, mode: str = "similarity"):
+def _transform(k: _Kernel, X, mode: str = "similarity", strict: bool = False):
     """Variant k.variant of the de Branges-Rovnyak (or Drury-Arveson)
-    matrix K: its Gram matrix over the rows of K, or with n its block of
-    the first n rows against the remaining columns.  "similarity" mode
-    gives kernel values, "distance" mode minus the kernel-induced squared
-    distance (for ahrbf/ahlap minus the negative log-kernel).  The Gram
-    distance is formed only where the variant or the mode reads it.
+    cross matrix X (see `rkhs._dbr`), as the n x m block of its rows
+    against its columns.  "similarity" mode gives kernel values,
+    "distance" mode minus the kernel-induced squared distance (for
+    ahrbf/ahlap minus the negative log-kernel).  The elementwise layers
+    transform the border with the block, so the distance reads each
+    point's transformed self-kernel; it is formed only where the variant
+    or the mode reads it, and strict is `rkhs._gram_distance`'s.
     """
     variant = k.variant
     if variant in ("da", "ahl", "ahrbf", "ahlap"):
         if mode == "similarity" and variant in ("da", "ahl"):
-            return K if n is None else K[..., :n, n:]
-        dist = _gram_distance(K, n)
+            return X[..., :-1, :-1]
+        dist = _gram_distance(X, strict)
         if variant == "ahrbf":
             dist = dist / (2.0 * k.bandwidth**2)
         elif variant == "ahlap":
-            positive = value(dist) > 0.0
-            dist = where(positive, sqrt(where(positive, dist, 1.0)), 0.0) / k.bandwidth
+            # sqrt has no slope at 0; a nan distance stays nan.
+            zero = value(dist) <= 0.0
+            dist = where(zero, 0.0, sqrt(where(zero, 1.0, dist))) / k.bandwidth
         return -dist if mode == "distance" else exp(-dist)
     if variant == "ahpoly":
-        G = (K + k.offset) ** int(k.degree)
+        G = (X + k.offset) ** int(k.degree)
     elif variant in ("base", "ahrad"):
-        G = _base(K)
+        G = _base(X)
         if variant == "ahrad":
             G = _radial(G, k.alphas)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     if mode == "distance":
-        return -_gram_distance(G, n)
-    return G if n is None else G[..., :n, n:]
+        return -_gram_distance(G, strict)
+    return G[..., :-1, :-1]
 
 
 def base_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> float:
@@ -262,7 +279,7 @@ def base_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> flo
 
     Bounded in [0, 1] by Cauchy-Schwarz; equals 1 on the diagonal.
     """
-    return float(_base(_dbr(*_rows(params, [z_i, z_j])))[0, 1])
+    return float(_base(_bordered(_dbr(*_rows(params, [z_i, z_j]))))[0, 1])
 
 
 def ahrad(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> float:
@@ -283,8 +300,8 @@ def _config_rows(config: KernelConfig, points: list[BallPoint]):
 
 def evaluate(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> complex:
     """Evaluate the configured kernel at a pair of ball points."""
-    K = _dbr(*_config_rows(config, [z_i, z_j]))
-    return complex(_transform(_kernel(config), K)[0, 1])
+    K = _bordered(_dbr(*_config_rows(config, [z_i, z_j])))
+    return complex(_transform(config._derived, K, strict=True)[0, 1])
 
 
 def gram(config: KernelConfig, points: list[BallPoint]) -> GramMatrix:
@@ -300,7 +317,8 @@ def gram(config: KernelConfig, points: list[BallPoint]) -> GramMatrix:
     if n > MAX_GRAM_SIZE:
         raise ConfigError(f"point set of size {n} exceeds the maximum {MAX_GRAM_SIZE}")
     c, Z, B = _config_rows(config, points)
-    entries = _transform(_kernel(config), _dbr(c, Z, B)).astype(np.complex128)
+    K = _bordered(_dbr(c, Z, B))
+    entries = _transform(config._derived, K, strict=True).astype(np.complex128)
     lower = np.tril_indices(n, -1)
     entries[lower] = entries.T[lower].conj()
     diag = entries.diagonal()

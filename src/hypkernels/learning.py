@@ -4,13 +4,16 @@ Three objectives share one batched forward: the rows of an episode
 (queries, visual samples or anchors) are scored against its columns
 (prototypes, mapped semantic anchors or candidates) in one score matrix,
 and every loss is the row-wise log-sum-exp cross-entropy of that matrix
-against a target column.  The forward is written once over arrays that
-may be plain numpy (evaluation) or `diff.Node`s on the reverse-mode tape
-(gradients).  Each of its layers (the exp0 projection and the
-cross-entropy here, b(Z), the de Branges-Rovnyak matrix and the variant
-transform from `rkhs` and `kernels`, shared with `gram`) computes its
-numpy forward and records one tape node with a closed-form VJP, so on
-plain arrays it does no gradient work.
+against a target column.  The kernel is formed in the cross shape of
+`rkhs._dbr`, rows against columns with each point's closed-form
+self-kernel, never over the union of the two sets.  The forward is
+written once over arrays that may be plain numpy (evaluation) or
+`diff.Node`s on the reverse-mode tape (gradients).  Each of its layers
+(the exp0 projection and the cross-entropy here, b(Z), the
+de Branges-Rovnyak matrix and the variant transform from `rkhs` and
+`kernels`, shared with `gram`) computes its numpy forward and records
+one tape node with a closed-form VJP, so on plain arrays it does no
+gradient work.
 The forward also runs over leading batch axes: training scores one episode
 (a 2-d score matrix on the tape), evaluation a stack of episodes at once
 (one score tensor per block of episodes).  The objectives are episodic
@@ -21,6 +24,7 @@ a geodesic baseline are provided for comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +52,7 @@ from .geometry import (
     GeometryError,
     geodesic_distance,
 )
-from .kernels import KernelConfig, _Kernel, _kernel, _transform
+from .kernels import KernelConfig, _Kernel, _transform
 from .rkhs import _dbr, _multiplier, softmax
 
 
@@ -102,13 +106,16 @@ def _exp0(x, c):
     xv, cv = value(x), value(c)
     sq = (xv * xv).sum(axis=-1, keepdims=True)
     y = cv * sq
-    small = y < 1e-8
-    r = np.sqrt(np.where(small, 1.0, y))
+    # The series and its mask are formed only when some row needs them.
+    series = y.min(initial=np.inf) < 1e-8
+    r = np.sqrt(np.where(y < 1e-8, 1.0, y) if series else y)
     t = np.tanh(r)
-    f = np.where(small, 1.0 - y * (1.0 / 3.0) + (y * y) * (2.0 / 15.0), t / r)
+    f = t / r
+    if series:
+        f = np.where(y < 1e-8, 1.0 - y * (1.0 / 3.0) + (y * y) * (2.0 / 15.0), f)
 
     def vjp(g):
-        df = np.where(small, (4.0 / 15.0) * y - 1.0 / 3.0,
+        df = np.where(y < 1e-8, (4.0 / 15.0) * y - 1.0 / 3.0,
                       ((1.0 - t * t) - f) / r * (0.5 / r))
         gy = (g * xv).sum(axis=-1, keepdims=True) * df
         gx = g * f + (2.0 * cv) * gy * xv if isinstance(x, Node) else None
@@ -120,7 +127,7 @@ def _exp0(x, c):
 
 def _kernel_from_config(config: KernelConfig) -> _Kernel:
     """A numpy KernelConfig on real coordinates, as the features are."""
-    k = _kernel(config)
+    k = config._derived
     if k.c is None:
         raise ValueError("kernel config must carry a curvature")
     if np.iscomplexobj(k.poles):
@@ -150,17 +157,20 @@ def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
 
     rows (... x n x dim) and cols (... x m x dim) give ... x n x m scores;
     leading axes are independent batches (stacked episodes).  Both sets
-    are projected onto the ball and the kernel is formed once over their
-    union (the union shape of `kernels._transform`).  In "distance" mode
-    the score is minus the kernel-induced squared distance
+    are projected onto the ball and through b(Z) together, and the kernel
+    is formed in the cross shape of `rkhs._dbr`: the n x m block of rows
+    against columns and each point's closed-form self-kernel, nothing of
+    rows against rows or columns against columns.  In "distance" mode the
+    score is minus the kernel-induced squared distance
     k_ii + k_jj - 2 k_ij (for ahrbf/ahlap minus the negative log-kernel);
-    in "similarity" mode it is the kernel.
+    in "similarity" mode it is the kernel.  A point projected onto the
+    ball boundary makes its scores nan.
     """
     if mode not in ("distance", "similarity"):
         raise ValueError(f"unknown score mode {mode!r}")
     Z = projection.apply(concat([rows, cols], axis=-2), k.c)
     B = _multiplier(Z, k.poles, k.weights, k.c) if k.poles is not None else None
-    return _transform(k, _dbr(k.c, Z, B), value(rows).shape[-2], mode)
+    return _transform(k, _dbr(k.c, Z, B, value(rows).shape[-2]), mode)
 
 
 def _cross_entropy(scores, targets: np.ndarray):
@@ -169,7 +179,7 @@ def _cross_entropy(scores, targets: np.ndarray):
     node over the scores; its VJP is (softmax - onehot) / rows."""
     sv = value(scores)
     rows = np.arange(targets.size)
-    shift = np.max(sv, axis=-1)
+    shift = sv.max(axis=-1)
     e = np.exp(sv - shift[..., None])
     total = e.sum(axis=-1)
     lse = np.log(total) + shift
@@ -318,6 +328,21 @@ class Episode:
     def n_way(self) -> int:
         return self.support.shape[-3]
 
+    @classmethod
+    def _drawn(cls, support: np.ndarray, query: np.ndarray, class_ids) -> "Episode":
+        """An Episode of arrays a sampler has just drawn (or views of such
+        a stack) and hands over: set read-only and taken as they are,
+        without the constructor's copy and checks."""
+        support.flags.writeable = False
+        query.flags.writeable = False
+        if isinstance(class_ids, np.ndarray):
+            class_ids.flags.writeable = False
+        episode = object.__new__(cls)
+        object.__setattr__(episode, "support", support)
+        object.__setattr__(episode, "query", query)
+        object.__setattr__(episode, "class_ids", class_ids)
+        return episode
+
 
 def sample_episode(
     rng: np.random.Generator,
@@ -347,23 +372,26 @@ def sample_episode(
     per_class = n_shot + n_query
     chosen = np.argsort(rng.random((count, n_classes)), axis=-1)[:, :n_way]
     sizes = dataset.class_sizes[chosen]
-    short = sizes < per_class
-    if short.any():
+    smallest = sizes.min()
+    if smallest < per_class:
+        short = sizes < per_class
         raise ValueError(
             f"class {dataset.classes[chosen[short][0]]} has fewer than "
             f"{per_class} samples"
         )
     width = dataset.class_rows.shape[1]
     keys = rng.random((count, n_way, width))
-    keys[np.arange(width) >= sizes[..., None]] = 2.0
+    if smallest < width:
+        keys[np.arange(width) >= sizes[..., None]] = 2.0
     order = np.argsort(keys, axis=-1)[..., :per_class]
-    samples = dataset.features[
-        np.take_along_axis(dataset.class_rows[chosen], order, axis=-1)]
+    rows = dataset.class_rows[chosen[..., None], order]
     class_ids = dataset.classes[chosen]
     if episodes is None:
-        return Episode(samples[0, :, :n_shot], samples[0, :, n_shot:],
-                       tuple(class_ids[0].tolist()))
-    return Episode(samples[..., :n_shot, :], samples[..., n_shot:, :], class_ids)
+        rows = rows[0]
+        class_ids = tuple(class_ids[0].tolist())
+    features = dataset.features
+    return Episode._drawn(features[rows[..., :n_shot]], features[rows[..., n_shot:]],
+                          class_ids)
 
 
 def _fsl_rows(episode: Episode):
@@ -372,7 +400,9 @@ def _fsl_rows(episode: Episode):
     pre-projection space."""
     query = episode.query
     queries = query.reshape(*query.shape[:-3], -1, query.shape[-1])
-    return queries, episode.support.mean(axis=-2)
+    support = episode.support
+    # The mean, as np.mean forms it, without its call overhead.
+    return queries, support.sum(axis=-2) / support.shape[-2]
 
 
 def _fsl_scores(k: _Kernel, episode: Episode, mode: str, projection: Projection):
@@ -380,8 +410,13 @@ def _fsl_scores(k: _Kernel, episode: Episode, mode: str, projection: Projection)
     return _scores(k, *_fsl_rows(episode), mode, projection)
 
 
+@functools.cache
 def _fsl_targets(n_way: int, n_query: int) -> np.ndarray:
-    return np.repeat(np.arange(n_way), n_query)
+    """The class of each query row (class-major), read-only: built once
+    per episode shape."""
+    targets = np.repeat(np.arange(n_way), n_query)
+    targets.flags.writeable = False
+    return targets
 
 
 def _fsl_loss(k: _Kernel, episode: Episode, mode: str, projection: Projection):
@@ -492,9 +527,10 @@ BASELINES = ("euclidean", "geodesic")
 
 # Bound on the entries of the arrays of one stacked forward in `evaluate`,
 # counted as n x (n + dim) per episode of n = n_way * (n_query + 1) rows
-# and columns (the kernel matrix and the projected points): memory grows
-# neither with the number of episodes nor, beyond one episode per block,
-# with their size.
+# and columns (the kernel over their union, which bounds the cross matrix
+# the forward forms, and the projected points): memory grows neither with
+# the number of episodes nor, beyond one episode per block, with their
+# size.  The block size decides which episodes a seed draws.
 EVAL_BLOCK_ENTRIES = 2**17
 
 
@@ -578,14 +614,25 @@ def evaluate(
                 f"non-finite scores in evaluation episodes {start}.."
                 f"{start + size - 1} (points on the ball boundary?)"
             )
-        correct.append((np.argmax(scores, axis=-1) == targets).sum(axis=-1))
-    accs = np.concatenate(correct) / targets.size
+        correct.append((scores.argmax(axis=-1) == targets).sum(axis=-1))
+    accs = _joined(correct) / targets.size
     if episodes > 1:
         ci = 1.96 * accs.std(ddof=1) / math.sqrt(episodes)
     else:
         ci = 0.0
-    mean_loss = float(np.mean(np.concatenate(losses))) if losses else None
-    return EvalResult(float(accs.mean()), float(ci), mean_loss)
+    mean_loss = float(_mean(_joined(losses))) if losses else None
+    return EvalResult(float(_mean(accs)), float(ci), mean_loss)
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The per-block arrays of `evaluate` end to end."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _mean(x: np.ndarray):
+    """The mean of a 1-d array, as np.mean forms it, without its call
+    overhead."""
+    return x.sum() / x.size
 
 
 @dataclass(frozen=True)
@@ -680,8 +727,8 @@ def _step_batches(config: RunConfig, dataset: LabeledSet,
                                    config.n_query,
                                    episodes=min(block_size, config.steps - start))
             for e in range(len(block.class_ids)):
-                yield Episode(block.support[e], block.query[e],
-                              block.class_ids[e].tolist())
+                yield Episode._drawn(block.support[e], block.query[e],
+                                     tuple(block.class_ids[e].tolist()))
     elif config.task == "zsl":
         for _ in range(config.steps):
             idx = rng.choice(dataset.features.shape[0], size=config.sts_batch,

@@ -8,7 +8,12 @@ b(Z), the de Branges-Rovnyak matrix, the Gram distance and softmax are
 defined once, here, for the pointwise functions, `kernels` and training
 (`learning`).  Each records one `diff` tape node with a real-only
 closed-form VJP; the forwards of the first three also run on complex
-points.
+points.  The de Branges-Rovnyak matrix comes in two shapes with one
+layout downstream, the cross matrix (see `_dbr`): an episode's rows
+against its columns, bordered by closed-form self-kernels (training and
+evaluation), and the Hermitian Gram matrix of `gram`, the pointwise
+kernels and `checks`, which `_bordered` borders by its own diagonal.
+The Hermitian form runs on plain arrays only and records no node.
 """
 
 from __future__ import annotations
@@ -122,58 +127,106 @@ def _multiplier(Z, P, w, c):
     return record(M @ Pv - coef_sum * Zv, vjp, Z, P, w, c)
 
 
-def _dbr(c, Z, B=None):
-    """De Branges-Rovnyak matrix (1 - c B B*)/(1 - c Z Z*) over the rows
-    of Z and of B = b(Z), K_ij = (1 - c<b_i,b_j>)/(1 - c<z_i,z_j>);
-    1/(1 - c Z Z*) (Drury-Arveson) without a multiplier.  One tape node
-    over c, Z and B."""
+def _dbr(c, Z, B=None, n=None):
+    """De Branges-Rovnyak kernel K_ij = (1 - c<b_i,b_j>)/(1 - c<z_i,z_j>)
+    over the rows z of Z and b = b(z) of B; 1/(1 - c<z_i,z_j>)
+    (Drury-Arveson) without a multiplier.
+
+    Without n: the Hermitian Gram matrix over all rows, for `gram`, the
+    pointwise kernels and `checks`; plain arrays, complex or real.
+
+    With n: the cross matrix of the first n rows (the episode's rows)
+    against the remaining m (its columns), on real points, as one tape
+    node over c, Z and B.  It is the n x m block K(rows, cols) bordered
+    by the self-kernels k(z, z) = (1 - c|b|^2)/(1 - c|z|^2), each from its
+    own point in closed form: an (n+1) x (m+1) array whose last column
+    holds the rows' self-kernels, whose last row holds the columns' and
+    whose corner is 1.  A point with 1 - c|z|^2 <= 0 (rounded onto or
+    past the ball boundary) has no kernel: its row or column, border
+    included, is nan, as is an entry whose denominator is <= 0.
+    """
     cv, Zv, Bv = value(c), value(Z), value(B)
-    # Unnamed products let numpy reuse their buffers (n x n each, for
-    # `gram`); the VJP forms them again when c needs a gradient.
-    den = 1.0 - cv * (Zv.conj() @ Zv.mT)
-    K = 1.0 / den if B is None else (1.0 - cv * (Bv.conj() @ Bv.mT)) / den
+    if n is None:
+        # Unnamed products let numpy reuse their buffers (n x n each).
+        den = 1.0 - cv * (Zv.conj() @ Zv.mT)
+        return 1.0 / den if B is None else (1.0 - cv * (Bv.conj() @ Bv.mT)) / den
+    # The inner products of Z, and of B stacked before them, in one pass:
+    # rows against columns, bordered by the |v|^2 of each row (last
+    # column) and column (last row), 0 in the corner.
+    V = Zv if B is None else _pair(Zv, Bv)
+    P = np.zeros(V.shape[:-2] + (n + 1, V.shape[-2] - n + 1))
+    P[..., :-1, :-1] = V[..., :n, :] @ V[..., n:, :].mT
+    # |v|^2 as a product with ones: numpy sums a short last axis slowly.
+    sq = ((V * V) @ np.ones((V.shape[-1], 1)))[..., 0]
+    P[..., :-1, -1] = sq[..., :n]
+    P[..., -1, :-1] = sq[..., n:]
+    D = 1.0 - cv * P
+    den = D if B is None else D[0]
+    X = 1.0 / den if B is None else D[1] / den
+    if den.min() <= 0.0:
+        off = den <= 0.0
+        X = np.where(off | off[..., :, -1:] | off[..., -1:, :], np.nan, X)
 
     def vjp(g):
-        gden = -g * K / den
-        gnum = g / den if B is not None else None
-        gc = gZ = gB = None
-        if isinstance(c, Node):
-            gc = -(gden * (Zv @ Zv.mT)).sum()
-            if B is not None:
-                gc = gc - (gnum * (Bv @ Bv.mT)).sum()
-        if isinstance(Z, Node):
-            gZ = -cv * ((gden + gden.mT) @ Zv)
-        if isinstance(B, Node):
-            gB = -cv * ((gnum + gnum.mT) @ Bv)
-        return gc, gZ, gB
+        gden = -g * X / den
+        gD = gden if B is None else _pair(gden, g / den)
+        gc = -(gD * P).sum() if isinstance(c, Node) else None
+        # The cotangent of V under P, scaled by dD/dP = -c.
+        gP = -cv * gD
+        block = gP[..., :-1, :-1]
+        gV = np.empty(V.shape)
+        gV[..., :n, :] = block @ V[..., n:, :] + 2.0 * gP[..., :-1, -1:] * V[..., :n, :]
+        gV[..., n:, :] = block.mT @ V[..., :n, :] + 2.0 * gP[..., -1:, :-1].mT * V[..., n:, :]
+        if B is None:
+            return gc, gV, None
+        return gc, gV[0], gV[1]
 
-    return record(K, vjp, c, Z, B)
+    return record(X, vjp, c, Z, B)
 
 
-def _gram_distance(G, n=None):
-    """Kernel-induced squared distance max(0, G_ii + G_jj - 2 Re G_ij) over
-    the last two axes of G: every row against every column, where a value
-    below -1e-12 raises ArithmeticError, or with n (training) the first n
-    rows against the remaining columns, clamping silently.  One tape node
-    over G."""
-    Gv = value(G)
-    diag = np.arange(Gv.shape[-1])
-    g = Gv[..., diag, diag].real
-    rows, cols = (slice(None), slice(None)) if n is None else (slice(n), slice(n, None))
-    raw = g[..., rows, None] + g[..., None, cols] - 2.0 * Gv[..., rows, cols].real
-    if n is None and raw.min() < -1e-12:
+def _pair(a, b):
+    """np.stack([a, b]) of two real arrays of one shape, without its
+    checks."""
+    out = np.empty((2,) + a.shape)
+    out[0] = a
+    out[1] = b
+    return out
+
+
+def _bordered(K):
+    """The cross matrix of a Hermitian Gram matrix K (rows and columns
+    the same points): K bordered by its own diagonal, the layout that
+    `_dbr` gives with n."""
+    size = K.shape[-1]
+    X = np.ones(K.shape[:-2] + (size + 1, size + 1), dtype=K.dtype)
+    X[..., :-1, :-1] = K
+    diag = np.arange(size)
+    X[..., :-1, -1] = X[..., -1, :-1] = K[..., diag, diag]
+    return X
+
+
+def _gram_distance(X, strict=False):
+    """Kernel-induced squared distance max(0, k_ii + k_jj - 2 Re K_ij) of a
+    cross matrix X (see `_dbr`): its n x m block against its border.  A
+    nan stays nan.  With strict (the Hermitian Gram of `gram` and the
+    pointwise distance), a value below -1e-12 raises ArithmeticError;
+    otherwise negative rounding residues clamp silently.  One tape node
+    over X."""
+    Xv = value(X)
+    raw = Xv[..., :-1, -1:].real + Xv[..., -1:, :-1].real - 2.0 * Xv[..., :-1, :-1].real
+    if strict and raw.min() < -1e-12:
         raise ArithmeticError(f"squared distance {raw.min()} below rounding tolerance")
-    dist = np.where(raw > 0.0, raw, 0.0)
+    dist = np.maximum(raw, 0.0)
 
     def vjp(h):
         h = np.where(dist > 0.0, h, 0.0)
-        gG = np.zeros(Gv.shape)
-        gG[..., rows, cols] = -2.0 * h
-        gG[..., diag[rows], diag[rows]] += h.sum(axis=-1)
-        gG[..., diag[cols], diag[cols]] += h.sum(axis=-2)
-        return (gG,)
+        gX = np.zeros(Xv.shape)
+        gX[..., :-1, :-1] = -2.0 * h
+        gX[..., :-1, -1] = h.sum(axis=-1)
+        gX[..., -1, :-1] = h.sum(axis=-2)
+        return (gX,)
 
-    return record(dist, vjp, G)
+    return record(dist, vjp, X)
 
 
 def _rows(params: MultiplierParams | None, points: list[BallPoint]):
@@ -225,7 +278,8 @@ def rkhs_distance_sq(
     ||k^_{z_i} - k^_{z_j}||^2 = k(z_i,z_i) + k(z_j,z_j) - 2 Re k(z_i,z_j),
     with tiny negative rounding residues clamped to zero.
     """
-    return float(_gram_distance(_dbr(*_rows(params, [z_i, z_j])))[0, 1])
+    K = _bordered(_dbr(*_rows(params, [z_i, z_j])))
+    return float(_gram_distance(K, strict=True)[0, 1])
 
 
 def pointwise_contraction_check(params: MultiplierParams, z: BallPoint) -> bool:

@@ -11,7 +11,9 @@ The samplers below are the per-draw loops that the indexed and the
 vectorised samplers replaced: `sample_triplets` draws what
 `learning._sample_triplets` draws, and `sample_episode` (a different
 stream from `learning.sample_episode`) is the distribution the vectorised
-draw must reproduce.  `evaluate` scores the episodes of
+draw must reproduce.  `sample_episode_stack` is the vectorised draw
+before it gathered rows by direct indexing and took its arrays without a
+copy; `learning.sample_episode` must draw exactly its episodes.  `evaluate` scores the episodes of
 `learning.sample_episode` one episode and one query at a time; the tests
 require the same results from the stacked evaluation.  `step` is the
 per-block optimizer step that the flat-buffer `diff.step` replaced; the
@@ -39,8 +41,8 @@ import numpy as np
 from hpfd import HPScalar, hp_central_diff
 from hypkernels import _gmath as gm
 from hypkernels import learning
-from hypkernels.diff import (DEFAULT_BLOCKS, ParamVector, RawView, exp, grad, log, sqrt,
-                             tanh, value, where)
+from hypkernels.diff import (DEFAULT_BLOCKS, ParamVector, RawView, concat, exp, grad, log,
+                             sqrt, tanh, value, where)
 from hypkernels.geometry import BOUNDARY_MARGIN, BallPoint, Curvature, GeometryError
 
 
@@ -63,17 +65,33 @@ def multiplier(Z, P, w, c):
     return (coef * (caz / (1.0 + s))) @ P - coef.sum(axis=-1, keepdims=True) * Z
 
 
-def dbr(c, Z, B=None):
-    den = 1.0 - c * (Z @ Z.mT)
+def _border(block, rows, cols):
+    """The cross-matrix layout of `rkhs._dbr`: block bordered by rows (last
+    column), cols (last row) and a corner 1."""
+    corner = np.ones(value(block).shape[:-2] + (1, 1))
+    return concat([concat([block, rows[..., :, None]], axis=-1),
+                   concat([cols[..., None, :], corner], axis=-1)], axis=-2)
+
+
+def dbr(c, Z, B=None, n=None):
+    """The cross matrix of the first n rows of Z against the others: the
+    block of kernel values and each point's self-kernel, side by side."""
+    ones = np.ones((value(Z).shape[-1], 1))
+    den = 1.0 - c * (Z[..., :n, :] @ Z[..., n:, :].mT)
+    self_den = 1.0 - c * ((Z * Z) @ ones)[..., 0]
     if B is None:
-        return 1.0 / den
-    return (1.0 - c * (B @ B.mT)) / den
+        block, diag = 1.0 / den, 1.0 / self_den
+    else:
+        block = (1.0 - c * (B[..., :n, :] @ B[..., n:, :].mT)) / den
+        diag = (1.0 - c * ((B * B) @ ones)[..., 0]) / self_den
+    return _border(block, diag[..., :n], diag[..., n:])
 
 
-def base(K):
-    diag = np.arange(value(K).shape[-1])
-    d = K[..., diag, diag]
-    return (K * K) / (d[..., :, None] * d[..., None, :])
+def base(X):
+    K = X[..., :-1, :-1]
+    G = (K * K) / (X[..., :-1, -1:] * X[..., -1:, :-1])
+    shape = value(G).shape
+    return _border(G, np.ones(shape[:-1]), np.ones(shape[:-2] + shape[-1:]))
 
 
 def radial(beta, alphas):
@@ -83,14 +101,9 @@ def radial(beta, alphas):
     return G
 
 
-def gram_distance(G, n=None):
-    diag = np.arange(value(G).shape[-1])
-    g = G[..., diag, diag]
-    if n is None:
-        x = g[..., :, None] + g[..., None, :] - 2.0 * G
-    else:
-        x = g[..., :n, None] + g[..., None, n:] - 2.0 * G[..., :n, n:]
-    return where(value(x) > 0.0, x, 0.0)
+def gram_distance(X, strict=False):
+    x = X[..., :-1, -1:] + X[..., -1:, :-1] - 2.0 * X[..., :-1, :-1]
+    return where(value(x) <= 0.0, 0.0, x)
 
 
 def softmax(logits):
@@ -134,6 +147,36 @@ def sample_episode(rng, dataset, n_way, n_shot, n_query):
         query.append(dataset.features[picked[n_shot:]])
     return learning.Episode(np.array(support), np.array(query),
                             tuple(int(c) for c in chosen))
+
+
+def sample_episode_stack(rng, dataset, n_way, n_shot, n_query, episodes=None):
+    """The vectorised draw with a `take_along_axis` gather and the
+    validating `Episode` constructor."""
+    n_classes = dataset.classes.size
+    if n_way > n_classes:
+        raise ValueError(f"cannot sample {n_way} ways from {n_classes} classes")
+    count = 1 if episodes is None else episodes
+    per_class = n_shot + n_query
+    chosen = np.argsort(rng.random((count, n_classes)), axis=-1)[:, :n_way]
+    sizes = dataset.class_sizes[chosen]
+    short = sizes < per_class
+    if short.any():
+        raise ValueError(
+            f"class {dataset.classes[chosen[short][0]]} has fewer than "
+            f"{per_class} samples"
+        )
+    width = dataset.class_rows.shape[1]
+    keys = rng.random((count, n_way, width))
+    keys[np.arange(width) >= sizes[..., None]] = 2.0
+    order = np.argsort(keys, axis=-1)[..., :per_class]
+    samples = dataset.features[
+        np.take_along_axis(dataset.class_rows[chosen], order, axis=-1)]
+    class_ids = dataset.classes[chosen]
+    if episodes is None:
+        return learning.Episode(samples[0, :, :n_shot], samples[0, :, n_shot:],
+                                tuple(class_ids[0].tolist()))
+    return learning.Episode(samples[..., :n_shot, :], samples[..., n_shot:, :],
+                            class_ids)
 
 
 def sample_triplets(rng, dataset, batch):

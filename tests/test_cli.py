@@ -239,24 +239,27 @@ class TestGramWriter:
             assert cli.gram_csv(G) == oracle.gram_csv(G), n
 
     def test_projection_calls_exp0_only_for_poles(self, tmp_path, monkeypatch):
-        # The features are projected in one batch; geometry.exp0 is left to
-        # the m poles of diff.materialize.
+        # The features are projected in one batch and the m poles of
+        # diff.materialize in another; the single-vector geometry.exp0 is
+        # not called.
         calls = []
-        original = geometry.exp0
+        for name in ("exp0", "exp0_rows"):
+            original = getattr(geometry, name)
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
 
-        for module in (geometry, diff):
-            monkeypatch.setattr(module, "exp0", counted)
+            for module in (geometry, diff, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
         cfg = tmp_path / "cfg.json"
         _gram_config(cfg, "ahrad", 1.0)
         feats = tmp_path / "x.csv"
         _write_features(feats, np.random.default_rng(0).standard_normal((128, 8)))
         assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
                          "--out", str(tmp_path / "G.csv")]) == 0
-        assert 0 < len(calls) <= 2
+        assert calls == ["exp0_rows", "exp0_rows"]
 
 
 class TestReader:
@@ -532,6 +535,48 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("numerical error: non-finite scores") == 2
+
+    @pytest.mark.parametrize("variant,mode", [("ahrad", "distance"),
+                                              ("base", "similarity"),
+                                              ("ahrbf", "similarity"),
+                                              ("ahlap", "similarity")])
+    def test_boundary_eval_exit_code_in_normalised_variants(self, tmp_path, variant,
+                                                            mode, capsys):
+        # Variants that normalise or clamp the kernel exit 5 on boundary
+        # points too.
+        cfg = tmp_path / "boundary.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "task": "fsl", "curvature": 100.0, "score_mode": mode,
+            "kernel": {"variant": variant, "truncation": 4}, "eval": {"episodes": 200},
+        }))
+        params = tmp_path / "params.json"
+        run = cli._run_config_from_json(json.loads(cfg.read_text()))
+        params.write_text(json.dumps(cli._params_to_json(init_params(run))))
+        with np.errstate(all="ignore"):
+            assert cli.main(["eval", "--params", str(params),
+                             "--config", str(cfg)]) == cli.EXIT_NUMERICAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: non-finite scores")
+
+    @pytest.mark.parametrize("log_c", [1000, -1000])
+    def test_eval_rejects_curvature_overflow(self, tmp_path, train_config, log_c,
+                                             capsys):
+        # exp(log_c) must be a positive finite curvature; the file is
+        # rejected as it is read, not by a traceback.
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(train_config),
+                         "--out", str(out)]) == 0
+        blob = json.loads((out / "params.json").read_text())
+        blob["log_c"] = log_c
+        bad = tmp_path / "bad_params.json"
+        bad.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert cli.main(["eval", "--params", str(bad),
+                         "--config", str(train_config)]) == cli.EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: log_c = ")
+        assert captured.out == ""
 
     def test_ahpoly_runs_with_default_offset(self, tmp_path):
         cfg = tmp_path / "poly.json"

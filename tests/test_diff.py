@@ -24,6 +24,7 @@ from hypkernels.diff import (
     tanh,
     where,
 )
+from hypkernels.geometry import TangentVector
 from hypkernels.learning import Projection, RunConfig, _kernel_from_raws, _scores
 
 
@@ -176,6 +177,12 @@ class TestParamVector:
         with pytest.raises(ValueError):
             ParamVector(np.full((1, 1), np.nan), np.zeros(1), np.zeros(2))
 
+    @pytest.mark.parametrize("log_c", [1000.0, -1000.0, math.inf, math.nan])
+    def test_curvature_out_of_range_rejected(self, log_c):
+        # exp(1000) overflows and exp(-1000) is 0: neither is a curvature.
+        with pytest.raises(ValueError, match="positive finite curvature"):
+            ParamVector(np.zeros((1, 1)), np.zeros(1), np.zeros(2), log_c=log_c)
+
     def test_caller_array_not_mutated(self):
         raws = np.zeros((1, 2))
         ParamVector(raws, np.zeros(1), np.ones(2))
@@ -212,6 +219,26 @@ class TestMaterialize:
         assert materialize(p)[2].c == pytest.approx(2.0)
         q = ParamVector(np.zeros((1, 1)), np.zeros(1), np.ones(2), fixed_c=0.5)
         assert materialize(q)[2].c == 0.5
+
+    def test_poles_projected_in_one_call(self, monkeypatch):
+        """All poles go through one `exp0_rows` call, each bit-identical to
+        the single-vector `exp0` of its raw row."""
+        rng = np.random.default_rng(1)
+        p = ParamVector(rng.standard_normal((5, 4)), np.zeros(5), np.ones(2),
+                        fixed_c=0.7)
+        calls = []
+        original = diff.exp0_rows
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(diff, "exp0_rows", counted)
+        params, _, curvature = materialize(p)
+        assert len(calls) == 1
+        for pole, row in zip(params.poles, p.pole_raws):
+            ref = oracle.exp0_point(TangentVector(row), curvature)
+            np.testing.assert_array_equal(pole.coords, ref.coords)
 
     def test_matches_generic_path(self):
         # The numpy constrained view and the generic scalar view must agree.

@@ -106,25 +106,65 @@ def test_multiplier(on_tape):
     _compare(rkhs._multiplier, oracle.multiplier, (Z, P, w, np.array(c)), on_tape)
 
 
+# The cross shape of the tests: the first ROWS of 5 points against the rest.
+ROWS = 3
+
+
 @pytest.mark.parametrize("on_tape", [(True, True, True), (False, False, True),
                                      (True, False, False)])
 def test_dbr(on_tape):
     rng = np.random.default_rng(3)
     Z = _ball_points(rng, (2, 5, 3), 0.8)
     B = 0.7 * _ball_points(rng, (2, 5, 3), 0.8)
-    _compare(rkhs._dbr, oracle.dbr, (np.array(0.8), Z, B), on_tape)
+    _compare(lambda c, Z, B: rkhs._dbr(c, Z, B, ROWS),
+             lambda c, Z, B: oracle.dbr(c, Z, B, ROWS), (np.array(0.8), Z, B), on_tape)
 
 
 @pytest.mark.parametrize("on_tape", [(True, True), (False, True), (True, False)])
 def test_dbr_without_multiplier(on_tape):
     Z = _ball_points(np.random.default_rng(3), (2, 5, 3), 0.8)
-    _compare(rkhs._dbr, oracle.dbr, (np.array(0.8), Z), on_tape)
+    _compare(lambda c, Z: rkhs._dbr(c, Z, None, ROWS),
+             lambda c, Z: oracle.dbr(c, Z, None, ROWS), (np.array(0.8), Z), on_tape)
+
+
+@pytest.mark.parametrize("with_b", [True, False])
+def test_cross_shape_is_the_gram_block(with_b):
+    """The cross matrix holds the rows-by-columns block of the Hermitian
+    Gram matrix of all points and, on its border, the Gram diagonal, up to
+    rounding (the self-kernels come from row norms, not from the matrix
+    product)."""
+    rng = np.random.default_rng(10)
+    Z = _ball_points(rng, (2, 5, 3), 0.8)
+    B = 0.7 * _ball_points(rng, (2, 5, 3), 0.8) if with_b else None
+    X = rkhs._dbr(0.8, Z, B, ROWS)
+    K = rkhs._dbr(0.8, Z, B)
+    assert X.shape == (2, ROWS + 1, 5 - ROWS + 1)
+    diag = np.einsum("...ii->...i", K)
+    np.testing.assert_allclose(X[..., :-1, :-1], K[..., :ROWS, ROWS:], rtol=1e-14)
+    np.testing.assert_allclose(X[..., :-1, -1], diag[..., :ROWS], rtol=1e-14)
+    np.testing.assert_allclose(X[..., -1, :-1], diag[..., ROWS:], rtol=1e-14)
+    assert (X[..., -1, -1] == 1.0).all()
+
+
+def test_boundary_point_has_no_kernel():
+    """A point rounded onto the ball boundary makes its row or column of
+    the cross matrix nan, border included; every other entry is kept."""
+    rng = np.random.default_rng(11)
+    Z = _ball_points(rng, (5, 3), 0.8)
+    Z[1] = Z[1] / (np.sqrt(0.8) * np.linalg.norm(Z[1]))   # a row on the boundary
+    Z[4] = 2.0 * Z[4] / (np.sqrt(0.8) * np.linalg.norm(Z[4]))   # a column past it
+    assert 1.0 - 0.8 * Z[1] @ Z[1] <= 0.0
+    for B in (None, 0.7 * _ball_points(rng, (5, 3), 0.8)):
+        X = rkhs._dbr(0.8, Z, B, ROWS)
+        bad = np.zeros(X.shape, dtype=bool)
+        bad[1, :] = bad[:, 4 - ROWS] = True
+        assert np.isnan(X[bad]).all() and np.isfinite(X[~bad]).all()
 
 
 def _gram(rng, c=0.8, stack=2, n=5):
     Z = _ball_points(rng, (stack, n, 3), c)
     B = 0.7 * _ball_points(rng, (stack, n, 3), c)
-    return rkhs._dbr(c, Z, B)
+    return rkhs._dbr(c, Z, B, ROWS)
 
 
 def test_base():
@@ -141,24 +181,30 @@ def test_radial(on_tape):
 
 def test_gram_distance_kinks():
     rng = np.random.default_rng(6)
-    n = 2
     Z = _ball_points(rng, (2, 5, 3), 0.8)
-    Z[:, n] = Z[:, 0]          # the first query sits on the first column
-    G = rkhs._dbr(0.8, Z, 0.7 * _ball_points(rng, (2, 5, 3), 0.8))
-    G[1, 1, 3] = G[1, 3, 1] = 10.0   # a negative squared distance, clamped
-    raw = (np.einsum("...ii->...i", G)[..., :n, None]
-           + np.einsum("...ii->...i", G)[..., None, n:] - 2.0 * G[..., :n, n:])
+    Z[:, ROWS] = Z[:, 0]          # the first query sits on the first column
+    X = rkhs._dbr(0.8, Z, 0.7 * _ball_points(rng, (2, 5, 3), 0.8), ROWS)
+    X[1, 1, 0] = 10.0   # a negative squared distance, clamped
+    raw = X[..., :-1, -1:] + X[..., -1:, :-1] - 2.0 * X[..., :-1, :-1]
     assert (raw <= 0.0).any() and (raw > 0.0).any()
-    _compare(lambda G: rkhs._gram_distance(G, n),
-             lambda G: oracle.gram_distance(G, n), (G,), (True,))
+    _compare(rkhs._gram_distance, oracle.gram_distance, (X,), (True,))
 
 
 def test_gram_distance_gram_shape():
     """Every row against every column, as `gram` forms it, of a
-    Drury-Arveson Gram matrix: the diagonal is exactly 0 (the clamp's
-    kink) and the rest positive."""
-    G = rkhs._dbr(0.8, _ball_points(np.random.default_rng(9), (2, 5, 3), 0.8))
-    _compare(rkhs._gram_distance, oracle.gram_distance, (G,), (True,))
+    Drury-Arveson Gram matrix bordered by its diagonal: the diagonal is
+    exactly 0 (the clamp's kink) and the rest positive."""
+    K = rkhs._dbr(0.8, _ball_points(np.random.default_rng(9), (2, 5, 3), 0.8))
+    X = rkhs._bordered(K)
+    assert (rkhs._gram_distance(X, True)[..., np.arange(5), np.arange(5)] == 0.0).all()
+    _compare(rkhs._gram_distance, oracle.gram_distance, (X,), (True,))
+
+
+def test_gram_distance_keeps_nan():
+    X = _gram(np.random.default_rng(12))
+    X[0, 1, 0] = np.nan
+    dist = rkhs._gram_distance(X)
+    assert np.isnan(dist[0, 1, 0]) and np.isfinite(np.delete(dist.ravel(), 2)).all()
 
 
 def test_cross_entropy():

@@ -10,7 +10,7 @@ from hypkernels.checks import random_multiplier
 from hypkernels.cli import EXIT_DIVERGENCE, _run_config_from_json, main
 from hypkernels.diff import ParamVector, grad, materialize
 from hypkernels.geometry import Curvature
-from hypkernels.kernels import KernelConfig, RadialCoeffs
+from hypkernels.kernels import VARIANTS, KernelConfig, RadialCoeffs
 from hypkernels.learning import (
     DivergenceError,
     Episode,
@@ -236,6 +236,34 @@ class TestEvaluate:
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
                                                       match="non-finite"):
             evaluate(config, dataset, 5, 1, 3, episodes=20, seed=2)
+
+    @pytest.mark.parametrize("mode", ["distance", "similarity"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_boundary_raises_in_every_variant_and_mode(self, dataset, variant, mode):
+        # No boundary nan may be clamped, masked or normalised into a
+        # finite score, whichever layers the variant and mode run.
+        run = RunConfig(variant=variant, curvature=100.0)
+        config = params_to_kernel_config(run, init_params(run))
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
+                                                      match="non-finite"):
+            evaluate(config, dataset, 5, 1, 3, episodes=200, seed=2, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["distance", "similarity"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_boundary_point_raises(self, variant, mode):
+        # Five classes of four rows: every 5-way 1+3-shot episode holds every
+        # row, one of which exp0 maps exactly onto the boundary at c = 1.
+        features = 0.3 * np.random.default_rng(0).standard_normal((20, 8))
+        features[6] = 0.0
+        features[6, 0] = 40.0
+        z = learning._exp0(features[6], 1.0)
+        assert 1.0 - z @ z <= 0.0
+        data = LabeledSet(features, np.repeat(np.arange(5), 4))
+        run = RunConfig(variant=variant, curvature=1.0)
+        config = params_to_kernel_config(run, init_params(run))
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
+                                                      match="non-finite"):
+            evaluate(config, data, 5, 1, 3, episodes=1, seed=0, mode=mode)
 
 
 class TestTrain:

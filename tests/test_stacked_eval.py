@@ -9,7 +9,8 @@ and row reachable in both roles, class and row frequencies that pass the
 goodness-of-fit test the reference sampler passes (fixed seeds, fixed
 thresholds), ragged classes (the padding of the row index), the reference
 sampler's errors, and `episodes=1` drawing the episode that `evaluate`
-scores for the same seed.
+scores for the same seed.  Against the earlier vectorised draw
+(`oracle.sample_episode_stack`) it is checked draw for draw.
 Triplet sampler: the same draws and the same generator state afterwards.
 Evaluation: every variant, score mode and projection, and both
 baselines, on one episode and on more than one block of episodes;
@@ -106,6 +107,29 @@ def test_sampled_episodes_are_valid(dataset, shape):
         np.testing.assert_array_equal(stack.support, again.support)
         np.testing.assert_array_equal(stack.query, again.query)
         np.testing.assert_array_equal(stack.class_ids, again.class_ids)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sample_episode_draws_what_the_gather_drew(shape):
+    """Direct indexing, and the Episode taken without a second copy, draw
+    for every seed the episodes of the `take_along_axis` gather they
+    replaced, from uniform and ragged classes, single and stacked, and
+    leave the generator in the same state; the arrays are read-only."""
+    for ds in (_indexed([12] * 27), _indexed(np.arange(8, 35))):
+        for seed in range(10):
+            for episodes in (None, 1, 9):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_episode(rng, ds, *shape, episodes=episodes)
+                ref = oracle.sample_episode_stack(ref_rng, ds, *shape, episodes=episodes)
+                np.testing.assert_array_equal(got.support, ref.support)
+                np.testing.assert_array_equal(got.query, ref.query)
+                if episodes is None:
+                    assert got.class_ids == ref.class_ids
+                else:
+                    np.testing.assert_array_equal(got.class_ids, ref.class_ids)
+                    assert not got.class_ids.flags.writeable
+                assert not (got.support.flags.writeable or got.query.flags.writeable)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _frequencies(ds, episodes):
