@@ -23,7 +23,7 @@ import numpy as np
 from .checks import (check_identities, check_isometry, check_psd,
                      random_multiplier, sample_ball_points)
 from .diff import DEFAULT_BLOCKS, ParamVector, materialize
-from .geometry import Curvature, GeometryError, clip_project_rows, exp0_rows
+from .geometry import Curvature, GeometryError, _ball_points
 from .kernels import ConfigError, KernelConfig, RadialCoeffs, gram
 from .learning import (DivergenceError, Projection, RunConfig, evaluate,
                        gen_tree_dataset, init_params, params_to_kernel_config,
@@ -176,13 +176,6 @@ def _read_features(path: str):
     return np.array(features), labels
 
 
-def _project_features(features: np.ndarray, projection: Projection,
-                      curvature: Curvature):
-    if projection.kind == "exp0":
-        return exp0_rows(features, curvature)
-    return clip_project_rows(features, curvature, projection.beta, projection.eps)
-
-
 def _write_outputs(files: dict) -> int:
     """Write each {path: text}; exit code 2 when a path cannot be written."""
     for path, text in files.items():
@@ -209,7 +202,7 @@ def cmd_gram(args) -> int:
         config = _kernel_config_from_json(
             cfg.get("kernel", {}), features.shape[1], curvature.c
         )
-        points = _project_features(features, projection, curvature)
+        points = _ball_points(projection.apply(features, curvature.c), curvature)
         G = gram(config, points)
     except ConfigFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

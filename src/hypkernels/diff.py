@@ -10,9 +10,10 @@ holds an array, its operands and one vector-Jacobian product (VJP) that
 maps the gradient of the node onto the cotangents of all its operands at
 once.  `record` makes the result of any array function such a node, so
 a whole pipeline layer (the projection, the multiplier, a loss; see
-`learning`, `rkhs` and `kernels`) is one node whose VJP computes its
-shared intermediates once.  The arithmetic operators and `exp`/`log`/
-`tanh`/`sqrt`/`where`/`concat` are small cases of the same mechanism.
+`geometry`, `rkhs`, `kernels` and `learning`) is one node whose VJP
+computes its shared intermediates once.  The arithmetic operators and
+`exp`/`log`/`tanh`/`sqrt`/`where`/`concat` are small cases of the same
+mechanism.
 Everything accepts plain arrays as well: with no node among the operands
 a function returns its numpy result and records nothing, so one forward
 serves values and gradients.
@@ -29,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .geometry import Curvature, exp0_rows
 
 
 def value(x):
@@ -376,8 +375,9 @@ def materialize(p: ParamVector) -> tuple[MultiplierParams, RadialCoeffs, Curvatu
     they are always strictly interior; weights through softmax; radial
     coefficients are squared.
     """
-    # Imported here, not at the top: `rkhs` and `kernels` record their
-    # layers on this module's tape, so they import it.
+    # Imported here, not at the top: `geometry`, `rkhs` and `kernels`
+    # record their layers on this module's tape, so they import it.
+    from .geometry import Curvature, exp0_rows
     from .kernels import RadialCoeffs
     from .rkhs import MultiplierParams
 

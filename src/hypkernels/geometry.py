@@ -12,9 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diff import Node, record, value
+
 # Points with sqrt(c)*||z|| >= 1 - BOUNDARY_MARGIN are rejected at
 # construction; ingestion paths must project first.
 BOUNDARY_MARGIN = 1e-9
+# The largest sqrt(c)*||z|| that exp0 returns: tanh is clamped there.
+TANH_MAX = 1.0 - 2.0 * BOUNDARY_MARGIN
 
 
 class DimensionMismatch(ValueError):
@@ -124,13 +128,6 @@ def conformal_factor(z: BallPoint) -> float:
     return 1.0 / (1.0 - z.curvature.c * z.norm**2)
 
 
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """||x|| of each row of a real matrix, one `dot` per row: the
-    reduction `np.linalg.norm` applies to a single vector, so the bits
-    match it (a reduction over axis 1 sums in another order)."""
-    return np.sqrt([row.dot(row) for row in X])
-
-
 def _checked_rows(X, message: str) -> np.ndarray:
     """X as a float64 matrix of finite rows of dimension >= 1."""
     arr = np.asarray(X, dtype=np.float64)
@@ -145,16 +142,15 @@ def _ball_points(Y: np.ndarray, curvature: Curvature) -> list[BallPoint]:
     """BallPoints over the rows of a finite real matrix, checked against
     the boundary margin as `BallPoint` checks each point; the rows share
     one read-only complex array."""
-    Z = Y.astype(np.complex128)
-    # np.linalg.norm of a complex row: real and imaginary dots, summed.
-    r = np.sqrt(curvature.c) * np.sqrt(
-        [a.dot(a) + b.dot(b) for a, b in zip(Z.real, Z.imag)])
+    # np.linalg.norm of a row as complex adds the zero imaginary dot.
+    r = np.sqrt(curvature.c) * np.sqrt([a.dot(a) for a in Y])
     outside = np.flatnonzero(r >= 1.0 - BOUNDARY_MARGIN)
     if outside.size:
         raise GeometryError(
             "point too close to the ball boundary: sqrt(c)*||z|| = "
             f"{r[outside[0]]}"
         )
+    Z = Y.astype(np.complex128)
     Z.flags.writeable = False
     points = []
     for row in Z:
@@ -165,36 +161,9 @@ def _ball_points(Y: np.ndarray, curvature: Curvature) -> list[BallPoint]:
     return points
 
 
-def exp0_rows(V, curvature: Curvature) -> list[BallPoint]:
-    """`exp0` of each row of an n x dim real matrix, in one pass.
-
-    Each point is bit-identical to `exp0(TangentVector(row), curvature)`.
-    """
-    X = _checked_rows(V, "tangent vector must be finite")
-    x = np.sqrt(curvature.c) * _row_norms(X)
-    t = np.minimum(np.tanh(x), 1.0 - 2.0 * BOUNDARY_MARGIN)
-    # Rows with x < 1e-150 are mapped unscaled.
-    scale = np.divide(t, x, out=np.ones_like(x), where=x >= 1e-150)
-    return _ball_points(scale[:, np.newaxis] * X, curvature)
-
-
-def exp0(v: TangentVector, curvature: Curvature) -> BallPoint:
-    """Exponential map at the origin: v -> tanh(sqrt(c)*||v||) * v/(sqrt(c)*||v||).
-
-    The removable singularity at v = 0 maps to the origin.  The radial
-    factor is clamped just inside the construction margin so that
-    arbitrarily large tangent vectors still produce valid points.
-    """
-    return exp0_rows(v.coords[np.newaxis], curvature)[0]
-
-
-def clip_project_rows(
-    X, curvature: Curvature, beta: float, eps: float
-) -> list[BallPoint]:
-    """`clip_project` of each row of an n x dim real matrix, in one pass.
-
-    Each point is bit-identical to `clip_project(row, curvature, beta, eps)`.
-    """
+def check_clip(beta, eps) -> None:
+    """Parameters of the clip projection: beta > 0 finite, eps in (0, 1)
+    and beta*(1 - eps) < 1, so that clipped points stay inside the ball."""
     if not (beta > 0 and np.isfinite(beta)):
         raise GeometryError(f"beta must be positive, got {beta}")
     if not (0.0 < eps < 1.0):
@@ -204,22 +173,127 @@ def clip_project_rows(
             f"beta*(1-eps) = {beta * (1.0 - eps)} >= 1 would allow points "
             "on or outside the ball boundary"
         )
+
+
+def _rescaled(xv, c, huge):
+    """xv with each row flagged in huge (its squared norm overflows) times
+    the power of two 2^k that brings sqrt(c)*|row| near 2^300, the squared
+    norms of the result and k (0 in the other rows, which keep their bits).
+    A flagged row lies past the clamp of `_exp0` and outside the shell of
+    `_clip`, where both maps see its direction only."""
+    _, e_row = np.frexp(np.abs(xv).max(axis=-1, keepdims=True))
+    k = np.where(huge, 300 - e_row - np.frexp(c)[1] // 2, 0)
+    xv = np.ldexp(xv, k)
+    return xv, (xv * xv).sum(axis=-1, keepdims=True), k
+
+
+def _exp0(x, c):
+    """Exponential map at the origin of each vector along the last axis of
+    x: tanh(r)/r * x with r = sqrt(c)|x|, by its series below r^2 = 1e-8
+    (zero rows included), with tanh(r) clamped at TANH_MAX.  One tape
+    node over x and c (arrays or `diff.Node`s); past the clamp its VJP
+    takes tanh' = 0."""
+    xv, cv = value(x), value(c)
+    sq = (xv * xv).sum(axis=-1, keepdims=True)
+    y = cv * sq
+    # The series, the clamp and the rescaling are formed only when some
+    # row needs them; no row with y <= 100 meets the clamp.
+    series = y.min(initial=np.inf) < 1e-8
+    top = y.max(initial=0.0)
+    far = top > 100.0
+    k = None
+    if top == np.inf:
+        xv, sq, k = _rescaled(xv, cv, np.isinf(y))
+        y = cv * sq
+    r = np.sqrt(np.where(y < 1e-8, 1.0, y) if series else y)
+    t = np.tanh(r)
+    if far:
+        clamped = t > TANH_MAX
+        t = np.where(clamped, TANH_MAX, t)
+    f = t / r
+    if series:
+        ys = np.minimum(y, 1e-8)
+        f = np.where(y < 1e-8, 1.0 - ys * (1.0 / 3.0) + (ys * ys) * (2.0 / 15.0), f)
+
+    def vjp(g):
+        gxv = (g * xv).sum(axis=-1, keepdims=True)
+        df = np.where(y < 1e-8, (4.0 / 15.0) * y - 1.0 / 3.0,
+                      ((1.0 - t * t) - f) / r * (0.5 / r))
+        gy = gxv * df
+        if far:
+            # Past the clamp f = TANH_MAX/r and df = -f/(2y), taken in an
+            # order that never squares r.
+            gy = np.where(clamped, -(gxv * f) / (2.0 * y), gy)
+        gx = gc = None
+        if isinstance(x, Node):
+            gx = g * f + (2.0 * cv) * gy * xv
+            if k is not None:
+                gx = np.ldexp(gx, k)
+        if isinstance(c, Node):
+            gc = (gy * sq).sum()
+        return gx, gc
+
+    return record(f * xv, vjp, x, c)
+
+
+def _clip(x, c, beta, eps):
+    """Clip projection of each vector along the last axis of x: beta*x
+    inside the shell s = sqrt(c)|x| <= 1 - eps, beta*(1 - eps)/s * x
+    outside (|x| is taken as sqrt(|x|^2 + 1e-300), so zero rows are
+    inside).  One tape node over x and c (arrays or `diff.Node`s)."""
+    xv, cv = value(x), value(c)
+    sq = (xv * xv).sum(axis=-1, keepdims=True)
+    k = None
+    if sq.max(initial=0.0) == np.inf:
+        xv, sq, k = _rescaled(xv, cv, np.isinf(sq))
+    s = np.sqrt(cv) * np.sqrt(sq + 1e-300)
+    inside = s <= 1.0 - eps
+    factor = np.where(inside, beta, beta * (1.0 - eps) / s)
+
+    def vjp(g):
+        # Outside the shell the image factor*x has derivative
+        # factor*(g - c(g.x)x/s^2) along x and -factor(g.x)/(2c) along c.
+        h = np.where(inside, 0.0, factor * (g * xv).sum(axis=-1, keepdims=True))
+        gx = gc = None
+        if isinstance(x, Node):
+            gx = g * factor - (h * cv / s) * (xv / s)
+            if k is not None:
+                gx = np.ldexp(gx, k)
+        if isinstance(c, Node):
+            gc = -h.sum() / (2.0 * cv)
+        return gx, gc
+
+    return record(factor * xv, vjp, x, c)
+
+
+def exp0_rows(V, curvature: Curvature) -> list[BallPoint]:
+    """`exp0` of each row of an n x dim real matrix, in one `_exp0` call."""
+    X = _checked_rows(V, "tangent vector must be finite")
+    return _ball_points(_exp0(X, curvature.c), curvature)
+
+
+def exp0(v: TangentVector, curvature: Curvature) -> BallPoint:
+    """Exponential map at the origin: v -> tanh(sqrt(c)*||v||) * v/(sqrt(c)*||v||).
+
+    The removable singularity at v = 0 maps to the origin.  The radial
+    factor is clamped at TANH_MAX, just inside the construction margin,
+    so that arbitrarily large tangent vectors still produce valid points.
+    """
+    return exp0_rows(v.coords[np.newaxis], curvature)[0]
+
+
+def clip_project_rows(X, curvature: Curvature, beta: float,
+                      eps: float) -> list[BallPoint]:
+    """`clip_project` of each row of an n x dim real matrix, in one `_clip` call."""
+    check_clip(beta, eps)
     X = _checked_rows(X, "input vector must be finite")
-    nrm = _row_norms(X)
-    # Rows whose norm is 0 (it underflows for tiny entries) map unscaled.
-    ratio = np.divide(1.0 - eps, np.sqrt(curvature.c) * nrm,
-                      out=np.ones_like(nrm), where=nrm != 0.0)
-    factor = np.where(nrm == 0.0, 1.0, beta * np.minimum(1.0, ratio))
-    return _ball_points(factor[:, np.newaxis] * X, curvature)
+    return _ball_points(_clip(X, curvature.c, beta, eps), curvature)
 
 
-def clip_project(
-    x: np.ndarray, curvature: Curvature, beta: float, eps: float
-) -> BallPoint:
+def clip_project(x: np.ndarray, curvature: Curvature, beta: float,
+                 eps: float) -> BallPoint:
     """Clipped projection beta * min{1, (1-eps)/(sqrt(c)*||x||)} * x."""
-    return clip_project_rows(
-        np.asarray(x, dtype=np.float64)[np.newaxis], curvature, beta, eps
-    )[0]
+    return clip_project_rows([x], curvature, beta, eps)[0]
 
 
 def mobius_decompose(a: BallPoint, z: BallPoint):

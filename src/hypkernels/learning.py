@@ -9,11 +9,11 @@ against a target column.  The kernel is formed in the cross shape of
 self-kernel, never over the union of the two sets.  The forward is
 written once over arrays that may be plain numpy (evaluation) or
 `diff.Node`s on the reverse-mode tape (gradients).  Each of its layers
-(the exp0 projection and the cross-entropy here, b(Z), the
-de Branges-Rovnyak matrix and the variant transform from `rkhs` and
-`kernels`, shared with `gram`) computes its numpy forward and records
-one tape node with a closed-form VJP, so on plain arrays it does no
-gradient work.
+(the exp0 or clip projection from `geometry`, the cross-entropy here,
+b(Z), the de Branges-Rovnyak matrix and the variant transform from
+`rkhs` and `kernels`, all shared with `gram`) computes its numpy forward
+and records one tape node with a closed-form VJP, so on plain arrays it
+does no gradient work.
 The forward also runs over leading batch axes: training scores one episode
 (a 2-d score matrix on the tape), evaluation a stack of episodes at once
 (one score tensor per block of episodes).  The objectives are episodic
@@ -32,7 +32,6 @@ import numpy as np
 
 from .diff import (
     DEFAULT_BLOCKS,
-    Node,
     OptimizerState,
     ParamVector,
     concat,
@@ -40,18 +39,10 @@ from .diff import (
     grad,
     materialize,
     record,
-    sqrt,
     step,
     value,
-    where,
 )
-from .geometry import (
-    BOUNDARY_MARGIN,
-    BallPoint,
-    Curvature,
-    GeometryError,
-    geodesic_distance,
-)
+from .geometry import BOUNDARY_MARGIN, Curvature, GeometryError, _clip, _exp0, check_clip
 from .kernels import KernelConfig, _Kernel, _transform
 from .rkhs import _dbr, _multiplier, softmax
 
@@ -79,10 +70,7 @@ class Projection:
         if self.kind == "clip":
             if self.beta is None or self.eps is None:
                 raise ValueError("clip projection requires beta and eps")
-            if not (0.0 < self.eps < 1.0) or self.beta <= 0:
-                raise ValueError("clip projection needs beta > 0 and eps in (0,1)")
-            if self.beta * (1.0 - self.eps) >= 1.0:
-                raise ValueError("clip projection needs beta*(1-eps) < 1")
+            check_clip(self.beta, self.eps)
 
     def apply(self, x, c):
         """Project each vector along the last axis of x onto the ball.
@@ -93,36 +81,7 @@ class Projection:
             x = np.asarray(x, dtype=np.float64)
         if self.kind == "exp0":
             return _exp0(x, c)
-        sq = (x * x).sum(axis=-1, keepdims=True)
-        s = sqrt(c) * sqrt(sq + 1e-300)
-        inside = value(s) <= 1.0 - self.eps
-        return where(inside, self.beta, self.beta * (1.0 - self.eps) / s) * x
-
-
-def _exp0(x, c):
-    """Exponential map at the origin of each vector along the last axis of
-    x: tanh(r)/r * x with r = sqrt(c)|x|, by its series below r^2 = 1e-8
-    (zero rows included).  One tape node over x and c."""
-    xv, cv = value(x), value(c)
-    sq = (xv * xv).sum(axis=-1, keepdims=True)
-    y = cv * sq
-    # The series and its mask are formed only when some row needs them.
-    series = y.min(initial=np.inf) < 1e-8
-    r = np.sqrt(np.where(y < 1e-8, 1.0, y) if series else y)
-    t = np.tanh(r)
-    f = t / r
-    if series:
-        f = np.where(y < 1e-8, 1.0 - y * (1.0 / 3.0) + (y * y) * (2.0 / 15.0), f)
-
-    def vjp(g):
-        df = np.where(y < 1e-8, (4.0 / 15.0) * y - 1.0 / 3.0,
-                      ((1.0 - t * t) - f) / r * (0.5 / r))
-        gy = (g * xv).sum(axis=-1, keepdims=True) * df
-        gx = g * f + (2.0 * cv) * gy * xv if isinstance(x, Node) else None
-        gc = (gy * sq).sum() if isinstance(c, Node) else None
-        return gx, gc
-
-    return record(f * xv, vjp, x, c)
+        return _clip(x, c, self.beta, self.eps)
 
 
 def _kernel_from_config(config: KernelConfig) -> _Kernel:
@@ -282,13 +241,6 @@ def gen_tree_dataset(
         "step_length": step_length,
     }
     return LabeledSet(np.array(features), np.array(labels), meta)
-
-
-def shuffle_labels(dataset: LabeledSet, seed: int) -> LabeledSet:
-    """Random-label control: permute labels independently of features."""
-    rng = np.random.default_rng(seed)
-    labels = rng.permutation(dataset.labels)
-    return LabeledSet(dataset.features, labels, {**dataset.meta, "shuffled": True})
 
 
 @dataclass(frozen=True)
@@ -494,26 +446,6 @@ def sts_loss(
             temperature, projection,
         )
     )
-
-
-def euclidean_baseline_score(q, prototype, mode: str = "euclidean",
-                             curvature: Curvature | None = None) -> float:
-    """Negative squared Euclidean distance, or negative geodesic distance.
-
-    Geodesic mode accepts BallPoints, or raw ball coordinates together
-    with a curvature.
-    """
-    if mode == "euclidean":
-        diff = np.asarray(q, dtype=np.float64) - np.asarray(prototype, dtype=np.float64)
-        return float(-np.dot(diff, diff))
-    if mode != "geodesic":
-        raise ValueError(f"unknown baseline mode {mode!r}")
-    if not isinstance(q, BallPoint):
-        if curvature is None:
-            raise ValueError("geodesic mode needs BallPoints or a curvature")
-        q = BallPoint(np.asarray(q, dtype=np.complex128), curvature)
-        prototype = BallPoint(np.asarray(prototype, dtype=np.complex128), curvature)
-    return float(-geodesic_distance(q, prototype))
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,18 @@ per-block optimizer step that the flat-buffer `diff.step` replaced; the
 tests require bit-identical updates.
 
 `COMPOSED` maps each fused layer of the forward (one tape node with a
-closed-form VJP, in `learning`, `rkhs` or `kernels`) to the same layer
-composed of generic `diff` operators, whose gradient the tape derives op
-by op; the tests substitute them for the fused layers and require the
-same values and gradients.
+closed-form VJP, in `geometry`, `learning`, `rkhs` or `kernels`) to the
+same layer composed of generic `diff` operators, whose gradient the tape
+derives op by op; the tests substitute them for the fused layers and
+require the same values and gradients.  The composed `exp0` has no clamp:
+below it the two agree bit for bit, and far past it (r = sqrt(c)|x| above
+about 19) the composed map rounds points onto the ball boundary, which
+is how the tests reach that boundary now that the fused layer never does.
 
-`exp0_point` and `clip_project_point` are the per-row projections that
-`geometry.exp0_rows` and `geometry.clip_project_rows` replaced, and
 `gram_csv` is the per-entry writer that `cli.gram_csv` replaced; the
-tests require bit-identical points and byte-identical text from them.
+tests require byte-identical text from it.  `shuffle_labels` (the
+random-label control) and `euclidean_baseline_score` (the pointwise
+Euclidean and geodesic baseline scores) are used by the tests only.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from hypkernels import _gmath as gm
 from hypkernels import learning
 from hypkernels.diff import (DEFAULT_BLOCKS, ParamVector, RawView, concat, exp, grad, log,
                              sqrt, tanh, value, where)
-from hypkernels.geometry import BOUNDARY_MARGIN, BallPoint, Curvature, GeometryError
+from hypkernels.geometry import BallPoint, Curvature, geodesic_distance
 
 
 def _tanh_ratio(y):
@@ -54,8 +57,23 @@ def _tanh_ratio(y):
 
 
 def exp0(x, c):
+    """The exponential map at the origin without the clamp of
+    `geometry._exp0`: points far past it round onto the ball boundary."""
     sq = (x * x).sum(axis=-1, keepdims=True)
     return _tanh_ratio(c * sq) * x
+
+
+def unclamp_exp0(monkeypatch):
+    """Project features with the composed `exp0` in `learning`: points far
+    past the clamp then round onto the ball boundary."""
+    monkeypatch.setattr(learning, "_exp0", exp0)
+
+
+def clip(x, c, beta, eps):
+    sq = (x * x).sum(axis=-1, keepdims=True)
+    s = sqrt(c) * sqrt(sq + 1e-300)
+    inside = value(s) <= 1.0 - eps
+    return where(inside, beta, beta * (1.0 - eps) / s) * x
 
 
 def multiplier(Z, P, w, c):
@@ -120,6 +138,7 @@ def cross_entropy(scores, targets):
 
 COMPOSED = {
     "_exp0": exp0,
+    "_clip": clip,
     "_multiplier": multiplier,
     "_dbr": dbr,
     "_base": base,
@@ -206,7 +225,7 @@ def _baseline_correct(episode, baseline, c, projection):
         for q in episode.query[i]:
             if baseline == "geodesic":
                 q = BallPoint(projection.apply(q, c), curv)
-            scores = [learning.euclidean_baseline_score(q, p, baseline) for p in protos]
+            scores = [euclidean_baseline_score(q, p, baseline) for p in protos]
             correct += int(np.argmax(scores)) == i
     return correct
 
@@ -407,37 +426,6 @@ def worst_grad_error(loss, reference, p: ParamVector, h: float = 1e-5) -> float:
     return worst
 
 
-def exp0_point(v, curvature: Curvature) -> BallPoint:
-    """`geometry.exp0` of one tangent vector, before the batched core."""
-    coords = np.asarray(v.coords, dtype=np.float64)
-    x = np.sqrt(curvature.c) * np.linalg.norm(coords)
-    if x < 1e-150:
-        return BallPoint(coords.astype(np.complex128), curvature)
-    t = min(np.tanh(x), 1.0 - 2.0 * BOUNDARY_MARGIN)
-    return BallPoint((t / x) * coords.astype(np.complex128), curvature)
-
-
-def clip_project_point(x, curvature: Curvature, beta, eps) -> BallPoint:
-    """`geometry.clip_project` of one vector, before the batched core."""
-    if not (beta > 0 and np.isfinite(beta)):
-        raise GeometryError(f"beta must be positive, got {beta}")
-    if not (0.0 < eps < 1.0):
-        raise GeometryError(f"eps must lie in (0,1), got {eps}")
-    if beta * (1.0 - eps) >= 1.0:
-        raise GeometryError(
-            f"beta*(1-eps) = {beta * (1.0 - eps)} >= 1 would allow points "
-            "on or outside the ball boundary"
-        )
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise GeometryError("input vector must be finite")
-    nrm = np.linalg.norm(arr)
-    if nrm == 0.0:
-        return BallPoint(arr.astype(np.complex128), curvature)
-    factor = beta * min(1.0, (1.0 - eps) / (np.sqrt(curvature.c) * nrm))
-    return BallPoint((factor * arr).astype(np.complex128), curvature)
-
-
 def fmt_complex(z: complex) -> str:
     if z.imag == 0.0:
         return f"{float(z.real):.17g}"
@@ -448,3 +436,30 @@ def gram_csv(entries) -> str:
     """The CSV text of a Gram matrix, formatted entry by entry."""
     return "".join(",".join(fmt_complex(complex(v)) for v in row) + "\n"
                    for row in entries)
+
+
+def shuffle_labels(dataset: learning.LabeledSet, seed: int) -> learning.LabeledSet:
+    """Random-label control: permute labels independently of features."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(dataset.labels)
+    return learning.LabeledSet(dataset.features, labels, {**dataset.meta, "shuffled": True})
+
+
+def euclidean_baseline_score(q, prototype, mode: str = "euclidean",
+                             curvature: Curvature | None = None) -> float:
+    """Negative squared Euclidean distance, or negative geodesic distance.
+
+    Geodesic mode accepts BallPoints, or raw ball coordinates together
+    with a curvature.
+    """
+    if mode == "euclidean":
+        diff = np.asarray(q, dtype=np.float64) - np.asarray(prototype, dtype=np.float64)
+        return float(-np.dot(diff, diff))
+    if mode != "geodesic":
+        raise ValueError(f"unknown baseline mode {mode!r}")
+    if not isinstance(q, BallPoint):
+        if curvature is None:
+            raise ValueError("geodesic mode needs BallPoints or a curvature")
+        q = BallPoint(np.asarray(q, dtype=np.complex128), curvature)
+        prototype = BallPoint(np.asarray(prototype, dtype=np.complex128), curvature)
+    return float(-geodesic_distance(q, prototype))

@@ -27,7 +27,6 @@ from hypkernels.learning import (
     _zsl_loss,
     evaluate,
     gen_tree_dataset,
-    shuffle_labels,
     train,
 )
 from hypkernels.rkhs import MultiplierParams, dbr_kernel, multiplier_b
@@ -319,7 +318,7 @@ def test_09_desk_scale_learning():
 
 
 def test_10_chance_level_sanity():
-    dataset = shuffle_labels(gen_tree_dataset(0, 3, 3, 8, TREE_SIGMA, 12), seed=1)
+    dataset = oracle.shuffle_labels(gen_tree_dataset(0, 3, 3, 8, TREE_SIGMA, 12), seed=1)
     res = evaluate(None, dataset, 5, 1, 3, 500, seed=0, baseline="euclidean")
     ok = abs(res.accuracy - 0.2) <= res.ci_halfwidth
     report(10, "chance-level-sanity", ok,

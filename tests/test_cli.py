@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from hypkernels import cli, diff, geometry
+from hypkernels import cli, geometry, learning
 from hypkernels.geometry import BallPoint, Curvature, TangentVector, exp0
 from hypkernels.kernels import gram
 from hypkernels.learning import init_params
@@ -185,8 +185,9 @@ def _gram_config(path, variant, c):
 
 
 class TestGramWriter:
-    """`cli.gram_csv` and the batched projection against the per-entry
-    writer and per-row exp0 they replaced (tests/oracle.py), byte for byte."""
+    """`cli.gram_csv` against the per-entry writer it replaced
+    (tests/oracle.py), and the batched projection against exp0 of each
+    row, byte for byte."""
 
     @pytest.mark.parametrize("c", [0.02, 1.0])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -203,7 +204,7 @@ class TestGramWriter:
             assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
                              "--out", str(out)]) == 0
             x, _ = cli._read_features(str(feats))
-            points = [oracle.exp0_point(TangentVector(row), curvature) for row in x]
+            points = [exp0(TangentVector(row), curvature) for row in x]
             assert out.read_text() == oracle.gram_csv(gram(config, points).entries), n
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -239,18 +240,18 @@ class TestGramWriter:
             assert cli.gram_csv(G) == oracle.gram_csv(G), n
 
     def test_projection_calls_exp0_only_for_poles(self, tmp_path, monkeypatch):
-        # The features are projected in one batch and the m poles of
-        # diff.materialize in another; the single-vector geometry.exp0 is
-        # not called.
+        # The features are projected in one call of the projection layer
+        # and the m poles of diff.materialize in another; the single-vector
+        # geometry.exp0 is not called.
         calls = []
-        for name in ("exp0", "exp0_rows"):
+        for name in ("exp0", "_exp0"):
             original = getattr(geometry, name)
 
             def counted(*args, name=name, original=original):
                 calls.append(name)
                 return original(*args)
 
-            for module in (geometry, diff, cli):
+            for module in (geometry, learning):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         cfg = tmp_path / "cfg.json"
@@ -259,7 +260,7 @@ class TestGramWriter:
         _write_features(feats, np.random.default_rng(0).standard_normal((128, 8)))
         assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
                          "--out", str(tmp_path / "G.csv")]) == 0
-        assert calls == ["exp0_rows", "exp0_rows"]
+        assert calls == ["_exp0", "_exp0"]
 
 
 class TestReader:
@@ -515,9 +516,11 @@ class TestTrainEval:
         assert captured.err == "numerical error: overflow in exp\n"
         assert captured.out == ""
 
-    def test_boundary_eval_exit_code(self, tmp_path, capsys):
-        # At curvature 100 the projected points round onto the ball boundary
-        # and the scores are nan: eval, and train at its initial eval, exit 5.
+    def test_boundary_eval_exit_code(self, tmp_path, capsys, monkeypatch):
+        # At curvature 100 the unclamped exp0 rounds the projected points
+        # onto the ball boundary and the scores are nan: eval, and train at
+        # its initial eval, exit 5.
+        oracle.unclamp_exp0(monkeypatch)
         cfg = tmp_path / "boundary.json"
         cfg.write_text(json.dumps({
             "version": 1, "task": "fsl", "curvature": 100.0,
@@ -541,9 +544,10 @@ class TestTrainEval:
                                               ("ahrbf", "similarity"),
                                               ("ahlap", "similarity")])
     def test_boundary_eval_exit_code_in_normalised_variants(self, tmp_path, variant,
-                                                            mode, capsys):
+                                                            mode, capsys, monkeypatch):
         # Variants that normalise or clamp the kernel exit 5 on boundary
         # points too.
+        oracle.unclamp_exp0(monkeypatch)
         cfg = tmp_path / "boundary.json"
         cfg.write_text(json.dumps({
             "version": 1, "task": "fsl", "curvature": 100.0, "score_mode": mode,
@@ -558,6 +562,44 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numerical error: non-finite scores")
+
+    def test_curvature_100_runs(self, tmp_path, capsys):
+        # With the clamped exp0 the points of the boundary tests above stay
+        # inside the ball: train and eval exit 0 with finite results.
+        cfg = tmp_path / "c100.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "task": "fsl", "curvature": 100.0,
+            "kernel": {"variant": "ahl", "truncation": 4},
+            "optimizer": {"steps": 2}, "eval": {"episodes": 20},
+        }))
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        report = tmp_path / "eval.json"
+        assert cli.main(["eval", "--params", str(run / "params.json"),
+                         "--config", str(cfg), "--out", str(report)]) == 0
+        evals = json.loads((run / "eval.json").read_text())
+        for res in (evals["initial"], evals["final"], json.loads(report.read_text())):
+            assert all(np.isfinite(v) for v in res.values())
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["train", "gram"])
+    def test_nan_clip_beta_is_input_error(self, tmp_path, features_csv, command,
+                                          capsys):
+        # The clip parameters are checked as the config is read (exit 2),
+        # not when the points come out non-finite.
+        cfg = tmp_path / "clip.json"
+        projection = {"kind": "clip", "beta": float("nan"), "eps": 0.1}
+        if command == "train":
+            cfg.write_text(json.dumps({"version": 1, "task": "fsl",
+                                       "projection": projection}))
+            args = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        else:
+            cfg.write_text(json.dumps({"version": 1, "projection": projection,
+                                       "kernel": {"variant": "ahl"}}))
+            args = ["gram", "--features", str(features_csv), "--config", str(cfg),
+                    "--out", str(tmp_path / "G.csv")]
+        assert cli.main(args) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: beta must be positive, got nan\n"
 
     @pytest.mark.parametrize("log_c", [1000, -1000])
     def test_eval_rejects_curvature_overflow(self, tmp_path, train_config, log_c,

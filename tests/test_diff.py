@@ -7,7 +7,7 @@ import pytest
 import oracle
 from hpfd import HPScalar, hp_central_diff
 from hypkernels import _gmath as gm
-from hypkernels import diff
+from hypkernels import diff, geometry
 from hypkernels.diff import (
     DEFAULT_BLOCKS,
     Node,
@@ -24,7 +24,7 @@ from hypkernels.diff import (
     tanh,
     where,
 )
-from hypkernels.geometry import TangentVector
+from hypkernels.geometry import TangentVector, exp0
 from hypkernels.learning import Projection, RunConfig, _kernel_from_raws, _scores
 
 
@@ -221,24 +221,28 @@ class TestMaterialize:
         assert materialize(q)[2].c == 0.5
 
     def test_poles_projected_in_one_call(self, monkeypatch):
-        """All poles go through one `exp0_rows` call, each bit-identical to
-        the single-vector `exp0` of its raw row."""
+        """All poles go through one call of the projection layer, each
+        bit-identical to the single-vector `exp0` of its raw row and to the
+        poles that training projects."""
         rng = np.random.default_rng(1)
         p = ParamVector(rng.standard_normal((5, 4)), np.zeros(5), np.ones(2),
                         fixed_c=0.7)
         calls = []
-        original = diff.exp0_rows
+        original = geometry._exp0
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(diff, "exp0_rows", counted)
+        monkeypatch.setattr(geometry, "_exp0", counted)
         params, _, curvature = materialize(p)
         assert len(calls) == 1
         for pole, row in zip(params.poles, p.pole_raws):
-            ref = oracle.exp0_point(TangentVector(row), curvature)
+            ref = exp0(TangentVector(row), curvature)
             np.testing.assert_array_equal(pole.coords, ref.coords)
+        trained = Projection().apply(p.pole_raws, 0.7)
+        np.testing.assert_array_equal(np.stack([q.coords for q in params.poles]),
+                                      trained)
 
     def test_matches_generic_path(self):
         # The numpy constrained view and the generic scalar view must agree.

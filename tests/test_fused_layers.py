@@ -1,7 +1,7 @@
 """The fused layers of the batched forward against their composed references.
 
-Each layer of the forward (exp0 projection and cross-entropy in
-`learning`; multiplier b(Z), de Branges-Rovnyak matrix, Gram distance and
+Each layer of the forward (exp0 and clip projections in `geometry`;
+cross-entropy in `learning`; multiplier b(Z), de Branges-Rovnyak matrix, Gram distance and
 the weights' softmax in `rkhs`; base normalisation and radial Horner
 polynomial in `kernels`)
 is one tape node with a closed-form VJP.  `oracle.COMPOSED` builds the
@@ -12,6 +12,9 @@ entry: per layer on stacked leading axes with the curvature on the tape,
 and through whole losses for every variant, score mode, projection and
 task, at the branch points (zero-norm rows take the tanh(r)/r series, a
 zero pole, a query on its prototype meets the clamp and the ahlap sqrt).
+The composed exp0 has no tanh clamp, so the rows past the clamp, and the
+rows whose squared norm overflows, are checked against the closed form
+of the map there, (1 - 2e-9) x/(sqrt(c)|x|).
 The whole-loss cases substitute each layer wherever it is bound and
 require exactly the layers the case reads to have run in composed form.
 A tape-size guard keeps the layers fused.
@@ -25,9 +28,9 @@ import numpy as np
 import pytest
 
 import oracle
-from hypkernels import kernels, learning, rkhs
+from hypkernels import geometry, kernels, learning, rkhs
 from hypkernels.cli import _run_config_from_json
-from hypkernels.diff import Node, ParamVector, backward, grad, value
+from hypkernels.diff import Node, ParamVector, backward, grad, sqrt, value
 from hypkernels.kernels import VARIANTS
 from hypkernels.learning import (
     Projection,
@@ -47,9 +50,9 @@ MAX_TAPE_NODES = 13
 QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
 PROJECTIONS = {"exp0": Projection(), "clip": Projection("clip", beta=0.9, eps=0.2)}
 # The module that defines each fused layer.
-OWNERS = {"_exp0": learning, "_multiplier": rkhs, "_dbr": rkhs, "_gram_distance": rkhs,
-          "_base": kernels, "_radial": kernels, "_cross_entropy": learning,
-          "softmax": rkhs}
+OWNERS = {"_exp0": geometry, "_clip": geometry, "_multiplier": rkhs, "_dbr": rkhs,
+          "_gram_distance": rkhs, "_base": kernels, "_radial": kernels,
+          "_cross_entropy": learning, "softmax": rkhs}
 
 
 def _assert_close(got, ref):
@@ -59,19 +62,23 @@ def _assert_close(got, ref):
         np.abs(ref), initial=0.0)
 
 
+def _layer_grads(layer, args, on_tape, seed=0):
+    """Value of layer(*args) and the gradients of a random linear
+    functional of it, with args[i] on one tape where on_tape[i]."""
+    tape = []
+    nodes = [Node(a, tape) if t else a for a, t in zip(args, on_tape)]
+    out = layer(*nodes)
+    weights = np.random.default_rng(seed).standard_normal(np.shape(value(out)))
+    backward((out * weights).sum())
+    return [value(out)] + [n.grad for n in nodes if isinstance(n, Node)]
+
+
 def _compare(fused, composed, args, on_tape, seed=0):
     """fused(*args) and composed(*args) with args[i] on one tape where
     on_tape[i]: identical values, and matching gradients of a random
     linear functional of the output."""
-    results = []
-    for layer in (fused, composed):
-        tape = []
-        nodes = [Node(a, tape) if t else a for a, t in zip(args, on_tape)]
-        out = layer(*nodes)
-        weights = np.random.default_rng(seed).standard_normal(np.shape(value(out)))
-        backward((out * weights).sum())
-        results.append((value(out), [n.grad for n in nodes if isinstance(n, Node)]))
-    (v_fused, g_fused), (v_comp, g_comp) = results
+    (v_fused, *g_fused), (v_comp, *g_comp) = (
+        _layer_grads(layer, args, on_tape, seed) for layer in (fused, composed))
     np.testing.assert_array_equal(v_fused, v_comp)
     assert len(g_fused) == len(g_comp) == sum(on_tape)
     for a, b in zip(g_fused, g_comp):
@@ -90,7 +97,84 @@ def test_exp0(on_tape):
     x = rng.standard_normal((2, 5, 3))
     x[0, 1] = 0.0
     x[1, 4] = 0.0
-    _compare(learning._exp0, oracle.exp0, (x, np.array(0.7)), on_tape)
+    _compare(geometry._exp0, oracle.exp0, (x, np.array(0.7)), on_tape)
+
+
+def _past_clamp(x, c):
+    """exp0 past its clamp, composed: TANH_MAX x/(sqrt(c)|x|)."""
+    return geometry.TANH_MAX * x / (sqrt(c) * sqrt((x * x).sum(axis=-1, keepdims=True)))
+
+
+@pytest.mark.parametrize("on_tape", [(True, True), (True, False), (False, True)])
+def test_exp0_past_the_clamp(on_tape):
+    """Rows past the clamp (r > 10.4) against the closed form of the map
+    there, to 1e-12 in values and gradients (tanh' = 0 past the clamp)."""
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2, 4, 3))
+    x *= np.array([12.5, 20.0, 1e3, 1e150])[:, None] / np.linalg.norm(
+        x, axis=-1, keepdims=True)
+    args = (x, np.array(0.7))
+    fused = _layer_grads(geometry._exp0, args, on_tape)
+    for got, ref in zip(fused, _layer_grads(_past_clamp, args, on_tape)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(np.sqrt(0.7) * np.linalg.norm(fused[0], axis=-1),
+                               geometry.TANH_MAX, rtol=1e-15)
+
+
+@pytest.mark.parametrize("on_tape", [(True, True), (True, False), (False, True)])
+def test_exp0_overflowing_rows(on_tape):
+    """Rows whose squared norm overflows land next to the boundary along
+    their direction: values and gradients match the closed form past the
+    clamp on the rows scaled by powers of two 2^k to a norm near 2^10,
+    where the map is the same and its gradient along x 2^k times larger."""
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((2, 3, 3)) * np.array([1e160, 1e200, 1e300])[:, None]
+    x[1, 2] = np.array([1e308, -1e308, 3.0])
+    k = 10 - np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]
+    with np.errstate(over="ignore"):
+        fused = _layer_grads(geometry._exp0, (x, np.array(0.7)), on_tape)
+    ref = _layer_grads(_past_clamp, (np.ldexp(x, k), np.array(0.7)), on_tape)
+    if on_tape[0]:
+        ref[1] = np.ldexp(ref[1], k)
+    for got, want in zip(fused, ref):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("on_tape", [(True, True), (True, False), (False, True)])
+def test_clip(on_tape):
+    """Rows inside and outside the shell, a zero row and rows a few ulps
+    either side of the threshold."""
+    rng = np.random.default_rng(14)
+    c, eps = 0.7, 0.2
+    x = rng.standard_normal((2, 6, 3)) * rng.uniform(0.1, 3.0, (2, 6, 1))
+    x[0, 1] = 0.0
+    shell = (1.0 - eps) / np.sqrt(c)
+    for k, steps in enumerate((-2, -1, 0, 1)):
+        x[1, k] *= shell / np.linalg.norm(x[1, k]) * (1.0 + steps * 2.0**-52)
+    _compare(lambda x, c: geometry._clip(x, c, 0.9, eps),
+             lambda x, c: oracle.clip(x, c, 0.9, eps), (x, np.array(c)), on_tape)
+
+
+@pytest.mark.parametrize("on_tape", [(True, True), (True, False), (False, True)])
+def test_clip_overflowing_rows(on_tape):
+    """Rows whose squared norm overflows are clipped to the shell along
+    their direction: values and gradients match the composed clip on the
+    rows scaled by powers of two 2^k to a norm near 2^10, still outside
+    the shell, where the map is the same and its gradient along x 2^k
+    times larger."""
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((2, 3, 4)) * np.array([1e160, 1e200, 1e300])[:, None]
+    x[1, 2] = np.array([1e308, -1e308, 0.5, 2.0])
+    k = 10 - np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]
+    with np.errstate(over="ignore"):
+        fused = _layer_grads(lambda x, c: geometry._clip(x, c, 0.9, 0.2),
+                             (x, np.array(0.7)), on_tape)
+    ref = _layer_grads(lambda x, c: oracle.clip(x, c, 0.9, 0.2),
+                       (np.ldexp(x, k), np.array(0.7)), on_tape)
+    if on_tape[0]:
+        ref[1] = np.ldexp(ref[1], k)
+    for got, want in zip(fused, ref):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("on_tape", [(True, True, True, True),
@@ -267,7 +351,7 @@ def _substitute_composed(monkeypatch) -> set:
             ran.add(name)
             return composed(*args)
 
-        for module in (learning, kernels, rkhs):
+        for module in (geometry, learning, kernels, rkhs):
             if getattr(module, name, None) is fused:
                 monkeypatch.setattr(module, name, substitute)
     return ran
@@ -275,9 +359,7 @@ def _substitute_composed(monkeypatch) -> set:
 
 def _layers_read(variant, mode, projection) -> set:
     """The layers a loss of this variant, score mode and projection runs."""
-    layers = {"_dbr", "_cross_entropy"}
-    if projection == "exp0":
-        layers.add("_exp0")
+    layers = {"_dbr", "_cross_entropy", "_" + projection}
     if variant != "da":
         # the poles go through exp0, the weights through softmax
         layers |= {"_exp0", "_multiplier", "softmax"}

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-import oracle
+from hpfd import HPScalar
+from hypkernels import _gmath as gm
 from hypkernels.geometry import (
+    TANH_MAX,
     BallPoint,
     Curvature,
     DimensionMismatch,
@@ -19,6 +21,7 @@ from hypkernels.geometry import (
     pseudo_distance,
     pseudo_distance_closed_form,
 )
+from hypkernels.learning import Projection
 
 C1 = Curvature(1.0)
 
@@ -137,7 +140,7 @@ def _bits(points):
 
 
 def _rows(rng, n, dim):
-    """Rows whose norms span 1e-160 (the origin branch of exp0) to 1e150
+    """Rows whose norms span 1e-160 (the series branch of exp0) to 1e150
     (past the tanh clamp), with exact zero and signed-zero rows."""
     X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-160, 150, (n, 1))
     X[0] = 0.0
@@ -147,9 +150,59 @@ def _rows(rng, n, dim):
     return X
 
 
+def _clip_rows(rng, n, dim, c, eps):
+    """`_rows` with rows a few ulps either side of the clip threshold."""
+    X = _rows(rng, n, dim)
+    shell = (1.0 - eps) / np.sqrt(c)
+    for k, steps in enumerate(range(-6, 7), start=4):
+        u = rng.standard_normal(dim)
+        X[k] = u * (shell / np.linalg.norm(u)) * (1.0 + steps * 2.0**-52)
+    return X
+
+
+# Worst relative error of a projected coordinate against the 60-digit map.
+PROJECTION_RTOL = 4e-15
+
+
 class TestBatchedProjection:
-    """exp0_rows / clip_project_rows against the per-row functions they
-    replaced (tests/oracle.py), bit for bit."""
+    """exp0_rows / clip_project_rows, which run the one projection layer
+    (`geometry._exp0`, `geometry._clip`), against the 60-digit scalar maps
+    of `_gmath` (the exp0 reference with its tanh clamped at TANH_MAX),
+    and one row projected alone against the same row of a batch, bit for
+    bit."""
+
+    @staticmethod
+    def _assert_near_60_digits(points, X, reference, c):
+        got = np.stack([p.coords.real for p in points])
+        assert not np.stack([p.coords.imag for p in points]).any()
+        for row, x in zip(got, X):
+            ref = reference([HPScalar(v) for v in x], HPScalar(c))
+            r = HPScalar(c).sqrt() * gm.norm_sq(ref).sqrt()
+            if float(r) > TANH_MAX:
+                ref = [v * (TANH_MAX / r) for v in ref]
+            # a subnormal coordinate is exact to half its spacing, 2^-1075
+            err = [float(abs((HPScalar(g) - v).v) - 2.0**-1075) / abs(float(v))
+                   for g, v in zip(row, ref) if float(v)]
+            assert max(err, default=0.0) <= PROJECTION_RTOL, x
+            assert [g == 0.0 for g in row] == [float(v) == 0.0 for v in ref]
+
+    @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
+    def test_exp0_rows_match_60_digits(self, c):
+        rng = np.random.default_rng(int(c * 100))
+        curvature = Curvature(c)
+        for dim in range(1, 41, 5):
+            X = _rows(rng, 40, dim)
+            self._assert_near_60_digits(exp0_rows(X, curvature), X, gm.exp0, c)
+
+    @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
+    @pytest.mark.parametrize("beta,eps", [(0.9, 0.1), (1.0, 1e-3), (0.5, 0.6)])
+    def test_clip_project_rows_match_60_digits(self, c, beta, eps):
+        rng = np.random.default_rng(int(c * 100))
+        for dim in range(1, 41, 5):
+            X = _clip_rows(rng, 40, dim, c, eps)
+            self._assert_near_60_digits(
+                clip_project_rows(X, Curvature(c), beta, eps), X,
+                lambda x, c: gm.clip_project(x, c, beta, eps), c)
 
     @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
     def test_exp0_rows_bit_identical(self, c):
@@ -157,34 +210,38 @@ class TestBatchedProjection:
         curvature = Curvature(c)
         for dim in range(1, 41):
             X = _rows(rng, 40, dim)
-            want = [oracle.exp0_point(TangentVector(row), curvature) for row in X]
-            assert np.array_equal(_bits(exp0_rows(X, curvature)), _bits(want)), dim
-            assert np.array_equal(_bits([exp0(TangentVector(X[5]), curvature)]),
-                                  _bits(want[5:6]))
-
-    def test_exp0_rows_hit_both_branches_and_the_clamp(self):
-        X = np.array([[0.0, 0.0], [1e-151, 0.0], [1e-140, 0.0], [50.0, 0.0]])
-        points = exp0_rows(X, C1)
-        assert points[1].coords[0] == 1e-151    # origin branch: unscaled
-        assert points[3].norm == pytest.approx(1.0 - 2e-9, rel=1e-15)
+            alone = [exp0(TangentVector(row), curvature) for row in X]
+            assert np.array_equal(_bits(exp0_rows(X, curvature)), _bits(alone)), dim
 
     @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
     @pytest.mark.parametrize("beta,eps", [(0.9, 0.1), (1.0, 1e-3), (0.5, 0.6)])
     def test_clip_project_rows_bit_identical(self, c, beta, eps):
         rng = np.random.default_rng(int(c * 100))
         curvature = Curvature(c)
-        shell = (1.0 - eps) / np.sqrt(c)
         for dim in range(1, 41):
-            X = _rows(rng, 40, dim)
-            # rows a few ulps either side of the clip threshold
-            for k, steps in enumerate(range(-6, 7), start=4):
-                u = rng.standard_normal(dim)
-                X[k] = u * (shell / np.linalg.norm(u)) * (1.0 + steps * 2.0**-52)
-            want = [oracle.clip_project_point(row, curvature, beta, eps) for row in X]
+            X = _clip_rows(rng, 40, dim, c, eps)
+            alone = [clip_project(row, curvature, beta, eps) for row in X]
             assert np.array_equal(
-                _bits(clip_project_rows(X, curvature, beta, eps)), _bits(want)), dim
-            assert np.array_equal(_bits([clip_project(X[7], curvature, beta, eps)]),
-                                  _bits(want[7:8]))
+                _bits(clip_project_rows(X, curvature, beta, eps)), _bits(alone)), dim
+
+    def test_exp0_rows_hit_both_branches_and_the_clamp(self):
+        X = np.array([[0.0, 0.0], [1e-151, 0.0], [1e-140, 0.0], [50.0, 0.0]])
+        points = exp0_rows(X, C1)
+        assert points[1].coords[0] == 1e-151    # series branch: unscaled
+        assert points[3].norm == pytest.approx(TANH_MAX, rel=1e-15)
+
+    @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
+    def test_huge_vectors_land_next_to_the_boundary(self, c):
+        # |v|^2 overflows (numpy warns of it); the image lies along v next
+        # to the boundary, not at the origin.
+        v = np.full(4, 1e200)
+        with np.errstate(over="ignore"):
+            p = exp0(TangentVector(v), Curvature(c))
+            q = clip_project(v, Curvature(c), 0.9, 0.1)
+        assert p.norm == pytest.approx(TANH_MAX / np.sqrt(c), rel=1e-15)
+        assert q.norm == pytest.approx(0.9 * 0.9 / np.sqrt(c), rel=1e-15)
+        for point in (p, q):
+            np.testing.assert_allclose(point.coords.real / point.norm, 0.5, rtol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_same_error(self, bad):
@@ -192,24 +249,31 @@ class TestBatchedProjection:
         X[2, 1] = bad
         with pytest.raises(GeometryError, match="^tangent vector must be finite$"):
             exp0_rows(X, C1)
-        with pytest.raises(GeometryError) as got:
-            clip_project_rows(X, C1, 0.9, 0.1)
-        with pytest.raises(GeometryError) as want:
-            oracle.clip_project_point(X[2], C1, 0.9, 0.1)
-        assert str(got.value) == str(want.value)
+        for project in (lambda: clip_project_rows(X, C1, 0.9, 0.1),
+                        lambda: clip_project(X[2], C1, 0.9, 0.1)):
+            with pytest.raises(GeometryError, match="^input vector must be finite$"):
+                project()
 
-    @pytest.mark.parametrize("beta,eps", [(0.0, 0.1), (-1.0, 0.1), (np.inf, 0.1),
-                                          (np.nan, 0.1), (1.0, 0.0), (1.0, 1.0),
-                                          (0.5, np.nan), (2.0, 0.1)])
-    def test_bad_parameters_same_error(self, beta, eps):
+    @pytest.mark.parametrize("beta,eps,message", [
+        pytest.param(0.0, 0.1, "beta must be positive, got 0.0", id="0.0-0.1"),
+        pytest.param(-1.0, 0.1, "beta must be positive, got -1.0", id="-1.0-0.1"),
+        pytest.param(np.inf, 0.1, "beta must be positive, got inf", id="inf-0.1"),
+        pytest.param(np.nan, 0.1, "beta must be positive, got nan", id="nan-0.1"),
+        pytest.param(1.0, 0.0, "eps must lie in (0,1), got 0.0", id="1.0-0.0"),
+        pytest.param(1.0, 1.0, "eps must lie in (0,1), got 1.0", id="1.0-1.0"),
+        pytest.param(0.5, np.nan, "eps must lie in (0,1), got nan", id="0.5-nan"),
+        pytest.param(2.0, 0.1, "beta*(1-eps) = 1.8 >= 1 would allow points on or "
+                               "outside the ball boundary", id="2.0-0.1")])
+    def test_bad_parameters_same_error(self, beta, eps, message):
+        # The rows, the single vector and the training projection share
+        # one parameter check.
         x = np.array([0.1, 0.2])
-        with pytest.raises(GeometryError) as want:
-            oracle.clip_project_point(x, C1, beta, eps)
         for project in (lambda: clip_project_rows(x[None], C1, beta, eps),
-                        lambda: clip_project(x, C1, beta, eps)):
+                        lambda: clip_project(x, C1, beta, eps),
+                        lambda: Projection("clip", beta, eps)):
             with pytest.raises(GeometryError) as got:
                 project()
-            assert str(got.value) == str(want.value)
+            assert str(got.value) == message
 
     def test_boundary_rejection_same_error(self):
         # beta*(1-eps) < 1 passes the parameter check, but the clipped
@@ -217,7 +281,7 @@ class TestBatchedProjection:
         beta, eps = 1.0, 1e-12
         X = np.array([[0.1, 0.0], [3.0, 4.0], [5.0, 0.0]])
         with pytest.raises(GeometryError) as want:
-            oracle.clip_project_point(X[1], C1, beta, eps)
+            clip_project(X[1], C1, beta, eps)
         with pytest.raises(GeometryError) as got:
             clip_project_rows(X, C1, beta, eps)
         assert str(got.value) == str(want.value)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from hypkernels import diff, learning
 from hypkernels.checks import random_multiplier
 from hypkernels.cli import EXIT_DIVERGENCE, _run_config_from_json, main
@@ -17,14 +18,12 @@ from hypkernels.learning import (
     LabeledSet,
     Projection,
     RunConfig,
-    euclidean_baseline_score,
     evaluate,
     fsl_loss,
     gen_tree_dataset,
     init_params,
     params_to_kernel_config,
     sample_episode,
-    shuffle_labels,
     sts_loss,
     train,
     zsl_loss,
@@ -86,7 +85,7 @@ class TestTreeDataset:
             gen_tree_dataset(0, 3, 3, 8, -0.1, 12)
 
     def test_shuffle_labels_keeps_features(self, dataset):
-        shuffled = shuffle_labels(dataset, seed=1)
+        shuffled = oracle.shuffle_labels(dataset, seed=1)
         np.testing.assert_array_equal(shuffled.features, dataset.features)
         assert not np.array_equal(shuffled.labels, dataset.labels)
         assert sorted(shuffled.labels) == sorted(dataset.labels)
@@ -185,18 +184,18 @@ class TestLosses:
 
 class TestBaselines:
     def test_euclidean_score(self):
-        s = euclidean_baseline_score(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        s = oracle.euclidean_baseline_score(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
         assert s == pytest.approx(-1.0)
 
     def test_geodesic_needs_curvature(self):
         with pytest.raises(ValueError):
-            euclidean_baseline_score(np.array([0.1]), np.array([0.2]),
+            oracle.euclidean_baseline_score(np.array([0.1]), np.array([0.2]),
                                      mode="geodesic")
 
     def test_geodesic_score(self):
         from hypkernels.geometry import Curvature
 
-        s = euclidean_baseline_score(np.array([0.0]), np.array([0.5]),
+        s = oracle.euclidean_baseline_score(np.array([0.0]), np.array([0.5]),
                                      mode="geodesic", curvature=Curvature(1.0))
         assert s == pytest.approx(-2.0 * np.arctanh(0.5))
 
@@ -228,9 +227,11 @@ class TestEvaluate:
             evaluate(None, dataset, 5, 1, 3, episodes=2, seed=0)
 
 
-    def test_boundary_scores_raise(self, dataset):
-        # At curvature 100 the projected points round onto the boundary,
-        # 1 - c|z|^2 = 0: the kernel is inf and the scores nan.
+    def test_boundary_scores_raise(self, dataset, monkeypatch):
+        # At curvature 100 the unclamped exp0 rounds the projected points
+        # onto the boundary, 1 - c|z|^2 = 0: the kernel is inf and the
+        # scores nan.
+        oracle.unclamp_exp0(monkeypatch)
         run = RunConfig(variant="ahl", curvature=100.0)
         config = params_to_kernel_config(run, init_params(run))
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
@@ -239,9 +240,11 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode", ["distance", "similarity"])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_boundary_raises_in_every_variant_and_mode(self, dataset, variant, mode):
+    def test_boundary_raises_in_every_variant_and_mode(self, dataset, variant, mode,
+                                                       monkeypatch):
         # No boundary nan may be clamped, masked or normalised into a
         # finite score, whichever layers the variant and mode run.
+        oracle.unclamp_exp0(monkeypatch)
         run = RunConfig(variant=variant, curvature=100.0)
         config = params_to_kernel_config(run, init_params(run))
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
@@ -250,13 +253,15 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode", ["distance", "similarity"])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_one_boundary_point_raises(self, variant, mode):
+    def test_one_boundary_point_raises(self, variant, mode, monkeypatch):
         # Five classes of four rows: every 5-way 1+3-shot episode holds every
-        # row, one of which exp0 maps exactly onto the boundary at c = 1.
+        # row, one of which the unclamped exp0 maps exactly onto the
+        # boundary at c = 1.
+        oracle.unclamp_exp0(monkeypatch)
         features = 0.3 * np.random.default_rng(0).standard_normal((20, 8))
         features[6] = 0.0
         features[6, 0] = 40.0
-        z = learning._exp0(features[6], 1.0)
+        z = oracle.exp0(features[6], 1.0)
         assert 1.0 - z @ z <= 0.0
         data = LabeledSet(features, np.repeat(np.arange(5), 4))
         run = RunConfig(variant=variant, curvature=1.0)
@@ -264,6 +269,18 @@ class TestEvaluate:
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
                                                       match="non-finite"):
             evaluate(config, data, 5, 1, 3, episodes=1, seed=0, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["distance", "similarity"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_clamped_projection_keeps_curvature_100_finite(self, dataset, variant,
+                                                           mode):
+        # The clamp keeps every projected point off the boundary, so the
+        # evaluation that the unclamped map breaks above is finite.
+        run = RunConfig(variant=variant, curvature=100.0)
+        config = params_to_kernel_config(run, init_params(run))
+        res = evaluate(config, dataset, 5, 1, 3, episodes=200, seed=2, mode=mode)
+        assert 0.0 <= res.accuracy <= 1.0
+        assert math.isfinite(res.mean_loss) and math.isfinite(res.ci_halfwidth)
 
 
 class TestTrain:

@@ -301,7 +301,9 @@ def test_unknown_baseline_is_rejected(dataset):
         evaluate(None, dataset, 5, 1, 3, 2, 0, baseline="cosine")
 
 
-def test_geodesic_baseline_rejects_boundary_points(dataset):
-    # At c = 100 the exp0 images of the features sit on the boundary.
+def test_geodesic_baseline_rejects_boundary_points(dataset, monkeypatch):
+    # At c = 100 the unclamped exp0 images of the features sit on the
+    # boundary.
+    oracle.unclamp_exp0(monkeypatch)
     with pytest.raises(GeometryError):
         evaluate(None, dataset, 5, 1, 3, 2, 0, baseline="geodesic", curvature=100.0)
