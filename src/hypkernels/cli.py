@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 from .checks import (check_identities, check_isometry, check_psd,
                      random_multiplier, sample_ball_points)
 from .diff import DEFAULT_BLOCKS, ParamVector, materialize
-from .geometry import Curvature, GeometryError, _ball_points
+from .geometry import Curvature, GeometryError
 from .kernels import ConfigError, KernelConfig, RadialCoeffs, gram
 from .learning import (DivergenceError, Projection, RunConfig, evaluate,
                        gen_tree_dataset, init_params, params_to_kernel_config,
@@ -47,41 +48,55 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _format_entries(z: np.ndarray) -> np.ndarray:
+def _format(spec: str, values: np.ndarray) -> list:
+    """Each row of values (or each value) as text, by one %-operation."""
+    count = len(values)
+    if not count:
+        return []
+    return (((spec + ",") * count)[:-1] % tuple(values.ravel().tolist())).split(",")
+
+
+def _format_entries(z: np.ndarray) -> list:
     """Each complex entry as text: its real part, followed by a signed
     imaginary part and "j" when that is nonzero, each to 17 significant
     digits.  The real and the complex entries are each formatted by one
     %-operation."""
-    out = np.empty(z.size, dtype=object)
+    if not z.imag.any():
+        return _format("%.17g", z.real)
     real = z.imag == 0.0
-    for mask, spec, values in (
-        (real, "%.17g", z.real[real]),
-        (~real, "%.17g%+.17gj", np.stack([z.real[~real], z.imag[~real]], axis=-1)),
-    ):
-        count = len(values)
-        if count:
-            out[mask] = (",".join([spec] * count) % tuple(values.ravel().tolist())).split(",")
-    return out
+    out = np.empty(z.size, dtype=object)
+    out[real] = _format("%.17g", z.real[real])
+    out[~real] = _format("%.17g%+.17gj",
+                         np.stack([z.real[~real], z.imag[~real]], axis=-1))
+    return out.tolist()
 
 
 def gram_csv(entries: np.ndarray) -> str:
     """The CSV text of a Hermitian matrix, one row per line.
 
-    Each upper-triangle entry is formatted once.  A lower-triangle cell
-    reuses the text of its mirror, unless its imaginary part is nonzero;
+    Each upper-triangle entry is formatted once, in one pass.  A
+    lower-triangle cell reuses the text of its mirror, taken from the
+    transpose of the upper rows, unless its imaginary part is nonzero;
     then its own value, the mirror's conjugate, is formatted.  The
     output is exact only if the lower triangle holds the bit-exact
     conjugates of the upper one, as `kernels.gram` guarantees.
     """
     n = entries.shape[0]
-    cells = np.empty((n, n), dtype=object)
-    upper = np.triu_indices(n)
-    cells[upper] = _format_entries(entries[upper])
-    lower = np.tril_indices(n, -1)
-    cells[lower] = cells.T[lower]
-    rows, cols = (idx[entries.imag[lower] != 0.0] for idx in lower)
-    cells[rows, cols] = _format_entries(entries[rows, cols])
-    return "".join([",".join(row) + "\n" for row in cells.tolist()])
+    cells = _format_entries(entries[~np.tri(n, k=-1, dtype=bool)])
+    ends = np.cumsum(np.arange(n, 0, -1)).tolist()
+    upper = [cells[end - n + i:end] for i, end in enumerate(ends)]
+    # Column i of the padded upper rows holds the texts of row i's lower
+    # cells in its first i places.
+    padded = [[""] * i + row for i, row in enumerate(upper)]
+    if entries.imag.any():
+        lower = np.tril_indices(n, -1)
+        rows, cols = (idx[entries.imag[lower] != 0.0] for idx in lower)
+        for i, j, text in zip(rows.tolist(), cols.tolist(),
+                              _format_entries(entries[rows, cols])):
+            padded[j][i] = text
+    mirrors = list(zip(*padded))
+    return "".join([",".join(mirrors[i][:i] + tuple(row)) + "\n"
+                    for i, row in enumerate(upper)])
 
 
 def _check_keys(obj: dict, allowed: set, context: str) -> None:
@@ -105,21 +120,52 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+def _number(obj: dict, key: str, default=None, *, integer: bool = False,
+            minimum=None, context: str = ""):
+    """obj[key], or default when the key is absent: a JSON number (a bool
+    is not one), integral when integer is set, and at least minimum when
+    that is given.  Returns an int for integer fields, a float otherwise;
+    ConfigFileError names context + key and the value when it fails."""
+    if key not in obj:
+        return default
+    v = obj[key]
+    name = context + key
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigFileError(f"{name} must be a number, got {json.dumps(v)}")
+    if integer:
+        if not (isinstance(v, int) or (math.isfinite(v) and v == int(v))):
+            raise ConfigFileError(f"{name} must be an integer, got {v!r}")
+        v = int(v)
+    else:
+        v = float(v)
+    if minimum is not None and not v >= minimum:
+        raise ConfigFileError(f"{name} must be at least {minimum}, got {v!r}")
+    return v
+
+
 def _parse_projection(obj: dict) -> Projection:
     _check_keys(obj, {"kind", "beta", "eps"}, "projection")
-    return Projection(obj.get("kind", "exp0"), obj.get("beta"), obj.get("eps"))
+    return Projection(obj.get("kind", "exp0"),
+                      _number(obj, "beta", context="projection."),
+                      _number(obj, "eps", context="projection."))
 
 
-# Kernel keys and how each is read; absent keys take the RunConfig defaults.
-KERNEL_KEYS = {
-    "variant": str, "m": int, "truncation": int, "offset": float,
-    "degree": int, "bandwidth": float, "init_seed": int, "init_scale": float,
+# Numeric kernel keys: (integer?, minimum).  Absent keys take the
+# RunConfig defaults.
+KERNEL_NUMBERS = {
+    "m": (True, 1), "truncation": (True, 1), "offset": (False, None),
+    "degree": (True, None), "bandwidth": (False, None), "init_seed": (True, 0),
+    "init_scale": (False, None),
 }
 
 
 def _kernel_fields(kobj: dict) -> dict:
-    _check_keys(kobj, KERNEL_KEYS.keys(), "kernel")
-    return {k: read(kobj[k]) for k, read in KERNEL_KEYS.items() if k in kobj}
+    _check_keys(kobj, {"variant", *KERNEL_NUMBERS}, "kernel")
+    fields = {k: _number(kobj, k, integer=integer, minimum=minimum, context="kernel.")
+              for k, (integer, minimum) in KERNEL_NUMBERS.items() if k in kobj}
+    if "variant" in kobj:
+        fields["variant"] = str(kobj["variant"])
+    return fields
 
 
 def _kernel_config_from_json(kobj: dict, dim: int, curvature: float) -> KernelConfig:
@@ -131,7 +177,10 @@ def _kernel_config_from_json(kobj: dict, dim: int, curvature: float) -> KernelCo
 
 
 def _read_features(path: str):
-    """CSV features: header row, optional leading label column."""
+    """CSV features: header row, optional leading label column.  Blank
+    lines are skipped.  The cells are converted by one map(float) and
+    checked for finiteness at once; a file that fails is read again cell
+    by cell to name its first bad line and column."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -146,18 +195,33 @@ def _read_features(path: str):
     start = 1 if has_label else 0
     if len(header) - start < 1:
         raise ConfigFileError(f"{path}: header declares no feature columns")
-    features = []
-    labels = []
+    data = [row for row in rows[1:] if row]
+    if not data:
+        raise ConfigFileError(f"{path}: no data rows")
+    shape = (len(data), len(header) - start)
+    features = None
+    if set(map(len, data)) == {len(header)}:
+        cells = itertools.chain.from_iterable(row[start:] for row in data)
+        try:
+            features = np.fromiter(map(float, cells), np.float64, shape[0] * shape[1])
+        except ValueError:
+            pass
+    if features is None or not np.isfinite(features).all():
+        _raise_first_bad_cell(path, rows, len(header), start)
+    labels = [row[0].strip() for row in data] if has_label else []
+    return features.reshape(shape), labels
+
+
+def _raise_first_bad_cell(path: str, rows: list, width: int, start: int):
+    """ConfigFileError naming the first ragged row, non-number or
+    non-finite value of the data rows."""
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(header):
+        if len(row) != width:
             raise ConfigFileError(
-                f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
+                f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
             )
-        if has_label:
-            labels.append(row[0].strip())
-        vals = []
         for colno, cell in enumerate(row[start:], start=start + 1):
             try:
                 v = float(cell)
@@ -169,11 +233,7 @@ def _read_features(path: str):
                 raise ConfigFileError(
                     f"{path}: line {lineno}, column {colno}: non-finite value"
                 )
-            vals.append(v)
-        features.append(vals)
-    if not features:
-        raise ConfigFileError(f"{path}: no data rows")
-    return np.array(features), labels
+    raise AssertionError("no bad cell in a feature file that failed to parse")
 
 
 def _write_outputs(files: dict) -> int:
@@ -198,12 +258,11 @@ def cmd_gram(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        curvature = Curvature(float(cfg.get("curvature", 1.0)))
+        curvature = Curvature(_number(cfg, "curvature", 1.0))
         config = _kernel_config_from_json(
             cfg.get("kernel", {}), features.shape[1], curvature.c
         )
-        points = _ball_points(projection.apply(features, curvature.c), curvature)
-        G = gram(config, points)
+        G = gram(config, projection.apply(features, curvature.c))
     except ConfigFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -344,33 +403,37 @@ def _run_config_from_json(cfg: dict, seed_override=None) -> RunConfig:
     _check_keys(vobj, EVAL_KEYS, "eval")
     sobj = cfg.get("sts", {})
     _check_keys(sobj, STS_KEYS, "sts")
-    train_seed = int(seed_override if seed_override is not None
-                     else cfg.get("train_seed", 1))
+    train_seed = (int(seed_override) if seed_override is not None
+                  else _number(cfg, "train_seed", 1, integer=True, minimum=0))
+
+    def count(obj, key, default, context, minimum=None):
+        return _number(obj, key, default, integer=True, minimum=minimum, context=context)
+
     return RunConfig(
         task=cfg.get("task", "fsl"),
-        curvature=float(cfg.get("curvature", 1.0)),
+        curvature=_number(cfg, "curvature", 1.0),
         train_curvature=bool(cfg.get("train_curvature", False)),
         projection=_parse_projection(cfg.get("projection", {})),
-        dataset_seed=int(dobj.get("seed", 0)),
-        depth=int(dobj.get("depth", 3)),
-        branching=int(dobj.get("branching", 3)),
-        dim=int(dobj.get("dim", 8)),
-        noise_sigma=float(dobj.get("noise_sigma", 0.35)),
-        samples_per_leaf=int(dobj.get("samples_per_leaf", 12)),
-        step_length=float(dobj.get("step_length", 1.0)),
-        n_way=int(eobj.get("n_way", 5)),
-        n_shot=int(eobj.get("n_shot", 1)),
-        n_query=int(eobj.get("n_query", 3)),
+        dataset_seed=count(dobj, "seed", 0, "dataset.", minimum=0),
+        depth=count(dobj, "depth", 3, "dataset."),
+        branching=count(dobj, "branching", 3, "dataset."),
+        dim=count(dobj, "dim", 8, "dataset."),
+        noise_sigma=_number(dobj, "noise_sigma", 0.35, context="dataset."),
+        samples_per_leaf=count(dobj, "samples_per_leaf", 12, "dataset."),
+        step_length=_number(dobj, "step_length", 1.0, context="dataset."),
+        n_way=count(eobj, "n_way", 5, "episode."),
+        n_shot=count(eobj, "n_shot", 1, "episode."),
+        n_query=count(eobj, "n_query", 3, "episode."),
         optimizer_mode=oobj.get("mode", "adam"),
-        lr=float(oobj.get("lr", 0.05)),
-        steps=int(oobj.get("steps", 200)),
+        lr=_number(oobj, "lr", 0.05, context="optimizer."),
+        steps=count(oobj, "steps", 200, "optimizer.", minimum=0),
         blocks=tuple(oobj.get("blocks", list(DEFAULT_BLOCKS))),
         train_seed=train_seed,
-        eval_episodes=int(vobj.get("episodes", 200)),
-        eval_seed=int(vobj.get("seed", 2)),
+        eval_episodes=count(vobj, "episodes", 200, "eval."),
+        eval_seed=count(vobj, "seed", 2, "eval.", minimum=0),
         score_mode=cfg.get("score_mode", "distance"),
-        sts_temperature=float(sobj.get("temperature", 0.5)),
-        sts_batch=int(sobj.get("batch", 8)),
+        sts_temperature=_number(sobj, "temperature", 0.5, context="sts."),
+        sts_batch=count(sobj, "batch", 8, "sts."),
         **kernel,
     )
 

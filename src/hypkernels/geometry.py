@@ -138,18 +138,37 @@ def _checked_rows(X, message: str) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def _ball_points(Y: np.ndarray, curvature: Curvature) -> list[BallPoint]:
-    """BallPoints over the rows of a finite real matrix, checked against
-    the boundary margin as `BallPoint` checks each point; the rows share
-    one read-only complex array."""
-    # np.linalg.norm of a row as complex adds the zero imaginary dot.
-    r = np.sqrt(curvature.c) * np.sqrt([a.dot(a) for a in Y])
+def _check_interior(Z: np.ndarray, curvature: Curvature) -> None:
+    """GeometryError unless every row z of the finite matrix Z (real or
+    complex) keeps sqrt(c)*||z|| < 1 - BOUNDARY_MARGIN, the check that
+    `BallPoint` makes of a point."""
+    r = np.sqrt(curvature.c) * np.sqrt((Z * Z.conj()).real.sum(axis=-1))
     outside = np.flatnonzero(r >= 1.0 - BOUNDARY_MARGIN)
     if outside.size:
         raise GeometryError(
             "point too close to the ball boundary: sqrt(c)*||z|| = "
             f"{r[outside[0]]}"
         )
+
+
+def _interior_rows(Z, curvature: Curvature) -> np.ndarray:
+    """Z as a float64 (or, when complex, complex128) matrix of finite rows
+    of dimension >= 1 inside the construction margin, checked as
+    `BallPoint` checks each point; GeometryError otherwise."""
+    arr = np.asarray(Z, dtype=np.complex128 if np.iscomplexobj(Z) else np.float64)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise GeometryError("coords must be a vector of dimension >= 1")
+    if not np.isfinite(arr).all():
+        raise GeometryError("coords must be finite")
+    _check_interior(arr, curvature)
+    return arr
+
+
+def _ball_points(Y: np.ndarray, curvature: Curvature) -> list[BallPoint]:
+    """BallPoints over the rows of a finite real matrix, checked against
+    the boundary margin (see `_check_interior`); the rows share one
+    read-only complex array."""
+    _check_interior(Y, curvature)
     Z = Y.astype(np.complex128)
     Z.flags.writeable = False
     points = []

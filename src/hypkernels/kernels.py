@@ -26,7 +26,7 @@ import numpy as np
 
 from .diff import Node, exp, record, sqrt, value, where
 from .geometry import BallPoint, Curvature
-from .rkhs import MultiplierParams, _bordered, _dbr, _gram_distance, _rows
+from .rkhs import MultiplierParams, _as_real, _bordered, _dbr, _gram_distance, _rows
 
 VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
 
@@ -149,9 +149,7 @@ class KernelConfig:
         c = None if curvature is None else float(curvature.c)
         poles = weights = alphas = None
         if self.params is not None:
-            poles = np.array([p.coords for p in self.params.poles])
-            if not poles.imag.any():
-                poles = poles.real.copy()
+            poles, = _as_real(self.params.pole_coords)
             weights = self.params.weights
         if self.radial is not None:
             alphas = self.radial.alphas
@@ -162,13 +160,20 @@ class KernelConfig:
                        self.degree, self.bandwidth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Hermitian matrix of kernel values over a point set."""
+    """Hermitian matrix of kernel values over a point set.
+
+    `entries` is a read-only complex128 copy of the matrix given.  The
+    ids are computed on first access: `config_fingerprint` is the
+    config's `fingerprint()`, `point_set_id` a hash of the points'
+    complex128 coordinates (a list of BallPoints, or a coordinate matrix
+    whose copy the GramMatrix keeps).
+    """
 
     entries: np.ndarray
-    config_fingerprint: str
-    point_set_id: str
+    config: KernelConfig
+    points: tuple | np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.complex128)
@@ -177,10 +182,28 @@ class GramMatrix:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+        if isinstance(self.points, np.ndarray):
+            points = self.points.copy()
+            points.flags.writeable = False
+        else:
+            points = tuple(self.points)
+        object.__setattr__(self, "points", points)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @functools.cached_property
+    def config_fingerprint(self) -> str:
+        return self.config.fingerprint()
+
+    @functools.cached_property
+    def point_set_id(self) -> str:
+        if isinstance(self.points, np.ndarray):
+            Z = self.points.astype(np.complex128)
+        else:
+            Z = np.stack([p.coords for p in self.points])
+        return hashlib.sha256(Z.tobytes()).hexdigest()[:16]
 
 
 # Constrained kernel parameters, as arrays or tape nodes; poles is an
@@ -289,10 +312,15 @@ def ahrad(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> float:
     return evaluate(config, z_i, z_j).real
 
 
-def _config_rows(config: KernelConfig, points: list[BallPoint]):
-    """`rkhs._rows` of points that carry the config's curvature (when it
-    sets one); ConfigError otherwise."""
+def _config_rows(config: KernelConfig, points):
+    """`rkhs._rows` of a list of points that carry the config's curvature
+    (when it sets one; ConfigError otherwise), or of a coordinate matrix,
+    which takes the config's curvature."""
     kc = config.get_curvature()
+    if isinstance(points, np.ndarray):
+        if kc is None:
+            raise ConfigError("a coordinate matrix needs a config that sets the curvature")
+        return _rows(config.params, points, kc)
     if kc is not None and kc != points[0].curvature:
         raise ConfigError("points do not match the configured curvature")
     return _rows(config.params, points)
@@ -304,11 +332,16 @@ def evaluate(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> complex:
     return complex(_transform(config._derived, K, strict=True)[0, 1])
 
 
-def gram(config: KernelConfig, points: list[BallPoint]) -> GramMatrix:
+def gram(config: KernelConfig, points: list[BallPoint] | np.ndarray) -> GramMatrix:
     """Assemble the Hermitian Gram matrix G[i][j] = k(z_i, z_j).
 
-    The lower triangle is overwritten with the conjugates of the upper
-    one, so Hermitian symmetry is bit-exact regardless of floating-point
+    points is a list of BallPoints or an n x dim coordinate matrix, real
+    or complex, whose rows lie inside the ball of the config's curvature.
+    Both run through one core (see `rkhs._rows`): in real arithmetic
+    when neither the points nor the poles have a nonzero imaginary part,
+    in complex arithmetic otherwise.  The entries are complex128 either
+    way.  The lower triangle holds the conjugates of the upper one, so
+    Hermitian symmetry is bit-exact regardless of floating-point
     non-associativity.
     """
     n = len(points)
@@ -316,14 +349,11 @@ def gram(config: KernelConfig, points: list[BallPoint]) -> GramMatrix:
         raise ConfigError("at least one point is required")
     if n > MAX_GRAM_SIZE:
         raise ConfigError(f"point set of size {n} exceeds the maximum {MAX_GRAM_SIZE}")
-    c, Z, B = _config_rows(config, points)
-    K = _bordered(_dbr(c, Z, B))
+    K = _bordered(_dbr(*_config_rows(config, points)))
     entries = _transform(config._derived, K, strict=True).astype(np.complex128)
-    lower = np.tril_indices(n, -1)
-    entries[lower] = entries.T[lower].conj()
+    np.copyto(entries, entries.T.conj(), where=np.tri(n, k=-1, dtype=bool))
     diag = entries.diagonal()
     if np.any(np.abs(diag.imag) > 1e-12) or np.any(diag.real <= 0.0):
         raise ArithmeticError("Gram diagonal must be real and positive")
     entries[np.diag_indices(n)] = diag.real
-    point_set_id = hashlib.sha256(Z.tobytes()).hexdigest()[:16]
-    return GramMatrix(entries, config.fingerprint(), point_set_id)
+    return GramMatrix(entries, config, points)

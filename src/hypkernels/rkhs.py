@@ -18,6 +18,7 @@ The Hermitian form runs on plain arrays only and records no node.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,10 @@ from .diff import Node, record, value
 from .geometry import (
     BallPoint,
     Curvature,
+    DimensionMismatch,
     GeometryError,
     _interior_point,
+    _interior_rows,
     check_compatible,
 )
 
@@ -77,6 +80,13 @@ class MultiplierParams:
     @property
     def curvature(self) -> Curvature:
         return self.poles[0].curvature
+
+    @functools.cached_property
+    def pole_coords(self) -> np.ndarray:
+        """The poles as the rows of one read-only complex m x dim matrix."""
+        P = np.stack([p.coords for p in self.poles])
+        P.flags.writeable = False
+        return P
 
     @property
     def weights(self) -> np.ndarray:
@@ -229,17 +239,46 @@ def _gram_distance(X, strict=False):
     return record(dist, vjp, X)
 
 
-def _rows(params: MultiplierParams | None, points: list[BallPoint]):
-    """The operands (c, Z, B = b(Z) or None) of `_dbr` over compatible
-    points; GeometryError when a row of B leaves the ball."""
-    for p in points[1:]:
-        check_compatible(points[0], p)
-    c = points[0].curvature.c
-    Z = np.stack([p.coords for p in points])
+def _as_real(*arrays):
+    """The arrays (None passes through) as float64 when none of them has a
+    nonzero imaginary part, as complex128 otherwise: the kernel path runs
+    in real arithmetic on real points and poles."""
+    if any(a is not None and np.iscomplexobj(a) and a.imag.any() for a in arrays):
+        return tuple(None if a is None else a.astype(np.complex128, copy=False)
+                     for a in arrays)
+    return tuple(None if a is None else np.ascontiguousarray(a.real, dtype=np.float64)
+                 for a in arrays)
+
+
+def _rows(params: MultiplierParams | None, points, curvature: Curvature | None = None):
+    """The operands (c, Z, B = b(Z) or None) of `_dbr`, over a list of
+    compatible BallPoints, or over the rows of a coordinate matrix with
+    the given curvature, which are checked as `BallPoint` checks a point.
+
+    Z and B are float64 when neither the points nor the poles have a
+    nonzero imaginary part, and complex128 otherwise (see `_as_real`).
+    GeometryError when a row of B leaves the ball.
+    """
+    if curvature is None:
+        for p in points[1:]:
+            check_compatible(points[0], p)
+        curvature = points[0].curvature
+        if params is not None:
+            params.check_point(points[0])
+        Z = np.stack([p.coords for p in points])
+    else:
+        Z = _interior_rows(points, curvature)
+        if params is not None:
+            if Z.shape[1] != params.dim:
+                raise DimensionMismatch(
+                    f"dimension mismatch: {params.dim} vs {Z.shape[1]}")
+            if curvature != params.curvature:
+                raise DimensionMismatch(
+                    f"curvature mismatch: {params.curvature.c} vs {curvature.c}")
+    c = curvature.c
     if params is None:
-        return c, Z, None
-    params.check_point(points[0])
-    P = np.stack([a.coords for a in params.poles])
+        return c, _as_real(Z)[0], None
+    Z, P = _as_real(Z, params.pole_coords)
     B = _multiplier(Z, P, params.weights, c)
     if np.any(np.sqrt(c) * np.linalg.norm(B, axis=-1) >= 1.0):
         raise GeometryError("operation produced a point outside the ball")

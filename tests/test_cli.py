@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import oracle
 from hypkernels import cli, geometry, learning
 from hypkernels.geometry import BallPoint, Curvature, TangentVector, exp0
-from hypkernels.kernels import gram
+from hypkernels.kernels import MAX_GRAM_SIZE, gram
 from hypkernels.learning import init_params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -264,6 +265,56 @@ class TestGramWriter:
 
 
 class TestReader:
+    @staticmethod
+    def _per_cell(path):
+        """The array that float() of each cell gives, for a file with a
+        header row and no bad cell."""
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        start = 1 if header[0].strip().lower() == "label" else 0
+        return np.array([[float(cell) for cell in row[start:]] for row in rows if row])
+
+    @pytest.mark.parametrize("text,label", [
+        ('x0,x1\n"0.5","-1e-3"\n\n 0.25 ,\t7\n\n', False),
+        ("label,x0,x1\na,1,2\n\nb , 3.5e10 ,-0.0\n", True),
+        ('label,x0\n"x,y",0.1\n', True),
+    ], ids=["quoted-blank-spaces", "label-blank-spaces", "quoted-label"])
+    def test_accepted_files_parse_as_per_cell_float(self, tmp_path, text, label):
+        feats = tmp_path / "x.csv"
+        feats.write_text(text)
+        x, labels = cli._read_features(str(feats))
+        want = self._per_cell(feats)
+        assert x.dtype == np.float64 and x.shape == want.shape
+        assert x.tobytes() == want.tobytes()
+        assert bool(labels) == label
+
+    def test_random_values_bit_identical_to_per_cell_float(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-300, 300, (50, 6))
+        feats = tmp_path / "x.csv"
+        _write_features(feats, x)
+        got, _ = cli._read_features(str(feats))
+        assert got.tobytes() == x.tobytes() == self._per_cell(feats).tobytes()
+
+    @pytest.mark.parametrize("text,message", [
+        ("x0,x1\n0.1,0.2\n0.3,oops\n", "line 3, column 2: not a number: 'oops'"),
+        ("x0,x1\n0.1,0.2\n1e999,0.3\n", "line 3, column 1: non-finite value"),
+        ("label,x0,x1\na,0.1,0.2\n\nb,0.3,nan\n", "line 4, column 3: non-finite value"),
+        ("x0,x1\n0.1,inf\n0.1\n", "line 2, column 2: non-finite value"),
+        ("x0,x1\n0.1,x\n0.1\n", "line 2, column 2: not a number: 'x'"),
+        ("x0,x1\n0.1,0.2\n0.1\n0.2,y\n", "line 3: expected 2 columns, got 1"),
+        ("x0,x1\n0.1,0.2,0.3\n0.1,0.2,0.3\n", "line 2: expected 2 columns, got 3"),
+    ], ids=["bad-cell", "overflow", "nan-after-blank", "inf-before-ragged",
+            "bad-before-ragged", "ragged-before-bad", "all-rows-wide"])
+    def test_first_bad_cell_named(self, tmp_path, text, message):
+        # The message names the first fault in file order, as a reader
+        # that checks cell by cell would.
+        feats = tmp_path / "x.csv"
+        feats.write_text(text)
+        with pytest.raises(cli.ConfigFileError) as err:
+            cli._read_features(str(feats))
+        assert str(err.value) == f"{feats}: {message}"
+
     def test_first_bad_line_reported(self, tmp_path):
         # A non-finite cell on line 2 is reported before a non-number on line 5.
         feats = tmp_path / "x.csv"
@@ -278,6 +329,112 @@ class TestReader:
         with pytest.raises(cli.ConfigFileError) as err:
             cli._read_features(str(feats))
         assert str(err.value) == f"{feats}: line 3, column 3: non-finite value"
+
+
+class TestGramSizeLimit:
+    def test_largest_accepted_size(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        _gram_config(cfg, "ahl", 1.0)
+        x = np.random.default_rng(5).standard_normal((MAX_GRAM_SIZE + 1, 8))
+        feats = tmp_path / "x.csv"
+        _write_features(feats, x[:MAX_GRAM_SIZE])
+        out = tmp_path / "G.csv"
+        assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        cells = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(cells) == MAX_GRAM_SIZE
+        assert all(len(row) == MAX_GRAM_SIZE for row in cells)
+        # ahl entries are real on real features, so each lower cell is the
+        # text of its mirror.
+        assert all(cells[i][j] == cells[j][i]
+                   for i in range(MAX_GRAM_SIZE) for j in range(i))
+
+    def test_one_more_point_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        _gram_config(cfg, "ahl", 1.0)
+        feats = tmp_path / "x.csv"
+        _write_features(feats, np.random.default_rng(5).standard_normal(
+            (MAX_GRAM_SIZE + 1, 8)))
+        assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
+                         "--out", str(tmp_path / "G.csv")]) == cli.EXIT_GEOMETRY_ERROR
+        assert capsys.readouterr().err == (
+            f"geometry error: point set of size {MAX_GRAM_SIZE + 1} exceeds the "
+            f"maximum {MAX_GRAM_SIZE}\n")
+        assert not (tmp_path / "G.csv").exists()
+
+
+def test_gram_builds_no_point_per_row(tmp_path, monkeypatch):
+    # Every BallPoint, however it is made, sets its coords through the
+    # class attribute; only the m = 2 poles may be built.
+    built = []
+
+    class Counted:
+        def __set__(self, point, coords):
+            built.append(point)
+            point.__dict__["coords"] = coords
+
+        def __get__(self, point, owner=None):
+            return self if point is None else point.__dict__["coords"]
+
+    monkeypatch.setattr(BallPoint, "coords", Counted(), raising=False)
+    cfg = tmp_path / "cfg.json"
+    _gram_config(cfg, "ahrad", 1.0)
+    feats = tmp_path / "x.csv"
+    _write_features(feats, np.random.default_rng(6).standard_normal((128, 8)))
+    assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
+                     "--out", str(tmp_path / "G.csv")]) == 0
+    assert 0 < len({id(p) for p in built}) <= 2
+
+
+def _config_case(command, tmp_path, top=None, kernel=None):
+    """A gram or train config with the given top-level and kernel keys,
+    and the arguments that run it."""
+    cfg = {"version": 1,
+           "kernel": {"variant": "ahrad", "m": 2, "truncation": 3, **(kernel or {})}}
+    cfg.update(top or {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    if command == "train":
+        return ["train", "--config", str(path), "--out", str(tmp_path / "run")]
+    feats = tmp_path / "x.csv"
+    feats.write_text("x0,x1\n0.1,0.2\n-0.3,0.05\n")
+    return ["gram", "--features", str(feats), "--config", str(path),
+            "--out", str(tmp_path / "G.csv")]
+
+
+CLIP = {"kind": "clip", "eps": 0.1}
+
+
+@pytest.mark.parametrize("command", ["gram", "train"])
+@pytest.mark.parametrize("top,kernel,message", [
+    ({"curvature": "x"}, None, 'curvature must be a number, got "x"'),
+    ({"curvature": None}, None, "curvature must be a number, got null"),
+    ({"curvature": [1]}, None, "curvature must be a number, got [1]"),
+    (None, {"m": "two"}, 'kernel.m must be a number, got "two"'),
+    (None, {"m": 0}, "kernel.m must be at least 1, got 0"),
+    (None, {"truncation": 0}, "kernel.truncation must be at least 1, got 0"),
+    (None, {"m": 2.7}, "kernel.m must be an integer, got 2.7"),
+    ({"projection": {**CLIP, "beta": "x"}}, None,
+     'projection.beta must be a number, got "x"'),
+    ({"projection": {**CLIP, "beta": True}}, None,
+     "projection.beta must be a number, got true"),
+], ids=["curvature-str", "curvature-null", "curvature-list", "m-str", "m-0",
+        "truncation-0", "m-fraction", "beta-str", "beta-bool"])
+def test_config_numbers_are_checked(tmp_path, capsys, command, top, kernel, message):
+    args = _config_case(command, tmp_path, top, kernel)
+    assert cli.main(args) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["gram", "train"])
+def test_integral_numbers_accepted(tmp_path, command):
+    # An integer field may be written as an integral float, and a float
+    # field as an integer.
+    top = {"curvature": 1}
+    if command == "train":
+        top["optimizer"] = {"steps": 0.0}
+    args = _config_case(command, tmp_path, top, {"m": 2.0, "truncation": 3, "init_scale": 1})
+    assert cli.main(args) == cli.EXIT_OK
 
 
 class TestParser:

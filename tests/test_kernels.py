@@ -4,7 +4,10 @@ import pytest
 from hypkernels import _gmath as gm
 from hypkernels import kernels, rkhs
 from hypkernels.checks import random_multiplier, sample_ball_points
-from hypkernels.geometry import BallPoint, Curvature, GeometryError, mobius_map
+from hpfd import HPScalar
+from hypkernels.cli import _kernel_config_from_json
+from hypkernels.geometry import (BallPoint, Curvature, DimensionMismatch, GeometryError,
+                                 _exp0, mobius_map)
 from hypkernels.kernels import (
     MAX_GRAM_SIZE,
     ConfigError,
@@ -373,6 +376,127 @@ class TestBatchedDifferential:
                 for j, z_j in enumerate(points):
                     got = evaluate(config, z_i, z_j)
                     assert _rel(got, G[i, j]) <= self.TOL, (config.variant, i, j)
+
+
+def _cli_style_config(variant, c):
+    """The config `hypkernels gram` builds: m = 2, truncation 50, dim 8."""
+    extra = {"ahpoly": {"offset": 1.0, "degree": 2}, "ahrbf": {"bandwidth": 1.0},
+             "ahlap": {"bandwidth": 1.0}}.get(variant, {})
+    return _kernel_config_from_json(
+        {"variant": variant, "m": 2, "truncation": 50, "init_seed": 0,
+         "init_scale": 0.1, **extra}, 8, c)
+
+
+def _projected(n, c, seed=0):
+    return _exp0(np.random.default_rng([n, seed]).standard_normal((n, 8)), c)
+
+
+VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
+
+
+class TestOneCore:
+    """`gram` on a coordinate matrix and on a list of BallPoints is one
+    core; real points and poles run in real arithmetic."""
+
+    @pytest.mark.parametrize("c", [0.02, 1.0])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matrix_and_points_bit_identical_real(self, variant, c):
+        config = _cli_style_config(variant, c)
+        Y = _projected(33, c)
+        by_matrix = gram(config, Y)
+        by_points = gram(config, [BallPoint(y, Curvature(c)) for y in Y])
+        assert by_matrix.entries.tobytes() == by_points.entries.tobytes()
+        assert by_matrix.point_set_id == by_points.point_set_id
+        assert by_matrix.config_fingerprint == by_points.config_fingerprint
+
+    @pytest.mark.parametrize("c", [0.25, 2.0])
+    def test_matrix_and_points_bit_identical_complex(self, c):
+        points, configs = TestBatchedDifferential().family(c, 3, True)
+        Z = np.stack([p.coords for p in points])
+        for config in configs:
+            by_matrix = gram(config, Z).entries
+            assert by_matrix.tobytes() == gram(config, points).entries.tobytes()
+
+    @pytest.mark.parametrize("c", [0.02, 1.0])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_pointwise_equals_gram_entries_real(self, variant, c):
+        config = _cli_style_config(variant, c)
+        points = [BallPoint(y, Curvature(c)) for y in _projected(6, c, seed=1)]
+        G = gram(config, points).entries
+        for i, z_i in enumerate(points):
+            for j, z_j in enumerate(points):
+                assert evaluate(config, z_i, z_j) == G[i, j], (i, j)
+                if variant == "ahl":
+                    assert dbr_kernel(config.params, z_i, z_j) == G[i, j], (i, j)
+
+    def test_real_arithmetic_no_less_accurate_than_complex(self):
+        # Worst relative error against the 60-digit scalar path, over the
+        # n = 32 sets of every variant at c = 0.02 and 1: the real core, and
+        # the same points in complex arithmetic with zero imaginary parts.
+        worst = {"real": 0.0, "complex": 0.0}
+        for c in (0.02, 1.0):
+            Y = _projected(32, c)
+            for variant in VARIANTS:
+                config = _cli_style_config(variant, c)
+                real = gram(config, Y).entries.real
+                Z = Y.astype(np.complex128)
+                B = None
+                if config.params is not None:
+                    B = rkhs._multiplier(Z, config.params.pole_coords,
+                                         config.params.weights, c)
+                complex_ = kernels._transform(
+                    config._derived, rkhs._bordered(rkhs._dbr(c, Z, B)), strict=True).real
+                leaves = _hp_leaves(config)
+                embeds = [gm.embed(leaves, [HPScalar(x) for x in y]) for y in Y]
+                for i in range(32):
+                    for j in range(i, 32):
+                        ref = HPScalar(gm.kernel(leaves, embeds[i], embeds[j])).v
+                        for name, G in (("real", real), ("complex", complex_)):
+                            err = float(abs(ref - G[i, j]) / abs(ref))
+                            worst[name] = max(worst[name], err)
+        assert worst["real"] <= worst["complex"] < 1e-11, worst
+
+    def test_ids_computed_on_first_access(self, params, points, monkeypatch):
+        calls = []
+        fingerprint = KernelConfig.fingerprint
+        monkeypatch.setattr(KernelConfig, "fingerprint",
+                            lambda self: calls.append(1) or fingerprint(self))
+        G = gram(KernelConfig("ahl", params=params), points)
+        assert calls == []
+        assert G.config_fingerprint == G.config_fingerprint
+        assert calls == [1]
+
+    def test_matrix_rows_checked_as_points(self, params):
+        config = KernelConfig("ahl", params=params)
+        with pytest.raises(GeometryError, match="too close to the ball boundary"):
+            gram(config, np.array([[0.1, 0.2], [1.0, 0.0]]))
+        with pytest.raises(GeometryError, match="coords must be finite"):
+            gram(config, np.array([[0.1, np.nan]]))
+        with pytest.raises(DimensionMismatch, match="dimension mismatch: 2 vs 3"):
+            gram(config, np.zeros((2, 3)))
+        with pytest.raises(ConfigError, match="sets the curvature"):
+            gram(KernelConfig("da"), np.zeros((2, 2)))
+
+    def test_matrix_copied_for_point_set_id(self, params):
+        Y = np.array([[0.1, 0.2], [0.3, -0.1]])
+        G = gram(KernelConfig("ahl", params=params), Y)
+        Y[0, 0] = 0.2
+        assert G.point_set_id == gram(KernelConfig("ahl", params=params),
+                                      np.array([[0.1, 0.2], [0.3, -0.1]])).point_set_id
+
+
+def _hp_leaves(config):
+    """`_gmath` leaves of config with every float as a 60-digit scalar."""
+    fl = gm.KernelLeaves.from_config(config)
+
+    def hp(values):
+        if values is None:
+            return None
+        return [[HPScalar(x) for x in v] if isinstance(v, list) else HPScalar(v)
+                for v in values]
+
+    return gm.KernelLeaves(fl.variant, HPScalar(fl.c), hp(fl.poles), hp(fl.weights),
+                           hp(fl.alphas), fl.offset, fl.degree, fl.bandwidth)
 
 
 class TestRandomSampling:
