@@ -1,11 +1,20 @@
 """Command-line entry point: gram computation, validation suites, training.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 input/parse error
-or an output path that cannot be written, 3 geometry error, 4 training
-divergence, 5 numerical error (an ArithmeticError escaping `gram`,
-`train` or `eval`).  Every
-command is deterministic given config plus seeds; floating-point output
-is formatted with 17 significant digits so reruns are byte-identical.
+Exit codes: 0 success, 1 a validation suite failed.  A command raises
+on failure, and `main` turns the exception into one stderr line and the
+code of the first row of `FAILURES` that it matches:
+
+    ConfigFileError            2  error: (input, config or output path)
+    DivergenceError            4  divergence:
+    GeometryError, ConfigError 3  geometry error: (a kernel config its
+                                  variant rejects, an unknown one included)
+    ArithmeticError            5  numerical error:
+    any other ValueError       2  error: (a value from the inputs that
+                                  the library rejected)
+
+Any other exception is a bug and propagates.  Every command is
+deterministic given config plus seeds; floating-point output is
+formatted with 17 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,9 +35,8 @@ from .checks import (check_identities, check_isometry, check_psd,
 from .diff import DEFAULT_BLOCKS, ParamVector, materialize
 from .geometry import Curvature, GeometryError
 from .kernels import ConfigError, KernelConfig, RadialCoeffs, gram
-from .learning import (DivergenceError, Projection, RunConfig, evaluate,
-                       gen_tree_dataset, init_params, params_to_kernel_config,
-                       train)
+from .learning import (DivergenceError, Projection, RunConfig, _run_dataset,
+                       _run_eval, init_params, params_to_kernel_config, train)
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -42,6 +50,18 @@ CONFIG_VERSION = 1
 
 class ConfigFileError(ValueError):
     pass
+
+
+# (class, exit code, stderr prefix), first match wins: ConfigFileError,
+# GeometryError and ConfigError are ValueErrors.
+FAILURES = (
+    (ConfigFileError, EXIT_INPUT_ERROR, "error"),
+    (DivergenceError, EXIT_DIVERGENCE, "divergence"),
+    (GeometryError, EXIT_GEOMETRY_ERROR, "geometry error"),
+    (ConfigError, EXIT_GEOMETRY_ERROR, "geometry error"),
+    (ArithmeticError, EXIT_NUMERICAL_ERROR, "numerical error"),
+    (ValueError, EXIT_INPUT_ERROR, "error"),
+)
 
 
 def fmt(x: float) -> str:
@@ -100,6 +120,8 @@ def gram_csv(entries: np.ndarray) -> str:
 
 
 def _check_keys(obj: dict, allowed: set, context: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigFileError(f"{context} must be an object, got {json.dumps(obj)}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigFileError(f"unknown key(s) {sorted(unknown)} in {context}")
@@ -143,11 +165,26 @@ def _number(obj: dict, key: str, default=None, *, integer: bool = False,
     return v
 
 
+def _numbers(obj: dict, key: str, default: list, **checks) -> list:
+    """obj[key], or default when the key is absent: a JSON list whose
+    entries each pass `_number`'s checks, named key[i]."""
+    values = obj.get(key, default)
+    if not isinstance(values, list):
+        raise ConfigFileError(f"{key} must be a list, got {json.dumps(values)}")
+    entries = {f"{key}[{i}]": v for i, v in enumerate(values)}
+    return [_number(entries, name, **checks) for name in entries]
+
+
 def _parse_projection(obj: dict) -> Projection:
+    """The projection of a config; parameters the clip projection rejects
+    are an input error, as any other config value that fails."""
     _check_keys(obj, {"kind", "beta", "eps"}, "projection")
-    return Projection(obj.get("kind", "exp0"),
-                      _number(obj, "beta", context="projection."),
-                      _number(obj, "eps", context="projection."))
+    try:
+        return Projection(obj.get("kind", "exp0"),
+                          _number(obj, "beta", context="projection."),
+                          _number(obj, "eps", context="projection."))
+    except GeometryError as exc:
+        raise ConfigFileError(str(exc)) from exc
 
 
 # Numeric kernel keys: (integer?, minimum).  Absent keys take the
@@ -236,43 +273,38 @@ def _raise_first_bad_cell(path: str, rows: list, width: int, start: int):
     raise AssertionError("no bad cell in a feature file that failed to parse")
 
 
-def _write_outputs(files: dict) -> int:
-    """Write each {path: text}; exit code 2 when a path cannot be written."""
+def _write_outputs(files: dict) -> None:
+    """Write each {path: text}; ConfigFileError when a path cannot be
+    written."""
     for path, text in files.items():
         try:
             with open(path, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-    return EXIT_OK
+            raise ConfigFileError(f"cannot write {path}: {exc}") from exc
+
+
+def _output_dir(path: str) -> Path:
+    """path as a directory, made with its parents; ConfigFileError when it
+    cannot be."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigFileError(f"cannot write {out_dir}: {exc}") from exc
+    return out_dir
 
 
 def cmd_gram(args) -> int:
-    try:
-        cfg = _load_json(args.config)
-        _check_keys(cfg, {"version", "curvature", "projection", "kernel"}, "config")
-        projection = _parse_projection(cfg.get("projection", {}))
-        features, _ = _read_features(args.features)
-    except (ConfigFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        curvature = Curvature(_number(cfg, "curvature", 1.0))
-        config = _kernel_config_from_json(
-            cfg.get("kernel", {}), features.shape[1], curvature.c
-        )
-        G = gram(config, projection.apply(features, curvature.c))
-    except ConfigFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (GeometryError, ConfigError) as exc:
-        print(f"geometry error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY_ERROR
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
-    return _write_outputs({args.out: gram_csv(G.entries)})
+    cfg = _load_json(args.config)
+    _check_keys(cfg, {"version", "curvature", "projection", "kernel"}, "config")
+    projection = _parse_projection(cfg.get("projection", {}))
+    features, _ = _read_features(args.features)
+    curvature = Curvature(_number(cfg, "curvature", 1.0))
+    config = _kernel_config_from_json(cfg.get("kernel", {}), features.shape[1], curvature.c)
+    G = gram(config, projection.apply(features, curvature.c))
+    _write_outputs({args.out: gram_csv(G.entries)})
+    return EXIT_OK
 
 
 CHECK_KEYS = {
@@ -284,6 +316,9 @@ DEFAULT_TOLS = {
     "identities": 1e-11,
     "identities_boundary": 1e-8,
 }
+# Default (curvatures, dims) of the psd and isometry suites.
+PSD_GRID = ([0.25, 1.0, 2.0], [1, 2, 8])
+ISOMETRY_GRID = ([0.25, 1.0, 2.5], [1, 4, 16])
 
 
 # Kernel variants of the PSD suite and their hyperparameters; ahrad also
@@ -297,16 +332,21 @@ PSD_VARIANTS = (
 )
 
 
-def _psd_suite(cfg, seed, tol, out_records):
+def _grid(cfg: dict, default: tuple) -> tuple:
+    """The (curvatures, dims) of a suite: the config's lists where given."""
+    return (_numbers(cfg, "curvatures", default[0]),
+            _numbers(cfg, "dims", default[1], integer=True, minimum=1))
+
+
+def _psd_reports(seed, tol, n_points, m, grid):
+    """(report, record fields) of each PSD check over the grid."""
     rng = np.random.default_rng(seed)
-    ok = True
-    n_points = int(cfg.get("points", 32))
-    m = int(cfg.get("m", 3))
-    for c in cfg.get("curvatures", [0.25, 1.0, 2.0]):
-        for dim in cfg.get("dims", [1, 2, 8]):
-            curvature = Curvature(float(c))
-            points = sample_ball_points(rng, n_points, int(dim), curvature)
-            params = random_multiplier(rng, m, int(dim), curvature)
+    curvatures, dims = grid
+    for c in curvatures:
+        for dim in dims:
+            curvature = Curvature(c)
+            points = sample_ball_points(rng, n_points, dim, curvature)
+            params = random_multiplier(rng, m, dim, curvature)
             radial = RadialCoeffs(rng.uniform(0.1, 1.0, 51))
             for variant, extra in PSD_VARIANTS:
                 config = KernelConfig(
@@ -314,68 +354,43 @@ def _psd_suite(cfg, seed, tol, out_records):
                     radial=radial if variant == "ahrad" else None, **extra,
                 )
                 report = check_psd(config, points, tol=tol, seed=seed)
-                rec = report.to_record()
-                rec["suite"] = "psd"
-                rec["variant"] = config.variant
-                rec["curvature"] = float(c)
-                rec["dim"] = int(dim)
-                out_records.append(rec)
-                ok = ok and report.passed
-    return ok
+                yield report, {"suite": "psd", "variant": config.variant,
+                               "curvature": c, "dim": dim}
 
 
 def cmd_check(args) -> int:
     if args.suite not in ("psd", "isometry", "identities", "all"):
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        cfg = _load_json(args.config)
-        _check_keys(cfg, CHECK_KEYS, "config")
-        tols = dict(DEFAULT_TOLS)
-        tol_obj = cfg.get("tol", {})
-        _check_keys(tol_obj, set(DEFAULT_TOLS), "tol")
-        tols.update({k: float(v) for k, v in tol_obj.items()})
-    except ConfigFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+        raise ConfigFileError(f"unknown suite {args.suite!r}")
+    cfg = _load_json(args.config)
+    _check_keys(cfg, CHECK_KEYS, "config")
+    tol_obj = cfg.get("tol", {})
+    _check_keys(tol_obj, set(DEFAULT_TOLS), "tol")
+    tols = {k: _number(tol_obj, k, v, context="tol.") for k, v in DEFAULT_TOLS.items()}
     if args.tol is not None:
-        tols = {k: float(args.tol) for k in tols}
-    trials = int(cfg.get("trials", 1000))
-    records = []
-    ok = True
+        tols = dict.fromkeys(tols, args.tol)
+    seed = (args.seed if args.seed is not None
+            else _number(cfg, "seed", 0, integer=True, minimum=0))
+    trials = _number(cfg, "trials", 1000, integer=True, minimum=1)
+    n_points = _number(cfg, "points", 32, integer=True, minimum=1)
+    m = _number(cfg, "m", 3, integer=True, minimum=1)
+    psd_grid, isometry_grid = _grid(cfg, PSD_GRID), _grid(cfg, ISOMETRY_GRID)
+    reports = []
     if args.suite in ("psd", "all"):
-        ok = _psd_suite(cfg, seed, tols["psd"], records) and ok
+        reports += _psd_reports(seed, tols["psd"], n_points, m, psd_grid)
     if args.suite in ("isometry", "all"):
-        for c in cfg.get("curvatures", [0.25, 1.0, 2.5]):
-            for dim in cfg.get("dims", [1, 4, 16]):
-                rep = check_isometry(
-                    Curvature(float(c)), int(dim), trials, tols["isometry"], seed
-                )
-                rec = rep.to_record()
-                rec["suite"] = "isometry"
-                records.append(rec)
-                ok = ok and rep.passed
+        curvatures, dims = isometry_grid
+        reports += [(check_isometry(Curvature(c), dim, trials, tols["isometry"], seed),
+                     {"suite": "isometry"}) for c in curvatures for dim in dims]
     if args.suite in ("identities", "all"):
-        rep = check_identities(trials, tols["identities"], seed)
-        rec = rep.to_record()
-        rec["suite"] = "identities"
-        records.append(rec)
-        ok = ok and rep.passed
-        rep = check_identities(
-            max(trials // 2, 1), tols["identities_boundary"], seed,
-            near_boundary=True,
-        )
-        rec = rep.to_record()
-        rec["suite"] = "identities"
-        records.append(rec)
-        ok = ok and rep.passed
-    rc = _write_outputs(
-        {args.out: "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)}
-    )
-    if rc != EXIT_OK:
-        return rc
-    return EXIT_OK if ok else EXIT_SUITE_FAILURE
+        reports += [
+            (check_identities(trials, tols["identities"], seed), {"suite": "identities"}),
+            (check_identities(max(trials // 2, 1), tols["identities_boundary"], seed,
+                              near_boundary=True), {"suite": "identities"}),
+        ]
+    _write_outputs({args.out: "".join(
+        json.dumps({**rep.to_record(), **fields}, sort_keys=True) + "\n"
+        for rep, fields in reports)})
+    return EXIT_OK if all(rep.passed for rep, _ in reports) else EXIT_SUITE_FAILURE
 
 
 RUN_KEYS = {
@@ -405,6 +420,9 @@ def _run_config_from_json(cfg: dict, seed_override=None) -> RunConfig:
     _check_keys(sobj, STS_KEYS, "sts")
     train_seed = (int(seed_override) if seed_override is not None
                   else _number(cfg, "train_seed", 1, integer=True, minimum=0))
+    blocks = oobj.get("blocks", list(DEFAULT_BLOCKS))
+    if not isinstance(blocks, list):
+        raise ConfigFileError(f"optimizer.blocks must be a list, got {json.dumps(blocks)}")
 
     def count(obj, key, default, context, minimum=None):
         return _number(obj, key, default, integer=True, minimum=minimum, context=context)
@@ -421,19 +439,19 @@ def _run_config_from_json(cfg: dict, seed_override=None) -> RunConfig:
         noise_sigma=_number(dobj, "noise_sigma", 0.35, context="dataset."),
         samples_per_leaf=count(dobj, "samples_per_leaf", 12, "dataset."),
         step_length=_number(dobj, "step_length", 1.0, context="dataset."),
-        n_way=count(eobj, "n_way", 5, "episode."),
-        n_shot=count(eobj, "n_shot", 1, "episode."),
-        n_query=count(eobj, "n_query", 3, "episode."),
+        n_way=count(eobj, "n_way", 5, "episode.", minimum=1),
+        n_shot=count(eobj, "n_shot", 1, "episode.", minimum=1),
+        n_query=count(eobj, "n_query", 3, "episode.", minimum=1),
         optimizer_mode=oobj.get("mode", "adam"),
         lr=_number(oobj, "lr", 0.05, context="optimizer."),
         steps=count(oobj, "steps", 200, "optimizer.", minimum=0),
-        blocks=tuple(oobj.get("blocks", list(DEFAULT_BLOCKS))),
+        blocks=tuple(blocks),
         train_seed=train_seed,
-        eval_episodes=count(vobj, "episodes", 200, "eval."),
+        eval_episodes=count(vobj, "episodes", 200, "eval.", minimum=1),
         eval_seed=count(vobj, "seed", 2, "eval.", minimum=0),
         score_mode=cfg.get("score_mode", "distance"),
         sts_temperature=_number(sobj, "temperature", 0.5, context="sts."),
-        sts_batch=count(sobj, "batch", 8, "sts."),
+        sts_batch=count(sobj, "batch", 8, "sts.", minimum=1),
         **kernel,
     )
 
@@ -487,69 +505,31 @@ def _eval_to_json(res) -> dict:
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg = _load_json(args.config)
-        run_config = _run_config_from_json(cfg, args.seed)
-    except (ConfigFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        run = train(run_config)
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
+    run_config = _run_config_from_json(_load_json(args.config), args.seed)
+    out_dir = _output_dir(args.out)
+    run = train(run_config)
     evals = {"initial": _eval_to_json(run.initial_eval),
              "final": _eval_to_json(run.final_eval)}
-    return _write_outputs({
+    _write_outputs({
         out_dir / "loss_trace.csv": "step,loss\n" + "".join(
             f"{i},{fmt(v)}\n" for i, v in enumerate(run.loss_trace)),
         out_dir / "params.json": json.dumps(
             _params_to_json(run.final_params), sort_keys=True, indent=2) + "\n",
         out_dir / "eval.json": json.dumps(evals, sort_keys=True, indent=2) + "\n",
     })
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    try:
-        cfg = _load_json(args.config)
-        run_config = _run_config_from_json(cfg, args.seed)
-        pobj = _load_json(args.params)
-        p = _params_from_json(pobj)
-    except (ConfigFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    run_config = _run_config_from_json(_load_json(args.config), args.seed)
+    p = _params_from_json(_load_json(args.params))
     if p.pole_raws.shape != (run_config.m, run_config.dim) or \
             p.radial_raws.size != run_config.truncation + 1:
-        print("error: parameter file does not match the run configuration",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    dataset = gen_tree_dataset(
-        run_config.dataset_seed, run_config.depth, run_config.branching,
-        run_config.dim, run_config.noise_sigma, run_config.samples_per_leaf,
-        run_config.step_length,
-    )
-    kconfig = params_to_kernel_config(run_config, p)
-    try:
-        res = evaluate(
-            kconfig, dataset, run_config.n_way, run_config.n_shot,
-            run_config.n_query, run_config.eval_episodes, run_config.eval_seed,
-            run_config.score_mode, run_config.projection,
-        )
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
+        raise ConfigFileError("parameter file does not match the run configuration")
+    res = _run_eval(run_config, _run_dataset(run_config), p)
     print(f"accuracy {fmt(res.accuracy)} ci {fmt(res.ci_halfwidth)}")
     if args.out:
-        return _write_outputs(
+        _write_outputs(
             {args.out: json.dumps(_eval_to_json(res), sort_keys=True, indent=2) + "\n"}
         )
     return EXIT_OK
@@ -600,8 +580,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(cls for cls, _, _ in FAILURES) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in FAILURES
+                            if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

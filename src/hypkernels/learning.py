@@ -741,6 +741,14 @@ def _recording(loss, step_index: int, trace: list):
     return recorded
 
 
+def _run_dataset(config: RunConfig) -> LabeledSet:
+    """The tree dataset of a run's config."""
+    return gen_tree_dataset(
+        config.dataset_seed, config.depth, config.branching, config.dim,
+        config.noise_sigma, config.samples_per_leaf, config.step_length,
+    )
+
+
 def _run_eval(config: RunConfig, dataset: LabeledSet, p: ParamVector) -> EvalResult:
     kconfig = params_to_kernel_config(config, p)
     return evaluate(
@@ -766,10 +774,7 @@ def params_to_kernel_config(config: RunConfig, p: ParamVector) -> KernelConfig:
 
 def train(config: RunConfig) -> TrainRun:
     """Seeded episodic optimization; deterministic replay per config."""
-    dataset = gen_tree_dataset(
-        config.dataset_seed, config.depth, config.branching, config.dim,
-        config.noise_sigma, config.samples_per_leaf, config.step_length,
-    )
+    dataset = _run_dataset(config)
     p = init_params(config)
     initial_eval = _run_eval(config, dataset, p)
     rng = np.random.default_rng(config.train_seed)

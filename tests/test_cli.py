@@ -437,6 +437,116 @@ def test_integral_numbers_accepted(tmp_path, command):
     assert cli.main(args) == cli.EXIT_OK
 
 
+RUN_BASE = {"version": 1, "task": "fsl",
+            "kernel": {"variant": "ahrad", "m": 2, "truncation": 3},
+            "optimizer": {"steps": 2}, "eval": {"episodes": 4}}
+CHECK_BASE = {"version": 1, "trials": 5, "points": 4, "m": 2,
+              "curvatures": [1.0], "dims": [2]}
+
+# Config mistakes, each with the exit code and a stderr fragment it gives:
+# (patch to the base config, code, prefix, fragment).  A dict value in the
+# patch updates the base's section of that name.
+RUN_PROBES = {
+    "optimizer-mode": ({"optimizer": {"mode": "nope"}}, 2, "error",
+                       "unknown optimizer mode 'nope'"),
+    "blocks": ({"optimizer": {"blocks": ["nope"]}}, 2, "error",
+               "unknown parameter block 'nope'"),
+    "blocks-not-list": ({"optimizer": {"blocks": 5}}, 2, "error",
+                        "optimizer.blocks must be a list, got 5"),
+    "score-mode": ({"score_mode": "nope"}, 2, "error", "unknown score mode 'nope'"),
+    "n_way-50": ({"episode": {"n_way": 50}}, 2, "error", "cannot sample 50 ways"),
+    "depth-1": ({"dataset": {"depth": 1}}, 2, "error", "need depth >= 2"),
+    "episodes-0": ({"eval": {"episodes": 0}}, 2, "error",
+                   "eval.episodes must be at least 1, got 0"),
+    "n_shot-20": ({"episode": {"n_shot": 20}}, 2, "error", "fewer than 23 samples"),
+    "n_shot-0": ({"episode": {"n_shot": 0}}, 2, "error",
+                 "episode.n_shot must be at least 1, got 0"),
+    "n_query-0": ({"episode": {"n_query": 0}}, 2, "error",
+                  "episode.n_query must be at least 1, got 0"),
+    "n_way-0": ({"episode": {"n_way": 0}}, 2, "error",
+                "episode.n_way must be at least 1, got 0"),
+    "sts-batch-0": ({"task": "sts", "sts": {"batch": 0}}, 2, "error",
+                    "sts.batch must be at least 1, got 0"),
+    "variant": ({"kernel": {"variant": "nope"}}, 3, "geometry error",
+                "unknown kernel variant 'nope'"),
+    "init-scale-nan": ({"kernel": {"init_scale": float("nan")}}, 2, "error",
+                       "all raw entries must be finite"),
+    "section-not-object": ({"dataset": 5}, 2, "error", "dataset must be an object, got 5"),
+}
+EVAL_PROBES = ("score-mode", "n_way-50", "n_shot-20", "episodes-0", "n_shot-0",
+               "n_query-0", "n_way-0", "variant")
+CHECK_PROBES = {
+    "points-str": ({"points": "x"}, 2, "error", 'points must be a number, got "x"'),
+    "tol-str": ({"tol": {"psd": "x"}}, 2, "error", 'tol.psd must be a number, got "x"'),
+    "curvature-negative": ({"curvatures": [-1]}, 3, "geometry error",
+                           "curvature must be positive and finite"),
+    "dims-0": ({"dims": [0]}, 2, "error", "dims[0] must be at least 1, got 0"),
+    "dims-not-list": ({"dims": 2}, 2, "error", "dims must be a list, got 2"),
+    "trials-fraction": ({"trials": 2.5}, 2, "error", "trials must be an integer, got 2.5"),
+    "seed-negative": ({"seed": -1}, 2, "error", "seed must be at least 0, got -1"),
+}
+
+
+def _patched(base, patch):
+    return {**base, **{k: {**base[k], **v} if isinstance(v, dict) and k in base else v
+                       for k, v in patch.items()}}
+
+
+def _probe_args(command, case, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    if command == "check":
+        cfg.write_text(json.dumps(_patched(CHECK_BASE, CHECK_PROBES[case][0])))
+        return ["check", "--suite", "all", "--config", str(cfg),
+                "--out", str(tmp_path / "report.ndjson")]
+    run = _patched(RUN_BASE, RUN_PROBES[case][0])
+    cfg.write_text(json.dumps(run))
+    if command == "train":
+        return ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    # Every eval probe keeps the base's parameter shapes.
+    params = tmp_path / "params.json"
+    run_config = cli._run_config_from_json(RUN_BASE)
+    params.write_text(json.dumps(cli._params_to_json(init_params(run_config))))
+    return ["eval", "--params", str(params), "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("command,case", [
+    *[("train", case) for case in RUN_PROBES],
+    *[("eval", case) for case in EVAL_PROBES],
+    *[("check", case) for case in CHECK_PROBES],
+])
+def test_config_mistakes_map_to_documented_codes(tmp_path, capsys, command, case):
+    # Each mistake exits with its table code and one stderr line, never
+    # with a traceback and exit 1, the suite-failure code.
+    _, code, prefix, fragment = (CHECK_PROBES if command == "check" else RUN_PROBES)[case]
+    args = _probe_args(command, case, tmp_path)
+    with np.errstate(all="ignore"):
+        assert cli.main(args) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{prefix}: ") and fragment in lines[0]
+
+
+def test_failure_outside_the_table_propagates(tmp_path, train_config, monkeypatch):
+    def fail(config):
+        raise TypeError("not a config mistake")
+
+    monkeypatch.setattr(cli, "train", fail)
+    with pytest.raises(TypeError, match="not a config mistake"):
+        cli.main(["train", "--config", str(train_config), "--out", str(tmp_path / "run")])
+
+
+def test_module_runs_as_script(tmp_path):
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({"version": 1, "dims": [0]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypkernels.cli", "check", "--suite", "psd",
+         "--config", str(cfg), "--out", str(tmp_path / "report.ndjson")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == cli.EXIT_INPUT_ERROR
+    assert proc.stderr == "error: dims[0] must be at least 1, got 0\n"
+
+
 class TestParser:
     def test_build_parser_returns_fresh_parsers(self):
         assert cli.build_parser() is not cli.build_parser()
@@ -665,7 +775,7 @@ class TestTrainEval:
         def fail(*args, **kwargs):
             raise FloatingPointError("overflow in exp")
 
-        monkeypatch.setattr(cli, "evaluate", fail)
+        monkeypatch.setattr(learning, "evaluate", fail)
         capsys.readouterr()
         assert cli.main(["eval", "--params", str(out / "params.json"),
                          "--config", str(train_config)]) == cli.EXIT_NUMERICAL_ERROR
