@@ -420,6 +420,10 @@ def _run_config_from_json(cfg: dict, seed_override=None) -> RunConfig:
     _check_keys(sobj, STS_KEYS, "sts")
     train_seed = (int(seed_override) if seed_override is not None
                   else _number(cfg, "train_seed", 1, integer=True, minimum=0))
+    train_curvature = cfg.get("train_curvature", False)
+    if not isinstance(train_curvature, bool):
+        raise ConfigFileError("train_curvature must be true or false, "
+                              f"got {json.dumps(train_curvature)}")
     blocks = oobj.get("blocks", list(DEFAULT_BLOCKS))
     if not isinstance(blocks, list):
         raise ConfigFileError(f"optimizer.blocks must be a list, got {json.dumps(blocks)}")
@@ -430,7 +434,7 @@ def _run_config_from_json(cfg: dict, seed_override=None) -> RunConfig:
     return RunConfig(
         task=cfg.get("task", "fsl"),
         curvature=_number(cfg, "curvature", 1.0),
-        train_curvature=bool(cfg.get("train_curvature", False)),
+        train_curvature=train_curvature,
         projection=_parse_projection(cfg.get("projection", {})),
         dataset_seed=count(dobj, "seed", 0, "dataset.", minimum=0),
         depth=count(dobj, "depth", 3, "dataset."),

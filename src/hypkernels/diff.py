@@ -27,6 +27,7 @@ each gradient on a fresh tape.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -425,11 +426,23 @@ def grad(loss, p: ParamVector) -> Gradient:
 
 ALL_BLOCKS = ("poles", "weights", "alphas", "log_c", "affine")
 DEFAULT_BLOCKS = ("poles", "weights", "alphas")
+OPTIMIZER_MODES = ("adam", "sgd")
+_BLOCK_FIELDS = dict(zip(ALL_BLOCKS, ("pole_raws", "weight_logits", "radial_raws",
+                                      "log_c", "affine")))
+# What `step` keeps of its last update: the blocks asked for, the params
+# returned, (block, field, shape, slice) per updated block, and the flat
+# raws and moments (None for sgd) in that layout.
+_Flat = namedtuple("_Flat", "blocks params layout raws m v")
 
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Per-block first/second moment accumulators for the adaptive update."""
+    """Per-block first/second moment accumulators for the adaptive update.
+
+    m and v map a block to its moments, views of the flat buffers that
+    `step` keeps in `flat` with their layout and the params it returned:
+    the next step on those params and blocks derives no layout.
+    """
 
     mode: str = "adam"
     beta1: float = 0.9
@@ -438,24 +451,41 @@ class OptimizerState:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    flat: _Flat | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in ("adam", "sgd"):
+        if self.mode not in OPTIMIZER_MODES:
             raise ValueError(f"unknown optimizer mode {self.mode!r}")
 
-
-_BLOCK_FIELDS = {
-    "poles": "pole_raws",
-    "weights": "weight_logits",
-    "alphas": "radial_raws",
-    "log_c": "log_c",
-    "affine": "affine",
-}
+    def _advanced(self, t: int, m: dict, v: dict, flat) -> "OptimizerState":
+        out = object.__new__(OptimizerState)
+        out.__dict__.update(self.__dict__, t=t, m=m, v=v, flat=flat)
+        return out
 
 
 def _flat(blocks) -> np.ndarray:
-    """The entries of arrays and floats laid end to end, as float64."""
-    return np.concatenate([np.asarray(x, dtype=np.float64).reshape(-1) for x in blocks])
+    """Arrays and floats laid end to end, as float64."""
+    return np.concatenate(blocks, axis=None, dtype=np.float64)
+
+
+def _laid_out(state: OptimizerState, p: ParamVector, blocks) -> _Flat:
+    """The layout of a step on the selected blocks that p holds, with p's
+    raws and the state's moments (zero for a block without) in it."""
+    layout, size = [], 0
+    for block in blocks:
+        if block not in _BLOCK_FIELDS:
+            raise ValueError(f"unknown parameter block {block!r}")
+        pv = getattr(p, _BLOCK_FIELDS[block])
+        if pv is not None:
+            n = np.size(pv)
+            layout.append((block, _BLOCK_FIELDS[block], np.shape(pv), slice(size, size + n)))
+            size += n
+    raws = _flat([getattr(p, f) for _, f, _, _ in layout]) if layout else None
+    m = v = None
+    if layout and state.mode == "adam":
+        m, v = (_flat([acc.get(b, np.zeros(shape)) for b, _, shape, _ in layout])
+                for acc in (state.m, state.v))
+    return _Flat(blocks, p, tuple(layout), raws, m, v)
 
 
 def step(
@@ -472,59 +502,42 @@ def step(
     blocks are updated together: their raws, gradients and moments are
     laid end to end in flat float64 buffers, a few ufunc calls update
     them, and the new blocks are read-only views of the result, which is
-    checked for finiteness once (ValueError).
+    checked for finiteness once (ValueError).  The new state keeps the
+    buffers and their layout, so the next step on the returned params
+    with the same blocks flattens only its gradient.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    # (block, field, shape, slice of the flat buffers) per updated block
-    active = []
-    size = 0
-    for block in blocks:
-        fname = _BLOCK_FIELDS.get(block)
-        if fname is None:
-            raise ValueError(f"unknown parameter block {block!r}")
-        pv = getattr(p, fname)
-        if pv is None:
-            continue
-        gv = getattr(g, fname)
+    t = state.t + 1
+    flat = state.flat
+    if flat is None or flat.params is not p or flat.blocks != blocks:
+        flat = _laid_out(state, p, blocks)
+    if not flat.layout:
+        return state._advanced(t, state.m, state.v, None), p
+    grads = [getattr(g, f) for _, f, _, _ in flat.layout]
+    for (block, _, shape, _), gv in zip(flat.layout, grads):
         if gv is None:
             raise ValueError(f"gradient missing for block {block!r}")
-        shape = np.shape(pv)
-        if shape != np.shape(gv):
+        if np.shape(gv) != shape:
             raise ValueError(f"shape mismatch in block {block!r}")
-        n = math.prod(shape)
-        active.append((block, fname, shape, slice(size, size + n)))
-        size += n
-    t = state.t + 1
+    flat_g = _flat(grads)
+    m = v = None
     new_m, new_v = state.m, state.v
-    if not active:
-        return OptimizerState(state.mode, state.beta1, state.beta2, state.eps, t,
-                              new_m, new_v), p
-
-    flat_p = _flat([getattr(p, f) for _, f, _, _ in active])
-    flat_g = _flat([getattr(g, f) for _, f, _, _ in active])
     if state.mode == "sgd":
-        new = flat_p - lr * flat_g
+        new = flat.raws - lr * flat_g
     else:
-        def moments(acc):
-            return _flat([acc[b] if b in acc else np.zeros(shape)
-                          for b, _, shape, _ in active])
-
         b1, b2 = state.beta1, state.beta2
-        m = b1 * moments(state.m) + (1.0 - b1) * flat_g
-        v = b2 * moments(state.v) + (1.0 - b2) * flat_g * flat_g
+        m = b1 * flat.m + (1.0 - b1) * flat_g
+        v = b2 * flat.v + (1.0 - b2) * flat_g * flat_g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        new = flat_p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_m, new_v = dict(new_m), dict(new_v)
-        for block, _, shape, part in active:
-            new_m[block] = m[part].reshape(shape)
-            new_v[block] = v[part].reshape(shape)
+        new = flat.raws - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_m, new_v = ({**acc, **{b: buf[part].reshape(shape)
+                                   for b, _, shape, part in flat.layout}}
+                        for acc, buf in ((new_m, m), (new_v, v)))
     if not np.isfinite(new).all():
         raise ValueError("all raw entries must be finite")
     new.flags.writeable = False
-    updates = {f: float(new[part][0]) if f == "log_c" else new[part].reshape(shape)
-               for _, f, shape, part in active}
-    return (OptimizerState(state.mode, state.beta1, state.beta2, state.eps, t,
-                           new_m, new_v),
-            p._updated(updates))
+    p = p._updated({f: float(new[part][0]) if f == "log_c" else new[part].reshape(shape)
+                    for _, f, shape, part in flat.layout})
+    return state._advanced(t, new_m, new_v, _Flat(blocks, p, flat.layout, new, m, v)), p

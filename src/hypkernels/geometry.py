@@ -236,8 +236,9 @@ def _exp0(x, c):
 
     def vjp(g):
         gxv = (g * xv).sum(axis=-1, keepdims=True)
-        df = np.where(y < 1e-8, (4.0 / 15.0) * y - 1.0 / 3.0,
-                      ((1.0 - t * t) - f) / r * (0.5 / r))
+        df = ((1.0 - t * t) - f) / r * (0.5 / r)
+        if series:
+            df = np.where(y < 1e-8, (4.0 / 15.0) * y - 1.0 / 3.0, df)
         gy = gxv * df
         if far:
             # Past the clamp f = TANH_MAX/r and df = -f/(2y), taken in an

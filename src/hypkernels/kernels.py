@@ -251,12 +251,12 @@ def _radial(beta, alphas):
                 slope = slope * bv + l * av[l]
             gb = g * slope
         if isinstance(alphas, Node):
-            ga = np.empty(top + 1)
-            power = g
-            for l in range(top + 1):
-                ga[l] = power.sum()
-                if l < top:
-                    power = power * bv
+            # ga[l] = sum(g beta^l), the powers g, g*beta, (g*beta)*beta, ...
+            # formed by one product chain over a stack and summed at once.
+            powers = np.empty((top + 1,) + bv.shape)
+            powers[0] = g
+            powers[1:] = bv
+            ga = np.multiply.accumulate(powers, axis=0).reshape(top + 1, -1).sum(axis=-1)
         return gb, ga
 
     return record(out, vjp, beta, alphas)

@@ -1,25 +1,20 @@
 """Desk-scale episodic training on synthetic hierarchical data.
 
-Three objectives share one batched forward: the rows of an episode
-(queries, visual samples or anchors) are scored against its columns
-(prototypes, mapped semantic anchors or candidates) in one score matrix,
-and every loss is the row-wise log-sum-exp cross-entropy of that matrix
-against a target column.  The kernel is formed in the cross shape of
-`rkhs._dbr`, rows against columns with each point's closed-form
-self-kernel, never over the union of the two sets.  The forward is
-written once over arrays that may be plain numpy (evaluation) or
-`diff.Node`s on the reverse-mode tape (gradients).  Each of its layers
-(the exp0 or clip projection from `geometry`, the cross-entropy here,
-b(Z), the de Branges-Rovnyak matrix and the variant transform from
-`rkhs` and `kernels`, all shared with `gram`) computes its numpy forward
-and records one tape node with a closed-form VJP, so on plain arrays it
-does no gradient work.
-The forward also runs over leading batch axes: training scores one episode
-(a 2-d score matrix on the tape), evaluation a stack of episodes at once
-(one score tensor per block of episodes).  The objectives are episodic
-few-shot classification, semantic/visual alignment with an affine
-embedder, and in-batch contrastive similarity learning.  A Euclidean and
-a geodesic baseline are provided for comparison.
+Three objectives (episodic few-shot classification, semantic/visual
+alignment with an affine embedder, in-batch contrastive similarity) share
+one batched forward: the rows of an episode (queries, visual samples or
+anchors) are scored against its columns (prototypes, mapped semantic
+anchors or candidates) in the cross shape of `rkhs._dbr`, never over the
+union of the two sets, and every loss is the row-wise log-sum-exp
+cross-entropy against a target column.  The forward runs over leading
+batch axes (stacked episodes) in two parts: `_prepare` projects the
+points and forms their inner products, reading of the kernel only its
+curvature; `_scored` runs the parameter-side layers (b(Z), the de
+Branges-Rovnyak matrix, the variant transform).  Each layer takes plain
+arrays or `diff.Node`s and records a tape node, with a closed-form VJP,
+only when an operand is one: with the curvature fixed, a block of
+training episodes is prepared once, off the tape.  A Euclidean and a
+geodesic baseline are provided for comparison.
 """
 
 from __future__ import annotations
@@ -31,7 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diff import (
+    ALL_BLOCKS,
     DEFAULT_BLOCKS,
+    OPTIMIZER_MODES,
     OptimizerState,
     ParamVector,
     concat,
@@ -44,7 +41,9 @@ from .diff import (
 )
 from .geometry import BOUNDARY_MARGIN, Curvature, GeometryError, _clip, _exp0, check_clip
 from .kernels import KernelConfig, _Kernel, _transform
-from .rkhs import _dbr, _multiplier, softmax
+from .rkhs import _cross_products, _dbr, _multiplier, softmax
+
+SCORE_MODES = ("distance", "similarity")
 
 
 class DivergenceError(RuntimeError):
@@ -104,7 +103,7 @@ def _kernel_from_raws(raws, config: RunConfig) -> _Kernel:
     c = exp(raws.log_c) if raws.log_c is not None else raws.fixed_c
     poles = weights = None
     if config.variant != "da":
-        poles = Projection().apply(raws.pole_raws, c)
+        poles = _exp0(raws.pole_raws, c)
         weights = softmax(raws.weight_logits)
     return _Kernel(config.variant, c, poles, weights,
                    raws.radial_raws * raws.radial_raws,
@@ -123,13 +122,28 @@ def _scores(k: _Kernel, rows, cols, mode: str, projection: Projection):
     score is minus the kernel-induced squared distance
     k_ii + k_jj - 2 k_ij (for ahrbf/ahlap minus the negative log-kernel);
     in "similarity" mode it is the kernel.  A point projected onto the
-    ball boundary makes its scores nan.
+    ball boundary makes its scores nan.  It is `_prepare`, the data side
+    (which reads only the curvature), then `_scored`, the parameter side.
     """
-    if mode not in ("distance", "similarity"):
+    return _scored(k, _prepare(rows, cols, k.c, projection), mode)
+
+
+def _prepare(rows, cols, c, projection: Projection):
+    """The data side of `_scores`: rows and columns projected onto the ball
+    together, Z (... x (n + m) x dim), and the inner products of Z that
+    `rkhs._dbr` reads.  With c fixed it serves every step over its rows."""
+    Z = projection.apply(concat([rows, cols], axis=-2), c)
+    return Z, _cross_products(value(Z), value(rows).shape[-2])
+
+
+def _scored(k: _Kernel, prepared, mode: str):
+    """The parameter side of `_scores` on a `_prepare`d pair (Z, ZZ): b(Z),
+    the cross matrix and the variant transform."""
+    if mode not in SCORE_MODES:
         raise ValueError(f"unknown score mode {mode!r}")
-    Z = projection.apply(concat([rows, cols], axis=-2), k.c)
+    Z, ZZ = prepared
     B = _multiplier(Z, k.poles, k.weights, k.c) if k.poles is not None else None
-    return _transform(k, _dbr(k.c, Z, B, value(rows).shape[-2]), mode)
+    return _transform(k, _dbr(k.c, Z, B, ZZ.shape[-2] - 1, ZZ), mode)
 
 
 def _cross_entropy(scores, targets: np.ndarray):
@@ -357,11 +371,6 @@ def _fsl_rows(episode: Episode):
     return queries, support.sum(axis=-2) / support.shape[-2]
 
 
-def _fsl_scores(k: _Kernel, episode: Episode, mode: str, projection: Projection):
-    """Queries against class prototypes, one score matrix per episode."""
-    return _scores(k, *_fsl_rows(episode), mode, projection)
-
-
 @functools.cache
 def _fsl_targets(n_way: int, n_query: int) -> np.ndarray:
     """The class of each query row (class-major), read-only: built once
@@ -372,8 +381,13 @@ def _fsl_targets(n_way: int, n_query: int) -> np.ndarray:
 
 
 def _fsl_loss(k: _Kernel, episode: Episode, mode: str, projection: Projection):
-    scores = _fsl_scores(k, episode, mode, projection)
-    return _cross_entropy(scores, _fsl_targets(*episode.query.shape[:2]))
+    prepared = _prepare(*_fsl_rows(episode), k.c, projection)
+    return _episode_loss(k, prepared, _fsl_targets(*episode.query.shape[:2]), mode)
+
+
+def _episode_loss(k: _Kernel, prepared, targets: np.ndarray, mode: str):
+    """The fsl loss of `_prepare`d queries (class-major) and prototypes."""
+    return _cross_entropy(_scored(k, prepared, mode), targets)
 
 
 def _zsl_loss(k: _Kernel, affine, semantics, visual, labels, mode, projection):
@@ -464,6 +478,9 @@ BASELINES = ("euclidean", "geodesic")
 # the number of episodes nor, beyond one episode per block, with their
 # size.  The block size decides which episodes a seed draws.
 EVAL_BLOCK_ENTRIES = 2**17
+# `train` keeps its evaluation episodes prepared (`_prepare`) for the
+# final evaluation while they fill at most this many blocks, a few MB.
+SHARED_EVAL_BLOCKS = 8
 
 
 def _eval_block(n_way: int, n_query: int, dim: int) -> int:
@@ -506,18 +523,20 @@ def evaluate(
     projection: Projection = Projection(),
     baseline: str | None = None,
     curvature: float = 1.0,
+    prepared: list | None = None,
 ) -> EvalResult:
     """Episodic classification accuracy with a 95% confidence interval.
 
     Accuracy is argmax-score classification of queries against prototypes
     and mean_loss the mean fsl loss, both from the same scores; the CI
     halfwidth is 1.96 * stderr over per-episode accuracies.  Episodes are
-    drawn and scored a block at a time (`_eval_block`): one
+    drawn and scored a block at a time (`_eval_rows`): one
     `sample_episode` call draws the block's stack from the seeded stream
     and one stacked forward scores it, so `episodes=1` scores the episode
-    that `sample_episode` draws from `default_rng(seed)`.  Raises
-    ArithmeticError when a block's scores or losses are not finite
-    (projected points that round onto the ball boundary).
+    that `sample_episode` draws from `default_rng(seed)`; `prepared` may
+    hold the `_prepare`d blocks of these episodes (not read by a
+    baseline).  Raises ArithmeticError when a block's scores or losses are
+    not finite (projected points that round onto the ball boundary).
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -525,27 +544,26 @@ def evaluate(
         raise ValueError(f"unknown baseline mode {baseline!r}")
     if config is None and baseline is None:
         raise ValueError("evaluate needs a kernel config or a baseline")
-    rng = np.random.default_rng(seed)
     k = _kernel_from_config(config) if config is not None else None
     targets = _fsl_targets(n_way, n_query)
-    block_size = _eval_block(n_way, n_query, dataset.features.shape[1])
+    drawn = baseline is not None or prepared is None
+    blocks = _eval_rows(dataset, n_way, n_shot, n_query, episodes, seed) if drawn else prepared
     correct = []
     losses = []
-    for start in range(0, episodes, block_size):
-        size = min(block_size, episodes - start)
-        block = sample_episode(rng, dataset, n_way, n_shot, n_query, episodes=size)
-        queries, protos = _fsl_rows(block)
+    start = 0
+    for block in blocks:
         if baseline is not None:
-            scores = _baseline_scores(queries, protos, baseline, curvature, projection)
+            scores = _baseline_scores(*block, baseline, curvature, projection)
         else:
-            scores = _scores(k, queries, protos, mode, projection)
+            scores = _scored(k, _prepare(*block, k.c, projection) if drawn else block, mode)
             losses.append(_cross_entropy(scores, targets))
         finite = np.isfinite(scores).all()
         if not (finite and (not losses or np.isfinite(losses[-1]).all())):
             raise ArithmeticError(
                 f"non-finite scores in evaluation episodes {start}.."
-                f"{start + size - 1} (points on the ball boundary?)"
+                f"{start + len(scores) - 1} (points on the ball boundary?)"
             )
+        start += len(scores)
         correct.append((scores.argmax(axis=-1) == targets).sum(axis=-1))
     accs = _joined(correct) / targets.size
     if episodes > 1:
@@ -554,6 +572,18 @@ def evaluate(
         ci = 0.0
     mean_loss = float(_mean(_joined(losses))) if losses else None
     return EvalResult(float(_mean(accs)), float(ci), mean_loss)
+
+
+def _eval_rows(dataset: LabeledSet, n_way: int, n_shot: int, n_query: int,
+               episodes: int, seed: int):
+    """The queries and prototypes (`_fsl_rows`) of `evaluate`'s episodes,
+    a block of `_eval_block` episodes at a time, each block drawn by one
+    `sample_episode` call from the stream of default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    block_size = _eval_block(n_way, n_query, dataset.features.shape[1])
+    for start in range(0, episodes, block_size):
+        yield _fsl_rows(sample_episode(rng, dataset, n_way, n_shot, n_query,
+                                       episodes=min(block_size, episodes - start)))
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -605,8 +635,12 @@ class RunConfig:
     sts_batch: int = 8
 
     def __post_init__(self):
-        if self.task not in ("fsl", "zsl", "sts"):
-            raise ValueError(f"unknown task {self.task!r}")
+        for name, v, known in (("task", self.task, ("fsl", "zsl", "sts")),
+                               ("optimizer mode", self.optimizer_mode, OPTIMIZER_MODES),
+                               ("score mode", self.score_mode, SCORE_MODES),
+                               *(("parameter block", b, ALL_BLOCKS) for b in self.blocks)):
+            if v not in known:
+                raise ValueError(f"unknown {name} {v!r}")
         if self.steps < 0 or self.lr < 0:
             raise ValueError("steps must be >= 0 and lr >= 0")
 
@@ -645,67 +679,49 @@ def _class_semantics(dataset: LabeledSet) -> np.ndarray:
     return np.array([dataset.features[idx].mean(axis=0) for idx in dataset.class_index])
 
 
-def _step_batches(config: RunConfig, dataset: LabeledSet,
-                  rng: np.random.Generator):
-    """The batches of a run's `config.steps` training steps, in order: an
-    Episode (fsl), a (features, labels) sample (zsl) or (anchor, positive,
-    negative) rows (sts).  Episodes are drawn a block at a time, blocks
-    sized as `evaluate` sizes them, so memory does not grow with the
-    number of steps; zsl and sts batches are drawn step by step."""
+def _step_losses(config: RunConfig, dataset: LabeledSet, rng: np.random.Generator):
+    """The loss(raws) of each training step, in order; raws is a ParamVector
+    or the RawView of tape nodes that `diff.grad` passes.
+
+    fsl episodes are drawn a block at a time, blocks sized as `evaluate`
+    sizes them.  With the curvature fixed each block is `_prepare`d once
+    and a step scores its slice; a trained curvature, and the zsl and sts
+    batches (drawn step by step), are prepared in the step's forward.
+    """
+    projection, mode = config.projection, config.score_mode
+
+    def kernel(raws):
+        return _kernel_from_raws(raws, config)
+
     if config.task == "fsl":
+        targets = _fsl_targets(config.n_way, config.n_query)
         block_size = _eval_block(config.n_way, config.n_query, dataset.features.shape[1])
         for start in range(0, config.steps, block_size):
-            block = sample_episode(rng, dataset, config.n_way, config.n_shot,
-                                   config.n_query,
-                                   episodes=min(block_size, config.steps - start))
-            for e in range(len(block.class_ids)):
-                yield Episode._drawn(block.support[e], block.query[e],
-                                     tuple(block.class_ids[e].tolist()))
+            rows, cols = _fsl_rows(sample_episode(
+                rng, dataset, config.n_way, config.n_shot, config.n_query,
+                episodes=min(block_size, config.steps - start)))
+            fixed = () if config.train_curvature else _prepare(rows, cols, config.curvature,
+                                                                  projection)
+            # prepared: the episode's slices of the block's Z and ZZ, or
+            # none, and the step prepares q and p on the tape.
+            for q, p, *prepared in zip(rows, cols, *fixed):
+                def loss(raws, q=q, p=p, prepared=prepared):
+                    k = kernel(raws)
+                    return _episode_loss(k, prepared or _prepare(q, p, k.c, projection),
+                                         targets, mode)
+                yield loss
     elif config.task == "zsl":
+        semantics = _class_semantics(dataset)
         for _ in range(config.steps):
-            idx = rng.choice(dataset.features.shape[0], size=config.sts_batch,
-                             replace=False)
-            yield dataset.features[idx], dataset.labels[idx]
+            idx = rng.choice(dataset.features.shape[0], size=config.sts_batch, replace=False)
+            feats, labels = dataset.features[idx], dataset.labels[idx]
+            yield lambda raws, f=feats, l=labels: _zsl_loss(
+                kernel(raws), raws.affine, semantics, f, l, mode, projection)
     else:
         for _ in range(config.steps):
-            yield _sample_triplets(rng, dataset, config.sts_batch)
-
-
-def _make_step_loss(config: RunConfig, batch, semantics: np.ndarray | None = None):
-    """Close over one training batch (from `_step_batches`) as loss(raws).
-
-    raws is a ParamVector (value) or the RawView of tape nodes that
-    `diff.grad` passes (gradient); both go through the same forward.
-    A zsl step needs `semantics`, the `_class_semantics` of the dataset,
-    which `train` computes once per run.
-    """
-    projection = config.projection
-    mode = config.score_mode
-
-    if config.task == "fsl":
-
-        def loss(raws):
-            return _fsl_loss(_kernel_from_raws(raws, config), batch, mode, projection)
-
-    elif config.task == "zsl":
-        feats, labels = batch
-
-        def loss(raws):
-            return _zsl_loss(
-                _kernel_from_raws(raws, config), raws.affine, semantics, feats,
-                labels, mode, projection,
-            )
-
-    else:
-        anchors, positives, negatives = batch
-
-        def loss(raws):
-            return _sts_loss(
-                _kernel_from_raws(raws, config), anchors, positives, negatives,
-                config.sts_temperature, projection,
-            )
-
-    return loss
+            batch = _sample_triplets(rng, dataset, config.sts_batch)
+            yield lambda raws, b=batch: _sts_loss(kernel(raws), *b, config.sts_temperature,
+                                                  projection)
 
 
 def _sample_triplets(rng: np.random.Generator, dataset: LabeledSet, batch: int):
@@ -749,12 +765,13 @@ def _run_dataset(config: RunConfig) -> LabeledSet:
     )
 
 
-def _run_eval(config: RunConfig, dataset: LabeledSet, p: ParamVector) -> EvalResult:
+def _run_eval(config: RunConfig, dataset: LabeledSet, p: ParamVector,
+              prepared: list | None = None) -> EvalResult:
     kconfig = params_to_kernel_config(config, p)
     return evaluate(
         kconfig, dataset, config.n_way, config.n_shot, config.n_query,
         config.eval_episodes, config.eval_seed, config.score_mode,
-        config.projection,
+        config.projection, prepared=prepared,
     )
 
 
@@ -773,10 +790,18 @@ def params_to_kernel_config(config: RunConfig, p: ParamVector) -> KernelConfig:
 
 
 def train(config: RunConfig) -> TrainRun:
-    """Seeded episodic optimization; deterministic replay per config."""
+    """Seeded episodic optimization; deterministic replay per config.  With
+    the curvature fixed, the initial and final evaluations share one
+    `_prepare` of their episodes when it fills at most SHARED_EVAL_BLOCKS."""
     dataset = _run_dataset(config)
     p = init_params(config)
-    initial_eval = _run_eval(config, dataset, p)
+    prepared = None
+    if not config.train_curvature and config.eval_episodes <= SHARED_EVAL_BLOCKS * _eval_block(
+            config.n_way, config.n_query, config.dim):
+        prepared = [_prepare(*rows, config.curvature, config.projection) for rows in _eval_rows(
+            dataset, config.n_way, config.n_shot, config.n_query, config.eval_episodes,
+            config.eval_seed)]
+    initial_eval = _run_eval(config, dataset, p, prepared)
     rng = np.random.default_rng(config.train_seed)
     state = OptimizerState(mode=config.optimizer_mode)
     blocks = tuple(config.blocks)
@@ -784,13 +809,12 @@ def train(config: RunConfig) -> TrainRun:
         blocks = blocks + ("log_c",)
     if config.task == "zsl" and "affine" not in blocks:
         blocks = blocks + ("affine",)
-    semantics = _class_semantics(dataset) if config.task == "zsl" else None
     trace = []
-    for i, batch in enumerate(_step_batches(config, dataset, rng)):
-        loss = _recording(_make_step_loss(config, batch, semantics), i, trace)
+    for i, loss in enumerate(_step_losses(config, dataset, rng)):
+        loss = _recording(loss, i, trace)
         if config.lr > 0:
             state, p = step(state, p, grad(loss, p), config.lr, blocks)
         else:
             loss(p)
-    final_eval = _run_eval(config, dataset, p)
+    final_eval = _run_eval(config, dataset, p, prepared)
     return TrainRun(config, tuple(trace), p, initial_eval, final_eval)

@@ -137,7 +137,7 @@ def _multiplier(Z, P, w, c):
     return record(M @ Pv - coef_sum * Zv, vjp, Z, P, w, c)
 
 
-def _dbr(c, Z, B=None, n=None):
+def _dbr(c, Z, B=None, n=None, ZZ=None):
     """De Branges-Rovnyak kernel K_ij = (1 - c<b_i,b_j>)/(1 - c<z_i,z_j>)
     over the rows z of Z and b = b(z) of B; 1/(1 - c<z_i,z_j>)
     (Drury-Arveson) without a multiplier.
@@ -153,54 +153,58 @@ def _dbr(c, Z, B=None, n=None):
     holds the rows' self-kernels, whose last row holds the columns' and
     whose corner is 1.  A point with 1 - c|z|^2 <= 0 (rounded onto or
     past the ball boundary) has no kernel: its row or column, border
-    included, is nan, as is an entry whose denominator is <= 0.
+    included, is nan, as is an entry whose denominator is <= 0.  The
+    caller may pass ZZ, the `_cross_products` of Z, formed once for many
+    steps over the same points.
     """
     cv, Zv, Bv = value(c), value(Z), value(B)
     if n is None:
         # Unnamed products let numpy reuse their buffers (n x n each).
         den = 1.0 - cv * (Zv.conj() @ Zv.mT)
         return 1.0 / den if B is None else (1.0 - cv * (Bv.conj() @ Bv.mT)) / den
-    # The inner products of Z, and of B stacked before them, in one pass:
-    # rows against columns, bordered by the |v|^2 of each row (last
-    # column) and column (last row), 0 in the corner.
-    V = Zv if B is None else _pair(Zv, Bv)
-    P = np.zeros(V.shape[:-2] + (n + 1, V.shape[-2] - n + 1))
-    P[..., :-1, :-1] = V[..., :n, :] @ V[..., n:, :].mT
-    # |v|^2 as a product with ones: numpy sums a short last axis slowly.
-    sq = ((V * V) @ np.ones((V.shape[-1], 1)))[..., 0]
-    P[..., :-1, -1] = sq[..., :n]
-    P[..., -1, :-1] = sq[..., n:]
-    D = 1.0 - cv * P
-    den = D if B is None else D[0]
-    X = 1.0 / den if B is None else D[1] / den
+    PZ = _cross_products(Zv, n) if ZZ is None else ZZ
+    den = 1.0 - cv * PZ
+    PB = None if B is None else _cross_products(Bv, n)
+    X = 1.0 / den if B is None else (1.0 - cv * PB) / den
     if den.min() <= 0.0:
         off = den <= 0.0
         X = np.where(off | off[..., :, -1:] | off[..., -1:, :], np.nan, X)
 
     def vjp(g):
         gden = -g * X / den
-        gD = gden if B is None else _pair(gden, g / den)
-        gc = -(gD * P).sum() if isinstance(c, Node) else None
-        # The cotangent of V under P, scaled by dD/dP = -c.
-        gP = -cv * gD
-        block = gP[..., :-1, :-1]
-        gV = np.empty(V.shape)
-        gV[..., :n, :] = block @ V[..., n:, :] + 2.0 * gP[..., :-1, -1:] * V[..., :n, :]
-        gV[..., n:, :] = block.mT @ V[..., :n, :] + 2.0 * gP[..., -1:, :-1].mT * V[..., n:, :]
-        if B is None:
-            return gc, gV, None
-        return gc, gV[0], gV[1]
+        gnum = None if B is None else g / den
+        gc = None
+        if isinstance(c, Node):   # one sum over both halves, end to end, as one array
+            gc = -(gden * PZ if B is None else np.concatenate([gden * PZ, gnum * PB])).sum()
+        # The cotangents of Z and B, where on the tape, under their
+        # products, scaled by d(1 - c P)/dP = -c.
+        return (gc, *(_cross_products_vjp(-cv * gP, V, n) if isinstance(x, Node) else None
+                      for x, V, gP in ((Z, Zv, gden), (B, Bv, gnum))))
 
     return record(X, vjp, c, Z, B)
 
 
-def _pair(a, b):
-    """np.stack([a, b]) of two real arrays of one shape, without its
-    checks."""
-    out = np.empty((2,) + a.shape)
-    out[0] = a
-    out[1] = b
-    return out
+def _cross_products(V, n):
+    """The inner products of the rows of V (... x (n + m) x dim, real)
+    that the cross `_dbr` reads: the first n rows against the other m,
+    bordered by the |v|^2 of each row (last column) and column (last
+    row), 0 in the corner; ... x (n + 1) x (m + 1)."""
+    P = np.zeros(V.shape[:-2] + (n + 1, V.shape[-2] - n + 1))
+    P[..., :-1, :-1] = V[..., :n, :] @ V[..., n:, :].mT
+    # |v|^2 as a product with ones: numpy sums a short last axis slowly.
+    sq = ((V * V) @ np.ones((V.shape[-1], 1)))[..., 0]
+    P[..., :-1, -1] = sq[..., :n]
+    P[..., -1, :-1] = sq[..., n:]
+    return P
+
+
+def _cross_products_vjp(gP, V, n):
+    """The cotangent of V under `_cross_products(V, n)`, from that of P."""
+    block = gP[..., :-1, :-1]
+    gV = np.empty(V.shape)
+    gV[..., :n, :] = block @ V[..., n:, :] + 2.0 * gP[..., :-1, -1:] * V[..., :n, :]
+    gV[..., n:, :] = block.mT @ V[..., :n, :] + 2.0 * gP[..., -1:, :-1].mT * V[..., n:, :]
+    return gV
 
 
 def _bordered(K):

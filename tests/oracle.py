@@ -91,9 +91,10 @@ def _border(block, rows, cols):
                    concat([cols[..., None, :], corner], axis=-1)], axis=-2)
 
 
-def dbr(c, Z, B=None, n=None):
+def dbr(c, Z, B=None, n=None, ZZ=None):
     """The cross matrix of the first n rows of Z against the others: the
-    block of kernel values and each point's self-kernel, side by side."""
+    block of kernel values and each point's self-kernel, side by side.
+    The products of Z are formed here, on the tape; ZZ is not read."""
     ones = np.ones((value(Z).shape[-1], 1))
     den = 1.0 - c * (Z[..., :n, :] @ Z[..., n:, :].mT)
     self_den = 1.0 - c * ((Z * Z) @ ones)[..., 0]
@@ -250,7 +251,7 @@ def evaluate(config, dataset, n_way, n_shot, n_query, episodes, seed,
             if baseline is not None:
                 correct = _baseline_correct(episode, baseline, curvature, projection)
             else:
-                scores = learning._fsl_scores(k, episode, mode, projection)
+                scores = learning._scores(k, *learning._fsl_rows(episode), mode, projection)
                 correct = int(np.count_nonzero(np.argmax(scores, axis=1) == targets))
                 losses.append(float(learning._cross_entropy(scores, targets)))
             accs.append(correct / targets.size)

@@ -21,9 +21,10 @@ from hypkernels.learning import (
     Projection,
     RunConfig,
     _fsl_loss,
-    _fsl_scores,
+    _fsl_rows,
     _kernel_from_config,
     _kernel_from_raws,
+    _scores,
     _sts_loss,
     _zsl_loss,
     evaluate,
@@ -79,7 +80,7 @@ def test_losses_and_scores_match_scalar_path(variant, mode, projection):
     config = params_to_kernel_config(run, p)
     ref_leaves = gm.KernelLeaves.from_config(config)
     ref_scores = oracle.episode_scores(ref_leaves, episode, mode, proj)
-    got_scores = _fsl_scores(_kernel_from_config(config), episode, mode, proj)
+    got_scores = _scores(_kernel_from_config(config), *_fsl_rows(episode), mode, proj)
     np.testing.assert_allclose(got_scores, np.array(ref_scores, dtype=float),
                                rtol=VALUE_RTOL, atol=0)
     assert _rel(fsl_loss(config, episode, mode, proj),

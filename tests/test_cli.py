@@ -526,6 +526,44 @@ def test_config_mistakes_map_to_documented_codes(tmp_path, capsys, command, case
     assert lines[0].startswith(f"{prefix}: ") and fragment in lines[0]
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+def test_train_curvature_must_be_a_json_boolean(tmp_path, capsys, value):
+    # bool("false") is True: only a JSON boolean is read as one.
+    args = _config_case("train", tmp_path, {"train_curvature": value}, None)
+    assert cli.main(args) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: train_curvature must be true or false, got {json.dumps(value)}\n")
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_train_curvature_booleans_accepted(value):
+    run = cli._run_config_from_json({"version": 1, "train_curvature": value})
+    assert run.train_curvature is value
+
+
+@pytest.mark.parametrize("command,case", [
+    (command, case) for command in ("train", "eval")
+    for case in ("optimizer-mode", "blocks", "score-mode")])
+def test_bad_run_config_fails_before_the_dataset(tmp_path, capsys, monkeypatch,
+                                                command, case):
+    # The run config rejects these values as it is built, before the
+    # dataset is generated or any episode is evaluated.
+    args = _probe_args(command, case, tmp_path)
+    built = []
+
+    def dataset(config):
+        built.append(config)
+        raise AssertionError("dataset generated for a bad config")
+
+    monkeypatch.setattr(learning, "_run_dataset", dataset)
+    monkeypatch.setattr(cli, "_run_dataset", dataset)
+    _, code, prefix, fragment = RUN_PROBES[case]
+    assert cli.main(args) == code == cli.EXIT_INPUT_ERROR
+    assert not built
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix}: ") and fragment in err
+
+
 def test_failure_outside_the_table_propagates(tmp_path, train_config, monkeypatch):
     def fail(config):
         raise TypeError("not a config mistake")

@@ -100,6 +100,31 @@ def test_exp0(on_tape):
     _compare(geometry._exp0, oracle.exp0, (x, np.array(0.7)), on_tape)
 
 
+@pytest.mark.parametrize("on_tape", [(True, True), (True, False), (False, True)])
+def test_exp0_without_series_rows(on_tape):
+    """No row below r^2 = 1e-8: the VJP forms no series branch."""
+    x = np.random.default_rng(18).standard_normal((2, 5, 3))
+    _compare(geometry._exp0, oracle.exp0, (x, np.array(0.7)), on_tape)
+
+
+def test_exp0_series_rows_leave_other_rows_bits():
+    """A row's gradient has the same bits whether or not its batch holds
+    rows on the series branch (a zero row and one with r^2 = 1e-10)."""
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((2, 5, 3))
+    g = rng.standard_normal(x.shape)
+    mixed = x.copy()
+    mixed[0, 1] = 0.0
+    mixed[1, 2] *= 1e-5 / np.sqrt(0.7 * mixed[1, 2] @ mixed[1, 2])
+    grads = []
+    for points in (x, mixed):
+        out = geometry._exp0(Node(points), 0.7)
+        grads.append(out.vjp(g)[0])
+    keep = np.ones(x.shape[:-1], dtype=bool)
+    keep[0, 1] = keep[1, 2] = False
+    np.testing.assert_array_equal(grads[0][keep], grads[1][keep])
+
+
 def _past_clamp(x, c):
     """exp0 past its clamp, composed: TANH_MAX x/(sqrt(c)|x|)."""
     return geometry.TANH_MAX * x / (sqrt(c) * sqrt((x * x).sum(axis=-1, keepdims=True)))
@@ -209,6 +234,52 @@ def test_dbr_without_multiplier(on_tape):
     Z = _ball_points(np.random.default_rng(3), (2, 5, 3), 0.8)
     _compare(lambda c, Z: rkhs._dbr(c, Z, None, ROWS),
              lambda c, Z: oracle.dbr(c, Z, None, ROWS), (np.array(0.8), Z), on_tape)
+
+
+@pytest.mark.parametrize("c_on_tape,with_b", [(True, True), (False, True), (True, False)])
+def test_dbr_prepared_products(c_on_tape, with_b, monkeypatch):
+    """Z off the tape with its products prepared, B on it: the values and
+    the cotangents of c and B have the bits of the all-on-tape VJP, and
+    no cotangent of Z is formed."""
+    rng = np.random.default_rng(17)
+    c = np.array(0.8)
+    Z = _ball_points(rng, (2, 5, 3), 0.8)
+    B = 0.7 * _ball_points(rng, (2, 5, 3), 0.8) if with_b else None
+    full = _layer_grads(lambda c, Z, B: rkhs._dbr(c, Z, B, ROWS), (c, Z, B),
+                        (c_on_tape, True, with_b))
+    formed = []
+    vjp = rkhs._cross_products_vjp
+
+    def counted(gP, V, n):
+        formed.append(V is Z)
+        return vjp(gP, V, n)
+
+    monkeypatch.setattr(rkhs, "_cross_products_vjp", counted)
+    ZZ = rkhs._cross_products(Z, ROWS)
+    prepared = _layer_grads(lambda c, B: rkhs._dbr(c, Z, B, ROWS, ZZ), (c, B),
+                            (c_on_tape, with_b))
+    del full[1 + c_on_tape]     # the cotangent of Z
+    assert len(prepared) == len(full)
+    for got, want in zip(prepared, full):
+        np.testing.assert_array_equal(got, want)
+    assert formed == ([False] if with_b else [])
+
+
+@pytest.mark.parametrize("shape,top", [((4, 3), 1), ((5, 4), 6), ((2, 6, 3), 8),
+                                       ((16, 6), 50)])
+def test_radial_coefficient_vjp_is_the_power_loop(shape, top):
+    """The coefficients' cotangent sum(g beta^l) has the bits of the loop
+    that multiplies g by beta once per power and sums each power."""
+    rng = np.random.default_rng(20)
+    beta = rng.uniform(0.0, 1.0, shape)
+    g = rng.standard_normal(shape)
+    out = kernels._radial(beta, Node(rng.uniform(0.1, 1.0, top + 1)))
+    loop = np.empty(top + 1)
+    power = g
+    for l in range(top + 1):
+        loop[l] = power.sum()
+        power = power * beta
+    np.testing.assert_array_equal(out.vjp(g)[1], loop)
 
 
 @pytest.mark.parametrize("with_b", [True, False])
@@ -409,9 +480,8 @@ def test_quickstart_step_tape_size(monkeypatch):
     dataset = gen_tree_dataset(config.dataset_seed, config.depth, config.branching,
                                config.dim, config.noise_sigma, config.samples_per_leaf,
                                config.step_length)
-    episode = next(learning._step_batches(config, dataset,
-                                          np.random.default_rng(config.train_seed)))
-    loss = learning._make_step_loss(config, episode)
+    loss = next(learning._step_losses(config, dataset,
+                                      np.random.default_rng(config.train_seed)))
     built = []
     init = Node.__init__
 

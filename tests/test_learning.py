@@ -343,9 +343,12 @@ class TestTrain:
                                    config.branching, config.dim,
                                    config.noise_sigma, config.samples_per_leaf)
         p = init_params(config)
-        episode = next(learning._step_batches(
-            config, dataset, np.random.default_rng(config.train_seed)))
-        g = grad(learning._make_step_loss(config, episode), p)
+        rng = np.random.default_rng(config.train_seed)
+        g = grad(next(learning._step_losses(config, dataset, rng)), p)
+        # the episode of that step, drawn again from the same seed
+        block = sample_episode(np.random.default_rng(config.train_seed), dataset,
+                               config.n_way, config.n_shot, config.n_query, episodes=1)
+        episode = Episode(block.support[0], block.query[0], block.class_ids[0])
         assert not np.any(g.pole_raws) and not np.any(g.weight_logits)
         reported = fsl_loss(params_to_kernel_config(config, p), episode)
         step0 = train(config).loss_trace[0]
@@ -366,7 +369,8 @@ class TestTrain:
 
     def test_quickstart_draws_episodes_in_blocks(self, monkeypatch):
         # One sampler call per block of `_eval_block` episodes: the 300
-        # training steps and each 500-episode evaluation take 2 + 3 + 3.
+        # training steps take 2 and the 500 evaluation episodes 3, drawn
+        # once for the initial and the final evaluation.
         config = _run_config_from_json(json.loads(QUICKSTART.read_text()))
         calls = []
         sampler = learning.sample_episode
@@ -378,15 +382,15 @@ class TestTrain:
         monkeypatch.setattr(learning, "sample_episode", counted)
         train(config)
         block = learning._eval_block(config.n_way, config.n_query, config.dim)
-        assert sum(calls) == config.steps + 2 * config.eval_episodes
+        assert sum(calls) == config.steps + config.eval_episodes
         assert len(calls) == (math.ceil(config.steps / block)
-                              + 2 * math.ceil(config.eval_episodes / block))
+                              + math.ceil(config.eval_episodes / block))
         assert len(calls) <= MAX_QUICKSTART_SAMPLER_CALLS
 
 
 # Sampler calls in one quickstart `train`; drawing one episode per call
-# made 1300.
-MAX_QUICKSTART_SAMPLER_CALLS = 8
+# made 1300, drawing the evaluation episodes once per evaluation 8.
+MAX_QUICKSTART_SAMPLER_CALLS = 5
 QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
 
 
@@ -395,7 +399,7 @@ def _nan_at_step(monkeypatch, bad_step):
     per-step loss calls and the backward passes made so far."""
     calls = []
     backwards = []
-    fsl = learning._fsl_loss
+    fsl = learning._episode_loss
     backward = diff.backward
 
     def loss(*args):
@@ -406,7 +410,7 @@ def _nan_at_step(monkeypatch, bad_step):
         backwards.append(len(calls))
         return backward(out)
 
-    monkeypatch.setattr(learning, "_fsl_loss", loss)
+    monkeypatch.setattr(learning, "_episode_loss", loss)
     monkeypatch.setattr(diff, "backward", counted_backward)
     return calls, backwards
 

@@ -238,7 +238,7 @@ def test_one_episode_is_the_evaluated_episode(dataset):
         np.testing.assert_array_equal(stack.support[0], episode.support)
         np.testing.assert_array_equal(stack.query[0], episode.query)
         assert tuple(stack.class_ids[0]) == episode.class_ids
-        scores = learning._fsl_scores(k, episode, "distance", Projection())
+        scores = learning._scores(k, *learning._fsl_rows(episode), "distance", Projection())
         loss = float(learning._cross_entropy(scores, targets))
         got = evaluate(config, dataset, 5, 1, 3, episodes=1, seed=seed)
         assert got.accuracy == np.mean(np.argmax(scores, axis=1) == targets)
