@@ -4,13 +4,13 @@ Exit codes: 0 success, 1 a validation suite failed.  A command raises
 on failure, and `main` turns the exception into one stderr line and the
 code of the first row of `FAILURES` that it matches:
 
-    ConfigFileError            2  error: (input, config or output path)
     DivergenceError            4  divergence:
     GeometryError, ConfigError 3  geometry error: (a kernel config its
                                   variant rejects, an unknown one included)
     ArithmeticError            5  numerical error:
-    any other ValueError       2  error: (a value from the inputs that
-                                  the library rejected)
+    any other ValueError       2  error: (ConfigFileError: an input, config
+                                  or output path; or a value from the
+                                  inputs that the library rejected)
 
 Any other exception is a bug and propagates.  Every command is
 deterministic given config plus seeds; floating-point output is
@@ -32,11 +32,11 @@ import numpy as np
 
 from .checks import (check_identities, check_isometry, check_psd,
                      random_multiplier, sample_ball_points)
-from .diff import DEFAULT_BLOCKS, ParamVector, materialize
+from .diff import ParamVector, materialize
 from .geometry import Curvature, GeometryError
 from .kernels import ConfigError, KernelConfig, RadialCoeffs, gram
-from .learning import (DivergenceError, Projection, RunConfig, _run_dataset,
-                       _run_eval, init_params, params_to_kernel_config, train)
+from .learning import (RUN_FIELDS, DivergenceError, FieldSpec, Projection, RunConfig, _checked,
+                       _run_dataset, _run_eval, init_params, params_to_kernel_config, train)
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -52,10 +52,9 @@ class ConfigFileError(ValueError):
     pass
 
 
-# (class, exit code, stderr prefix), first match wins: ConfigFileError,
-# GeometryError and ConfigError are ValueErrors.
+# (class, exit code, stderr prefix), first match wins: GeometryError and
+# ConfigError are ValueErrors.
 FAILURES = (
-    (ConfigFileError, EXIT_INPUT_ERROR, "error"),
     (DivergenceError, EXIT_DIVERGENCE, "divergence"),
     (GeometryError, EXIT_GEOMETRY_ERROR, "geometry error"),
     (ConfigError, EXIT_GEOMETRY_ERROR, "geometry error"),
@@ -128,9 +127,13 @@ def _check_keys(obj: dict, allowed: set, context: str) -> None:
 
 
 def _load_json(path: str) -> dict:
+    """The object of a strict-JSON file: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ConfigFileError(f"{path}: {name} is not a JSON number")
+
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=refuse)
     except OSError as exc:
         raise ConfigFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -143,26 +146,12 @@ def _load_json(path: str) -> dict:
 
 
 def _number(obj: dict, key: str, default=None, *, integer: bool = False,
-            minimum=None, context: str = ""):
-    """obj[key], or default when the key is absent: a JSON number (a bool
-    is not one), integral when integer is set, and at least minimum when
-    that is given.  Returns an int for integer fields, a float otherwise;
-    ConfigFileError names context + key and the value when it fails."""
+            bound=None, context: str = ""):
+    """obj[key] (default when absent) as the config number context + key."""
     if key not in obj:
         return default
-    v = obj[key]
-    name = context + key
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigFileError(f"{name} must be a number, got {json.dumps(v)}")
-    if integer:
-        if not (isinstance(v, int) or (math.isfinite(v) and v == int(v))):
-            raise ConfigFileError(f"{name} must be an integer, got {v!r}")
-        v = int(v)
-    else:
-        v = float(v)
-    if minimum is not None and not v >= minimum:
-        raise ConfigFileError(f"{name} must be at least {minimum}, got {v!r}")
-    return v
+    return _checked(FieldSpec(context + key, "integer" if integer else "number", rule=bound),
+                    obj[key])
 
 
 def _numbers(obj: dict, key: str, default: list, **checks) -> list:
@@ -187,29 +176,40 @@ def _parse_projection(obj: dict) -> Projection:
         raise ConfigFileError(str(exc)) from exc
 
 
-# Numeric kernel keys: (integer?, minimum).  Absent keys take the
-# RunConfig defaults.
-KERNEL_NUMBERS = {
-    "m": (True, 1), "truncation": (True, 1), "offset": (False, None),
-    "degree": (True, None), "bandwidth": (False, None), "init_seed": (True, 0),
-    "init_scale": (False, None),
-}
+def _field_values(cfg: dict, schema: dict) -> dict:
+    """The RunConfig arguments that cfg holds at the JSON paths of schema
+    (`learning.RUN_FIELDS` or a part), a projection read as a Projection:
+    RunConfig checks them.  Unknown keys and non-object sections fail."""
+    names = {}   # section ("" for the top level) -> {key: field name}
+    for name, spec in schema.items():
+        section, _, key = spec.path.rpartition(".")
+        names.setdefault(section, {})[key] = name
+    top = names.pop("")
+    _check_keys(cfg, {"version", *top, *names}, "config")
+    values = {top[key]: v for key, v in cfg.items() if key in top}
+    for section, keys in names.items():
+        obj = cfg.get(section, {})
+        _check_keys(obj, keys.keys(), section)
+        values.update({keys[key]: v for key, v in obj.items()})
+    if "projection" in values:
+        values["projection"] = _parse_projection(values["projection"])
+    return values
 
 
-def _kernel_fields(kobj: dict) -> dict:
-    _check_keys(kobj, {"variant", *KERNEL_NUMBERS}, "kernel")
-    fields = {k: _number(kobj, k, integer=integer, minimum=minimum, context="kernel.")
-              for k, (integer, minimum) in KERNEL_NUMBERS.items() if k in kobj}
-    if "variant" in kobj:
-        fields["variant"] = str(kobj["variant"])
-    return fields
+# The fields of a gram config; its features give the dimension.
+GRAM_FIELDS = {name: spec for name, spec in RUN_FIELDS.items()
+               if spec.path.split(".")[0] in ("kernel", "curvature", "projection")}
+
+
+def _gram_run_config(cfg: dict, dim: int) -> RunConfig:
+    values = _field_values(cfg, GRAM_FIELDS)
+    if values.get("variant") is None:
+        raise ConfigFileError("kernel.variant is required")
+    return RunConfig(dim=dim, **values)
 
 
 def _kernel_config_from_json(kobj: dict, dim: int, curvature: float) -> KernelConfig:
-    fields = _kernel_fields(kobj)
-    if kobj.get("variant") is None:
-        raise ConfigFileError("kernel.variant is required")
-    run_config = RunConfig(dim=dim, curvature=curvature, **fields)
+    run_config = _gram_run_config({"kernel": kobj, "curvature": curvature}, dim)
     return params_to_kernel_config(run_config, init_params(run_config))
 
 
@@ -297,12 +297,10 @@ def _output_dir(path: str) -> Path:
 
 def cmd_gram(args) -> int:
     cfg = _load_json(args.config)
-    _check_keys(cfg, {"version", "curvature", "projection", "kernel"}, "config")
-    projection = _parse_projection(cfg.get("projection", {}))
     features, _ = _read_features(args.features)
-    curvature = Curvature(_number(cfg, "curvature", 1.0))
-    config = _kernel_config_from_json(cfg.get("kernel", {}), features.shape[1], curvature.c)
-    G = gram(config, projection.apply(features, curvature.c))
+    run_config = _gram_run_config(cfg, features.shape[1])
+    config = params_to_kernel_config(run_config, init_params(run_config))
+    G = gram(config, run_config.projection.apply(features, run_config.curvature))
     _write_outputs({args.out: gram_csv(G.entries)})
     return EXIT_OK
 
@@ -335,7 +333,7 @@ PSD_VARIANTS = (
 def _grid(cfg: dict, default: tuple) -> tuple:
     """The (curvatures, dims) of a suite: the config's lists where given."""
     return (_numbers(cfg, "curvatures", default[0]),
-            _numbers(cfg, "dims", default[1], integer=True, minimum=1))
+            _numbers(cfg, "dims", default[1], integer=True, bound=">= 1"))
 
 
 def _psd_reports(seed, tol, n_points, m, grid):
@@ -369,10 +367,10 @@ def cmd_check(args) -> int:
     if args.tol is not None:
         tols = dict.fromkeys(tols, args.tol)
     seed = (args.seed if args.seed is not None
-            else _number(cfg, "seed", 0, integer=True, minimum=0))
-    trials = _number(cfg, "trials", 1000, integer=True, minimum=1)
-    n_points = _number(cfg, "points", 32, integer=True, minimum=1)
-    m = _number(cfg, "m", 3, integer=True, minimum=1)
+            else _number(cfg, "seed", 0, integer=True, bound=">= 0"))
+    trials = _number(cfg, "trials", 1000, integer=True, bound=">= 1")
+    n_points = _number(cfg, "points", 32, integer=True, bound=">= 1")
+    m = _number(cfg, "m", 3, integer=True, bound=">= 1")
     psd_grid, isometry_grid = _grid(cfg, PSD_GRID), _grid(cfg, ISOMETRY_GRID)
     reports = []
     if args.suite in ("psd", "all"):
@@ -393,71 +391,11 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(rep.passed for rep, _ in reports) else EXIT_SUITE_FAILURE
 
 
-RUN_KEYS = {
-    "version", "task", "kernel", "curvature", "train_curvature", "projection",
-    "dataset", "episode", "optimizer", "train_seed", "eval", "score_mode", "sts",
-}
-DATASET_KEYS = {"seed", "depth", "branching", "dim", "noise_sigma",
-                "samples_per_leaf", "step_length"}
-EPISODE_KEYS = {"n_way", "n_shot", "n_query"}
-OPTIMIZER_KEYS = {"mode", "lr", "steps", "blocks"}
-EVAL_KEYS = {"episodes", "seed"}
-STS_KEYS = {"temperature", "batch"}
-
-
 def _run_config_from_json(cfg: dict, seed_override=None) -> RunConfig:
-    _check_keys(cfg, RUN_KEYS, "config")
-    kernel = _kernel_fields(cfg.get("kernel", {}))
-    dobj = cfg.get("dataset", {})
-    _check_keys(dobj, DATASET_KEYS, "dataset")
-    eobj = cfg.get("episode", {})
-    _check_keys(eobj, EPISODE_KEYS, "episode")
-    oobj = cfg.get("optimizer", {})
-    _check_keys(oobj, OPTIMIZER_KEYS, "optimizer")
-    vobj = cfg.get("eval", {})
-    _check_keys(vobj, EVAL_KEYS, "eval")
-    sobj = cfg.get("sts", {})
-    _check_keys(sobj, STS_KEYS, "sts")
-    train_seed = (int(seed_override) if seed_override is not None
-                  else _number(cfg, "train_seed", 1, integer=True, minimum=0))
-    train_curvature = cfg.get("train_curvature", False)
-    if not isinstance(train_curvature, bool):
-        raise ConfigFileError("train_curvature must be true or false, "
-                              f"got {json.dumps(train_curvature)}")
-    blocks = oobj.get("blocks", list(DEFAULT_BLOCKS))
-    if not isinstance(blocks, list):
-        raise ConfigFileError(f"optimizer.blocks must be a list, got {json.dumps(blocks)}")
-
-    def count(obj, key, default, context, minimum=None):
-        return _number(obj, key, default, integer=True, minimum=minimum, context=context)
-
-    return RunConfig(
-        task=cfg.get("task", "fsl"),
-        curvature=_number(cfg, "curvature", 1.0),
-        train_curvature=train_curvature,
-        projection=_parse_projection(cfg.get("projection", {})),
-        dataset_seed=count(dobj, "seed", 0, "dataset.", minimum=0),
-        depth=count(dobj, "depth", 3, "dataset."),
-        branching=count(dobj, "branching", 3, "dataset."),
-        dim=count(dobj, "dim", 8, "dataset."),
-        noise_sigma=_number(dobj, "noise_sigma", 0.35, context="dataset."),
-        samples_per_leaf=count(dobj, "samples_per_leaf", 12, "dataset."),
-        step_length=_number(dobj, "step_length", 1.0, context="dataset."),
-        n_way=count(eobj, "n_way", 5, "episode.", minimum=1),
-        n_shot=count(eobj, "n_shot", 1, "episode.", minimum=1),
-        n_query=count(eobj, "n_query", 3, "episode.", minimum=1),
-        optimizer_mode=oobj.get("mode", "adam"),
-        lr=_number(oobj, "lr", 0.05, context="optimizer."),
-        steps=count(oobj, "steps", 200, "optimizer.", minimum=0),
-        blocks=tuple(blocks),
-        train_seed=train_seed,
-        eval_episodes=count(vobj, "episodes", 200, "eval.", minimum=1),
-        eval_seed=count(vobj, "seed", 2, "eval.", minimum=0),
-        score_mode=cfg.get("score_mode", "distance"),
-        sts_temperature=_number(sobj, "temperature", 0.5, context="sts."),
-        sts_batch=count(sobj, "batch", 8, "sts.", minimum=1),
-        **kernel,
-    )
+    values = _field_values(cfg, RUN_FIELDS)
+    if seed_override is not None:
+        values["train_seed"] = seed_override
+    return RunConfig(**values)
 
 
 def _params_to_json(p: ParamVector) -> dict:
@@ -486,14 +424,12 @@ def _params_from_json(obj: dict) -> ParamVector:
     required = {"version", "pole_raws", "weight_logits", "radial_raws",
                 "log_c", "fixed_c", "affine", "derived"}
     _check_keys(obj, required, "params file")
-    if obj.get("version") != CONFIG_VERSION:
-        raise ConfigFileError("unsupported params file version")
     return ParamVector(
         np.array(obj["pole_raws"], dtype=np.float64),
         np.array(obj["weight_logits"], dtype=np.float64),
         np.array(obj["radial_raws"], dtype=np.float64),
-        log_c=obj.get("log_c"),
-        fixed_c=float(obj.get("fixed_c", 1.0)),
+        log_c=None if obj.get("log_c") is None else _number(obj, "log_c"),
+        fixed_c=_number(obj, "fixed_c", 1.0),
         affine=np.array(obj["affine"], dtype=np.float64)
         if obj.get("affine") is not None
         else None,

@@ -20,8 +20,10 @@ geodesic baseline are provided for comparison.
 from __future__ import annotations
 
 import functools
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .diff import (
     value,
 )
 from .geometry import BOUNDARY_MARGIN, Curvature, GeometryError, _clip, _exp0, check_clip
-from .kernels import KernelConfig, _Kernel, _transform
+from .kernels import VARIANTS, ConfigError, KernelConfig, _Kernel, _transform
 from .rkhs import _cross_products, _dbr, _multiplier, softmax
 
 SCORE_MODES = ("distance", "similarity")
@@ -472,21 +474,23 @@ class EvalResult:
 BASELINES = ("euclidean", "geodesic")
 
 # Bound on the entries of the arrays of one stacked forward in `evaluate`,
-# counted as n x (n + dim) per episode of n = n_way * (n_query + 1) rows
-# and columns (the kernel over their union, which bounds the cross matrix
-# the forward forms, and the projected points): memory grows neither with
-# the number of episodes nor, beyond one episode per block, with their
-# size.  The block size decides which episodes a seed draws.
+# counted per episode as the larger of n x (n + dim) for its n = n_way *
+# (n_query + 1) rows and columns (the kernel over their union and the
+# projected points) and n_way x width, the sampler's keys over the padded
+# rows of the largest class: memory grows neither with the number of
+# episodes nor, beyond one episode per block, with their size or the
+# classes'.  The block size decides which episodes a seed draws.
 EVAL_BLOCK_ENTRIES = 2**17
 # `train` keeps its evaluation episodes prepared (`_prepare`) for the
 # final evaluation while they fill at most this many blocks, a few MB.
 SHARED_EVAL_BLOCKS = 8
 
 
-def _eval_block(n_way: int, n_query: int, dim: int) -> int:
-    """Episodes per stacked forward in `evaluate`."""
+def _eval_block(n_way: int, n_query: int, dataset: LabeledSet) -> int:
+    """Episodes per stacked forward in `evaluate` on dataset."""
     n = n_way * (n_query + 1)
-    return max(1, EVAL_BLOCK_ENTRIES // (n * (n + dim)))
+    dim, width = dataset.features.shape[1], dataset.class_rows.shape[1]
+    return max(1, EVAL_BLOCK_ENTRIES // max(n * (n + dim), n_way * width))
 
 
 def _baseline_scores(queries, protos, baseline: str, c: float,
@@ -580,7 +584,7 @@ def _eval_rows(dataset: LabeledSet, n_way: int, n_shot: int, n_query: int,
     a block of `_eval_block` episodes at a time, each block drawn by one
     `sample_episode` call from the stream of default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    block_size = _eval_block(n_way, n_query, dataset.features.shape[1])
+    block_size = _eval_block(n_way, n_query, dataset)
     for start in range(0, episodes, block_size):
         yield _fsl_rows(sample_episode(rng, dataset, n_way, n_shot, n_query,
                                        episodes=min(block_size, episodes - start)))
@@ -597,52 +601,111 @@ def _mean(x: np.ndarray):
     return x.sum() / x.size
 
 
+class FieldSpec(NamedTuple):
+    """A config schema entry: JSON path, kind, default and rule.  A
+    "number" (finite float) or "integer" has a bound ">= b" or "> b" as
+    rule, a "choice" (or each entry of "choices") one of the strings in
+    rule; a "bool" or "projection" is a bool or a `Projection`.  A wrong
+    kind raises ValueError, a value out of bound or choice raises error."""
+
+    path: str
+    kind: str
+    default: object = None
+    rule: object = None
+    nullable: bool = False
+    error: type = ValueError
+    noun: str | None = None
+
+
+def _checked(spec: FieldSpec, v):
+    """v checked against the schema entry spec, in its kind's type."""
+    path, kind, default, rule, nullable, error, noun = spec
+    if v is None and nullable:
+        return v
+    if kind in ("number", "integer"):
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{path} must be a number, got {json.dumps(v, default=repr)}")
+        if kind == "integer":
+            if not (isinstance(v, (int, np.integer)) or (math.isfinite(v) and v == int(v))):
+                raise ValueError(f"{path} must be an integer, got {v!r}")
+            v = int(v)
+        elif not math.isfinite(v := float(v)):
+            raise ValueError(f"{path} must be finite, got {v!r}")
+        if rule is not None:
+            op, b = rule.split()
+            if not (v >= float(b) if op == ">=" else v > float(b)):
+                raise error(f"{path} must be {'at least' if op == '>=' else 'greater than'} "
+                            f"{b}, got {v!r}")
+        return v
+    if kind in ("bool", "projection") and type(v) is not type(default):
+        raise ValueError(f"{path} must be {'true or false' if kind == 'bool' else 'a Projection'}"
+                         f", got {json.dumps(v, default=repr)}")
+    if kind == "choices" and not isinstance(v, (list, tuple)):
+        raise ValueError(f"{path} must be a list, got {json.dumps(v, default=repr)}")
+    for item in {"choice": (v,), "choices": v}.get(kind, ()):
+        if not (isinstance(item, str) and item in rule):
+            raise error(f"unknown {noun or path.replace('.', ' ').replace('_', ' ')} {item!r}")
+    return tuple(v) if kind == "choices" else v
+
+
+def _entry(*schema, **extra):
+    """A RunConfig field with its schema entry, FieldSpec(*schema, **extra)."""
+    spec = FieldSpec(*schema, **extra)
+    return field(default=spec.default, metadata={"schema": spec})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a seeded training run needs."""
+    """Everything a seeded training run needs.  Each line is a field's
+    schema entry (`FieldSpec`), which construction checks the value against."""
 
-    task: str = "fsl"
-    variant: str = "ahrad"
-    m: int = 2
-    truncation: int = 8
-    offset: float = 1.0
-    degree: int = 2
-    bandwidth: float = 1.0
-    curvature: float = 1.0
-    train_curvature: bool = False
-    projection: Projection = Projection()
-    dataset_seed: int = 0
-    depth: int = 3
-    branching: int = 3
-    dim: int = 8
-    noise_sigma: float = 0.35
-    samples_per_leaf: int = 12
-    step_length: float = 1.0
-    n_way: int = 5
-    n_shot: int = 1
-    n_query: int = 3
-    optimizer_mode: str = "adam"
-    lr: float = 0.05
-    steps: int = 200
-    blocks: tuple = DEFAULT_BLOCKS
-    init_seed: int = 0
-    init_scale: float = 0.1
-    train_seed: int = 1
-    eval_episodes: int = 200
-    eval_seed: int = 2
-    score_mode: str = "distance"
-    sts_temperature: float = 0.5
-    sts_batch: int = 8
+    task: str = _entry("task", "choice", "fsl", ("fsl", "zsl", "sts"))
+    variant: str = _entry("kernel.variant", "choice", "ahrad", VARIANTS, error=ConfigError)
+    m: int = _entry("kernel.m", "integer", 2, ">= 1")
+    truncation: int = _entry("kernel.truncation", "integer", 8, ">= 1")
+    # None for the variants that take no offset, degree or bandwidth.
+    offset: float | None = _entry("kernel.offset", "number", 1.0, "> 0", nullable=True)
+    degree: int | None = _entry("kernel.degree", "integer", 2, ">= 1", nullable=True)
+    bandwidth: float | None = _entry("kernel.bandwidth", "number", 1.0, "> 0", nullable=True)
+    curvature: float = _entry("curvature", "number", 1.0, "> 0", error=GeometryError)
+    train_curvature: bool = _entry("train_curvature", "bool", False)
+    projection: Projection = _entry("projection", "projection", Projection())
+    dataset_seed: int = _entry("dataset.seed", "integer", 0, ">= 0")
+    depth: int = _entry("dataset.depth", "integer", 3, ">= 2")
+    branching: int = _entry("dataset.branching", "integer", 3, ">= 2")
+    # The tree dataset needs 2, but gram passes its feature dimension.
+    dim: int = _entry("dataset.dim", "integer", 8, ">= 1")
+    noise_sigma: float = _entry("dataset.noise_sigma", "number", 0.35, ">= 0")
+    samples_per_leaf: int = _entry("dataset.samples_per_leaf", "integer", 12, ">= 1")
+    step_length: float = _entry("dataset.step_length", "number", 1.0)
+    n_way: int = _entry("episode.n_way", "integer", 5, ">= 1")
+    n_shot: int = _entry("episode.n_shot", "integer", 1, ">= 1")
+    n_query: int = _entry("episode.n_query", "integer", 3, ">= 1")
+    optimizer_mode: str = _entry("optimizer.mode", "choice", "adam", OPTIMIZER_MODES)
+    lr: float = _entry("optimizer.lr", "number", 0.05, ">= 0")
+    steps: int = _entry("optimizer.steps", "integer", 200, ">= 0")
+    blocks: tuple = _entry("optimizer.blocks", "choices", DEFAULT_BLOCKS, ALL_BLOCKS,
+                           noun="parameter block")
+    init_seed: int = _entry("kernel.init_seed", "integer", 0, ">= 0")
+    init_scale: float = _entry("kernel.init_scale", "number", 0.1)
+    train_seed: int = _entry("train_seed", "integer", 1, ">= 0")
+    eval_episodes: int = _entry("eval.episodes", "integer", 200, ">= 1")
+    eval_seed: int = _entry("eval.seed", "integer", 2, ">= 0")
+    score_mode: str = _entry("score_mode", "choice", "distance", SCORE_MODES)
+    sts_temperature: float = _entry("sts.temperature", "number", 0.5, "> 0")
+    sts_batch: int = _entry("sts.batch", "integer", 8, ">= 1")
 
     def __post_init__(self):
-        for name, v, known in (("task", self.task, ("fsl", "zsl", "sts")),
-                               ("optimizer mode", self.optimizer_mode, OPTIMIZER_MODES),
-                               ("score mode", self.score_mode, SCORE_MODES),
-                               *(("parameter block", b, ALL_BLOCKS) for b in self.blocks)):
-            if v not in known:
-                raise ValueError(f"unknown {name} {v!r}")
-        if self.steps < 0 or self.lr < 0:
-            raise ValueError("steps must be >= 0 and lr >= 0")
+        # Each default passes its entry unchanged (a test checks), so a
+        # field that holds its default is not checked again.
+        for name, spec in RUN_FIELDS.items():
+            v = getattr(self, name)
+            if v is not spec.default and (checked := _checked(spec, v)) is not v:
+                object.__setattr__(self, name, checked)
+
+
+# The config schema: each RunConfig field's entry, by field name.
+RUN_FIELDS = {f.name: f.metadata["schema"] for f in fields(RunConfig)}
 
 
 @dataclass(frozen=True)
@@ -695,7 +758,7 @@ def _step_losses(config: RunConfig, dataset: LabeledSet, rng: np.random.Generato
 
     if config.task == "fsl":
         targets = _fsl_targets(config.n_way, config.n_query)
-        block_size = _eval_block(config.n_way, config.n_query, dataset.features.shape[1])
+        block_size = _eval_block(config.n_way, config.n_query, dataset)
         for start in range(0, config.steps, block_size):
             rows, cols = _fsl_rows(sample_episode(
                 rng, dataset, config.n_way, config.n_shot, config.n_query,
@@ -797,7 +860,7 @@ def train(config: RunConfig) -> TrainRun:
     p = init_params(config)
     prepared = None
     if not config.train_curvature and config.eval_episodes <= SHARED_EVAL_BLOCKS * _eval_block(
-            config.n_way, config.n_query, config.dim):
+            config.n_way, config.n_query, dataset):
         prepared = [_prepare(*rows, config.curvature, config.projection) for rows in _eval_rows(
             dataset, config.n_way, config.n_shot, config.n_query, config.eval_episodes,
             config.eval_seed)]

@@ -239,7 +239,7 @@ def evaluate(config, dataset, n_way, n_shot, n_query, episodes, seed,
     rng = np.random.default_rng(seed)
     k = learning._kernel_from_config(config) if config is not None else None
     targets = np.repeat(np.arange(n_way), n_query)
-    block_size = learning._eval_block(n_way, n_query, dataset.features.shape[1])
+    block_size = learning._eval_block(n_way, n_query, dataset)
     accs = []
     losses = []
     for start in range(0, episodes, block_size):

@@ -455,7 +455,8 @@ RUN_PROBES = {
                         "optimizer.blocks must be a list, got 5"),
     "score-mode": ({"score_mode": "nope"}, 2, "error", "unknown score mode 'nope'"),
     "n_way-50": ({"episode": {"n_way": 50}}, 2, "error", "cannot sample 50 ways"),
-    "depth-1": ({"dataset": {"depth": 1}}, 2, "error", "need depth >= 2"),
+    "depth-1": ({"dataset": {"depth": 1}}, 2, "error",
+                "dataset.depth must be at least 2, got 1"),
     "episodes-0": ({"eval": {"episodes": 0}}, 2, "error",
                    "eval.episodes must be at least 1, got 0"),
     "n_shot-20": ({"episode": {"n_shot": 20}}, 2, "error", "fewer than 23 samples"),
@@ -470,7 +471,7 @@ RUN_PROBES = {
     "variant": ({"kernel": {"variant": "nope"}}, 3, "geometry error",
                 "unknown kernel variant 'nope'"),
     "init-scale-nan": ({"kernel": {"init_scale": float("nan")}}, 2, "error",
-                       "all raw entries must be finite"),
+                       "NaN is not a JSON number"),
     "section-not-object": ({"dataset": 5}, 2, "error", "dataset must be an object, got 5"),
 }
 EVAL_PROBES = ("score-mode", "n_way-50", "n_shot-20", "episodes-0", "n_shot-0",
@@ -891,7 +892,8 @@ class TestTrainEval:
     def test_nan_clip_beta_is_input_error(self, tmp_path, features_csv, command,
                                           capsys):
         # The clip parameters are checked as the config is read (exit 2),
-        # not when the points come out non-finite.
+        # not when the points come out non-finite: a NaN is refused with
+        # the file, which is strict JSON.
         cfg = tmp_path / "clip.json"
         projection = {"kind": "clip", "beta": float("nan"), "eps": 0.1}
         if command == "train":
@@ -904,7 +906,7 @@ class TestTrainEval:
             args = ["gram", "--features", str(features_csv), "--config", str(cfg),
                     "--out", str(tmp_path / "G.csv")]
         assert cli.main(args) == cli.EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == "error: beta must be positive, got nan\n"
+        assert capsys.readouterr().err == f"error: {cfg}: NaN is not a JSON number\n"
 
     @pytest.mark.parametrize("log_c", [1000, -1000])
     def test_eval_rejects_curvature_overflow(self, tmp_path, train_config, log_c,
@@ -924,6 +926,35 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: log_c = ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("log_c", "x", 'log_c must be a number, got "x"'),
+        ("log_c", True, "log_c must be a number, got true"),
+        ("fixed_c", True, "fixed_c must be a number, got true"),
+        ("fixed_c", None, "fixed_c must be a number, got null"),
+        ("log_c", float("nan"), "NaN is not a JSON number"),
+    ])
+    def test_eval_checks_params_numbers(self, tmp_path, train_config, capsys, key, value,
+                                        message):
+        # log_c is a number or null and fixed_c a number: "x" used to end
+        # in a TypeError traceback (exit 1) and true was read as 1.
+        run_config = cli._run_config_from_json(json.loads(train_config.read_text()))
+        blob = cli._params_to_json(init_params(run_config))
+        blob[key] = value
+        bad = tmp_path / "bad_params.json"
+        bad.write_text(json.dumps(blob))
+        assert cli.main(["eval", "--params", str(bad),
+                         "--config", str(train_config)]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_config_non_finite_constants_refused(self, tmp_path, capsys, constant):
+        # Configs are strict JSON; Python's json module would accept these.
+        cfg = tmp_path / "check.json"
+        cfg.write_text('{"version": 1, "tol": {"psd": %s}}' % constant)
+        assert cli.main(["check", "--suite", "psd", "--config", str(cfg),
+                         "--out", str(tmp_path / "r")]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {cfg}: {constant} is not a JSON number\n"
 
     def test_ahpoly_runs_with_default_offset(self, tmp_path):
         cfg = tmp_path / "poly.json"

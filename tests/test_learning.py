@@ -381,7 +381,7 @@ class TestTrain:
 
         monkeypatch.setattr(learning, "sample_episode", counted)
         train(config)
-        block = learning._eval_block(config.n_way, config.n_query, config.dim)
+        block = learning._eval_block(config.n_way, config.n_query, learning._run_dataset(config))
         assert sum(calls) == config.steps + config.eval_episodes
         assert len(calls) == (math.ceil(config.steps / block)
                               + math.ceil(config.eval_episodes / block))

@@ -32,7 +32,7 @@ def _step_batches(config, dataset, rng):
     """Each step's batch, drawn as `train` draws it: fsl episodes a block
     at a time, zsl and sts batches step by step."""
     if config.task == "fsl":
-        size = learning._eval_block(config.n_way, config.n_query, dataset.features.shape[1])
+        size = learning._eval_block(config.n_way, config.n_query, dataset)
         for start in range(0, config.steps, size):
             block = sample_episode(rng, dataset, config.n_way, config.n_shot,
                                    config.n_query, episodes=min(size, config.steps - start))
@@ -128,7 +128,7 @@ def test_quickstart_prepares_features_once_per_block(monkeypatch):
     monkeypatch.setattr(learning, "_exp0", counted_exp0)
     monkeypatch.setattr(diff, "backward", counted_backward)
     train(config)
-    block = learning._eval_block(config.n_way, config.n_query, config.dim)
+    block = learning._eval_block(config.n_way, config.n_query, learning._run_dataset(config))
     assert len(samples) == math.ceil(config.steps / block) + math.ceil(
         config.eval_episodes / block) == 5
     n = config.n_way * (config.n_query + 1)

@@ -14,14 +14,19 @@ scores for the same seed.  Against the earlier vectorised draw
 Triplet sampler: the same draws and the same generator state afterwards.
 Evaluation: every variant, score mode and projection, and both
 baselines, on one episode and on more than one block of episodes;
-accuracy and CI halfwidth exactly, mean_loss at 1e-12 relative.
+accuracy and CI halfwidth exactly, mean_loss at 1e-12 relative.  Block
+size: the pinned runs keep theirs, and the sampler's keys stay within
+the bound on datasets with large classes.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
-from hypkernels import learning
+from hypkernels import cli, learning
 from hypkernels.diff import ParamVector
 from hypkernels.geometry import GeometryError
 from hypkernels.kernels import VARIANTS
@@ -37,7 +42,7 @@ from hypkernels.learning import (
 
 PROJECTIONS = {"exp0": Projection(), "clip": Projection("clip", beta=0.9, eps=0.2)}
 SHAPES = [(5, 1, 3), (3, 2, 2), (7, 3, 5), (27, 1, 1)]
-EPISODE_COUNTS = [1, learning._eval_block(5, 3, 8) + 3]
+EPISODE_COUNTS = [1, learning._eval_block(5, 3, gen_tree_dataset(0, 3, 3, 8, 0.5, 12)) + 3]
 LOSS_RTOL = 1e-12
 # Episodes per sampler in a frequency check, and the bound on its Pearson
 # statistic: the number of cells plus six standard deviations of a
@@ -307,3 +312,45 @@ def test_geodesic_baseline_rejects_boundary_points(dataset, monkeypatch):
     oracle.unclamp_exp0(monkeypatch)
     with pytest.raises(GeometryError):
         evaluate(None, dataset, 5, 1, 3, 2, 0, baseline="geodesic", curvature=100.0)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _pinned_datasets():
+    """The datasets of the quickstart, the benchmark's train run and the
+    benchmark's eval workload (a tree of the same shape), with their
+    episode shapes."""
+    for config in ("configs/quickstart.json", "perfbench/train.json"):
+        run = cli._run_config_from_json(json.loads((ROOT / config).read_text()))
+        yield config, run.n_way, run.n_query, learning._run_dataset(run)
+    spec = json.loads((ROOT / "perfbench" / "eval_params.json").read_text())
+    run = spec["run"]
+    yield ("perfbench/eval_params.json", run["n_way"], run["n_query"],
+           gen_tree_dataset(0, **spec["dataset"]))
+
+
+def test_pinned_runs_keep_their_block():
+    # n_way x width = 5 x 12 = 60 stays below n (n + dim) = 20 x 28 = 560,
+    # so the block, and with it every episode a seed draws, is unchanged.
+    for name, n_way, n_query, data in _pinned_datasets():
+        assert data.class_rows.shape[1] == 12, name
+        assert learning._eval_block(n_way, n_query, data) == 234, name
+
+
+def test_sampler_keys_stay_within_the_block_bound():
+    # 27 classes of 5000 rows: the sampler's E x n_way x width keys, not
+    # the episode's kernel, size the block.
+    rng = np.random.default_rng(0)
+    big = LabeledSet(rng.standard_normal((27 * 5000, 8)), np.repeat(np.arange(27), 5000))
+    block = learning._eval_block(5, 3, big)
+    drawn = []
+
+    class Recording:
+        def random(self, shape):
+            drawn.append(int(np.prod(shape)))
+            return rng.random(shape)
+
+    sample_episode(Recording(), big, 5, 1, 3, episodes=block)
+    assert max(drawn) <= learning.EVAL_BLOCK_ENTRIES
+    assert block == learning.EVAL_BLOCK_ENTRIES // (5 * 5000) == 5
