@@ -201,15 +201,15 @@ GRAM_FIELDS = {name: spec for name, spec in RUN_FIELDS.items()
                if spec.path.split(".")[0] in ("kernel", "curvature", "projection")}
 
 
-def _gram_run_config(cfg: dict, dim: int) -> RunConfig:
+def _gram_values(cfg: dict) -> dict:
     values = _field_values(cfg, GRAM_FIELDS)
     if values.get("variant") is None:
         raise ConfigFileError("kernel.variant is required")
-    return RunConfig(dim=dim, **values)
+    return values
 
 
 def _kernel_config_from_json(kobj: dict, dim: int, curvature: float) -> KernelConfig:
-    run_config = _gram_run_config({"kernel": kobj, "curvature": curvature}, dim)
+    run_config = RunConfig(dim=dim, **_gram_values({"kernel": kobj, "curvature": curvature}))
     return params_to_kernel_config(run_config, init_params(run_config))
 
 
@@ -296,9 +296,9 @@ def _output_dir(path: str) -> Path:
 
 
 def cmd_gram(args) -> int:
-    cfg = _load_json(args.config)
+    values = _gram_values(_load_json(args.config))   # before the features are read
     features, _ = _read_features(args.features)
-    run_config = _gram_run_config(cfg, features.shape[1])
+    run_config = RunConfig(dim=features.shape[1], **values)
     config = params_to_kernel_config(run_config, init_params(run_config))
     G = gram(config, run_config.projection.apply(features, run_config.curvature))
     _write_outputs({args.out: gram_csv(G.entries)})

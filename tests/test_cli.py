@@ -113,6 +113,17 @@ class TestGramCommand:
                          "--config", str(cfg),
                          "--out", str(tmp_path / "G")]) == 2
 
+    def test_config_keys_checked_before_features(self, tmp_path, capsys):
+        # Unknown keys and the projection are reported before the features
+        # file is read: here it does not exist.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"version": 1, "kernel": {"variant": "ahl"},
+                                   "smoothing": True}))
+        assert cli.main(["gram", "--features", str(tmp_path / "missing.csv"),
+                         "--config", str(cfg),
+                         "--out", str(tmp_path / "G")]) == 2
+        assert capsys.readouterr().err == "error: unknown key(s) ['smoothing'] in config\n"
+
     def test_missing_version_rejected(self, tmp_path, features_csv):
         cfg = tmp_path / "nover.json"
         cfg.write_text(json.dumps({"kernel": {"variant": "da"}}))
@@ -893,20 +904,24 @@ class TestTrainEval:
                                           capsys):
         # The clip parameters are checked as the config is read (exit 2),
         # not when the points come out non-finite: a NaN is refused with
-        # the file, which is strict JSON.
+        # the file, which is strict JSON, and a beta that Projection
+        # rejects (a GeometryError) is an input error, not exit 3.
         cfg = tmp_path / "clip.json"
-        projection = {"kind": "clip", "beta": float("nan"), "eps": 0.1}
-        if command == "train":
-            cfg.write_text(json.dumps({"version": 1, "task": "fsl",
-                                       "projection": projection}))
-            args = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
-        else:
-            cfg.write_text(json.dumps({"version": 1, "projection": projection,
-                                       "kernel": {"variant": "ahl"}}))
-            args = ["gram", "--features", str(features_csv), "--config", str(cfg),
-                    "--out", str(tmp_path / "G.csv")]
-        assert cli.main(args) == cli.EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == f"error: {cfg}: NaN is not a JSON number\n"
+        for beta, message in ((float("nan"), f"{cfg}: NaN is not a JSON number"),
+                              (0, "beta must be positive, got 0.0"),
+                              (-1, "beta must be positive, got -1.0")):
+            projection = {"kind": "clip", "beta": beta, "eps": 0.1}
+            if command == "train":
+                cfg.write_text(json.dumps({"version": 1, "task": "fsl",
+                                           "projection": projection}))
+                args = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+            else:
+                cfg.write_text(json.dumps({"version": 1, "projection": projection,
+                                           "kernel": {"variant": "ahl"}}))
+                args = ["gram", "--features", str(features_csv), "--config", str(cfg),
+                        "--out", str(tmp_path / "G.csv")]
+            assert cli.main(args) == cli.EXIT_INPUT_ERROR
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("log_c", [1000, -1000])
     def test_eval_rejects_curvature_overflow(self, tmp_path, train_config, log_c,
