@@ -61,10 +61,11 @@ print("  geodesic from origin to exp0(8 e_1) =",
 # ---------------------------------------------------------------------------
 # b(z) averages phi_{a_i}(z) with phi_{-a_i}(z) per pole, then mixes the
 # poles with softmax weights.  The symmetrization pins b(0) = 0 and makes
-# b odd, which keeps the induced kernel positive definite.
+# b odd, which keeps the induced kernel positive definite.  The poles are
+# the rows of one m x dim matrix, here the point a and one more pole.
 
-params = MultiplierParams((a, BallPoint(np.array([0.1, -0.3]), c1)),
-                          np.array([0.5, -0.5]))
+params = MultiplierParams(np.stack([a.coords, [0.1, -0.3]]),
+                          np.array([0.5, -0.5]), c1)
 origin = BallPoint(np.zeros(2), c1)
 print("\nMultiplier symmetries:")
 print("  b(0)         =", multiplier_b(params, origin).coords)

@@ -65,5 +65,5 @@ params, radial, curvature = materialize(run.final_params)
 print("\nlearned mixture weights:", np.round(params.weights, 3))
 print("learned radial coefficients alpha_0..alpha_K:")
 print(" ", np.round(radial.alphas, 4))
-print("pole norms:", np.round([p.norm for p in params.poles], 4),
+print("pole norms:", np.round(np.linalg.norm(params.poles, axis=1), 4),
       f"(ball radius {curvature.radius:.2f})")

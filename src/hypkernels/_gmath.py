@@ -139,7 +139,7 @@ class KernelLeaves:
             raise ValueError("kernel config must carry a curvature")
         poles = weights = None
         if config.params is not None:
-            poles = [[float(w.real) for w in p.coords] for p in config.params.poles]
+            poles = config.params.poles.real.tolist()
             weights = [float(w) for w in config.params.weights]
         alphas = None
         if config.radial is not None:

@@ -118,14 +118,10 @@ def random_multiplier(
     pole_radius_frac: float = 0.7,
     complex_coords: bool = True,
 ) -> MultiplierParams:
-    poles = tuple(
-        sample_ball_points(
-            rng, m, dim, curvature, r_max_frac=pole_radius_frac,
-            complex_coords=complex_coords,
-        )
-    )
+    poles = sample_ball_points(rng, m, dim, curvature, r_max_frac=pole_radius_frac,
+                               complex_coords=complex_coords)
     logits = rng.standard_normal(m)
-    return MultiplierParams(poles, logits)
+    return MultiplierParams(np.stack([p.coords for p in poles]), logits, curvature)
 
 
 def min_max_eigenvalues(G: GramMatrix | np.ndarray) -> tuple[float, float]:
@@ -210,7 +206,7 @@ def _identity_errors(
     errors = {}
 
     # Closed-form single term of the multiplier vs the explicit Mobius average.
-    single = MultiplierParams((a,), np.zeros(1))
+    single = MultiplierParams(a.coords[None], np.zeros(1), curvature)
     closed = multiplier_b(single, z_i).coords
     explicit = 0.5 * (mobius_map(a, z_i).coords + mobius_map(-a, z_i).coords)
     errors["mobius_average"] = float(np.abs(closed - explicit).max())

@@ -363,10 +363,13 @@ def cmd_check(args) -> int:
     _check_keys(cfg, CHECK_KEYS, "config")
     tol_obj = cfg.get("tol", {})
     _check_keys(tol_obj, set(DEFAULT_TOLS), "tol")
-    tols = {k: _number(tol_obj, k, v, context="tol.") for k, v in DEFAULT_TOLS.items()}
+    tols = {k: _number(tol_obj, k, v, bound=">= 0", context="tol.")
+            for k, v in DEFAULT_TOLS.items()}
+    # The options pass the checks of the config keys they override.
     if args.tol is not None:
-        tols = dict.fromkeys(tols, args.tol)
-    seed = (args.seed if args.seed is not None
+        tols = dict.fromkeys(tols, _number(vars(args), "tol", bound=">= 0", context="--"))
+    seed = (_number(vars(args), "seed", integer=True, bound=">= 0", context="--")
+            if args.seed is not None
             else _number(cfg, "seed", 0, integer=True, bound=">= 0"))
     trials = _number(cfg, "trials", 1000, integer=True, bound=">= 1")
     n_points = _number(cfg, "points", 32, integer=True, bound=">= 1")
@@ -402,37 +405,54 @@ def _params_to_json(p: ParamVector) -> dict:
     params, radial, curvature = materialize(p)
     return {
         "version": CONFIG_VERSION,
-        "pole_raws": [[float(x) for x in row] for row in p.pole_raws],
-        "weight_logits": [float(x) for x in p.weight_logits],
-        "radial_raws": [float(x) for x in p.radial_raws],
+        "pole_raws": p.pole_raws.tolist(),
+        "weight_logits": p.weight_logits.tolist(),
+        "radial_raws": p.radial_raws.tolist(),
         "log_c": p.log_c,
         "fixed_c": p.fixed_c,
-        "affine": [[float(x) for x in row] for row in p.affine]
-        if p.affine is not None
-        else None,
+        "affine": None if p.affine is None else p.affine.tolist(),
         "derived": {
-            "weights": [float(w) for w in params.weights],
-            "alphas": [float(a) for a in radial.alphas],
+            "weights": params.weights.tolist(),
+            "alphas": radial.alphas.tolist(),
             "curvature": curvature.c,
-            "poles": [[[w.real, w.imag] for w in pole.coords]
-                      for pole in params.poles],
+            "poles": np.stack([params.poles.real, params.poles.imag], axis=-1).tolist(),
         },
     }
+
+
+def _array(obj: dict, key: str) -> np.ndarray:
+    """obj[key], a JSON list (of lists) of finite numbers, as a float64
+    array; ConfigFileError naming the key, or its first bad entry."""
+    def entries(v, name):
+        if isinstance(v, list):
+            return [entries(x, f"{name}[{i}]") for i, x in enumerate(v)]
+        return _checked(FieldSpec(name, "number"), v)
+
+    try:
+        if not isinstance(obj[key], list):
+            raise ValueError(f"{key} must be a list of numbers, got {json.dumps(obj[key])}")
+        values = entries(obj[key], key)
+    except ValueError as exc:
+        raise ConfigFileError(str(exc)) from None
+    try:
+        return np.array(values, dtype=np.float64)
+    except ValueError:
+        raise ConfigFileError(f"{key} must have rows of equal length") from None
 
 
 def _params_from_json(obj: dict) -> ParamVector:
     required = {"version", "pole_raws", "weight_logits", "radial_raws",
                 "log_c", "fixed_c", "affine", "derived"}
     _check_keys(obj, required, "params file")
+    if missing := required - set(obj):
+        raise ConfigFileError(f"params file lacks key(s) {sorted(missing)}")
     return ParamVector(
-        np.array(obj["pole_raws"], dtype=np.float64),
-        np.array(obj["weight_logits"], dtype=np.float64),
-        np.array(obj["radial_raws"], dtype=np.float64),
-        log_c=None if obj.get("log_c") is None else _number(obj, "log_c"),
-        fixed_c=_number(obj, "fixed_c", 1.0),
-        affine=np.array(obj["affine"], dtype=np.float64)
-        if obj.get("affine") is not None
-        else None,
+        _array(obj, "pole_raws"),
+        _array(obj, "weight_logits"),
+        _array(obj, "radial_raws"),
+        log_c=None if obj["log_c"] is None else _number(obj, "log_c"),
+        fixed_c=_number(obj, "fixed_c"),
+        affine=None if obj["affine"] is None else _array(obj, "affine"),
     )
 
 

@@ -372,18 +372,18 @@ class Gradient:
 def materialize(p: ParamVector) -> tuple[MultiplierParams, RadialCoeffs, Curvature]:
     """Map raws onto constrained parameter values.
 
-    Poles go through the exponential map, all in one `exp0_rows` call, so
-    they are always strictly interior; weights through softmax; radial
-    coefficients are squared.
+    Poles go through the exponential map, all in one `_exp0` call, into
+    the pole matrix, so they are always strictly interior; weights
+    through softmax; radial coefficients are squared.
     """
     # Imported here, not at the top: `geometry`, `rkhs` and `kernels`
     # record their layers on this module's tape, so they import it.
-    from .geometry import Curvature, exp0_rows
+    from .geometry import Curvature, _exp0
     from .kernels import RadialCoeffs
     from .rkhs import MultiplierParams
 
     curvature = Curvature(p.curvature_value)
-    params = MultiplierParams(exp0_rows(p.pole_raws, curvature), p.weight_logits)
+    params = MultiplierParams(_exp0(p.pole_raws, curvature.c), p.weight_logits, curvature)
     radial = RadialCoeffs(p.radial_raws)
     return params, radial, curvature
 

@@ -95,18 +95,23 @@ class TangentVector:
         object.__setattr__(self, "coords", arr)
 
 
+def _unchecked_point(coords: np.ndarray, curvature: Curvature) -> BallPoint:
+    """A BallPoint over read-only complex128 coords, without the checks."""
+    p = object.__new__(BallPoint)
+    object.__setattr__(p, "coords", coords)
+    object.__setattr__(p, "curvature", curvature)
+    return p
+
+
 def _interior_point(coords: np.ndarray, curvature: Curvature) -> BallPoint:
     # Results of ball automorphisms are mathematically interior but may land
     # inside the construction margin; validate strict interiority only.
     arr = np.asarray(coords, dtype=np.complex128)
     if np.sqrt(curvature.c) * np.linalg.norm(arr) >= 1.0:
         raise GeometryError("operation produced a point outside the ball")
-    p = object.__new__(BallPoint)
     arr = arr.copy()
     arr.flags.writeable = False
-    object.__setattr__(p, "coords", arr)
-    object.__setattr__(p, "curvature", curvature)
-    return p
+    return _unchecked_point(arr, curvature)
 
 
 def check_compatible(a: BallPoint, b: BallPoint) -> None:
@@ -171,13 +176,7 @@ def _ball_points(Y: np.ndarray, curvature: Curvature) -> list[BallPoint]:
     _check_interior(Y, curvature)
     Z = Y.astype(np.complex128)
     Z.flags.writeable = False
-    points = []
-    for row in Z:
-        p = object.__new__(BallPoint)
-        object.__setattr__(p, "coords", row)
-        object.__setattr__(p, "curvature", curvature)
-        points.append(p)
-    return points
+    return [_unchecked_point(row, curvature) for row in Z]
 
 
 def check_clip(beta, eps) -> None:

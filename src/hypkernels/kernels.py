@@ -124,9 +124,8 @@ class KernelConfig:
             desc["dim"] = self.params.dim
             desc["c"] = self.params.curvature.c
             desc["logits"] = self.params.weight_logits.tolist()
-            desc["poles"] = [
-                [[w.real, w.imag] for w in p.coords] for p in self.params.poles
-            ]
+            poles = self.params.poles
+            desc["poles"] = np.stack([poles.real, poles.imag], axis=-1).tolist()
         elif self.curvature is not None:
             desc["c"] = self.curvature.c
         if self.offset is not None:
@@ -149,7 +148,7 @@ class KernelConfig:
         c = None if curvature is None else float(curvature.c)
         poles = weights = alphas = None
         if self.params is not None:
-            poles, = _as_real(self.params.pole_coords)
+            poles, = _as_real(self.params.poles)
             weights = self.params.weights
         if self.radial is not None:
             alphas = self.radial.alphas

@@ -839,6 +839,8 @@ def _run_eval(config: RunConfig, dataset: LabeledSet, p: ParamVector,
 
 
 def params_to_kernel_config(config: RunConfig, p: ParamVector) -> KernelConfig:
+    if config.variant == "da":   # the Drury-Arveson kernel takes the curvature alone
+        return KernelConfig("da", curvature=Curvature(p.curvature_value))
     params, radial, _ = materialize(p)
     kwargs = {}
     if config.variant == "ahpoly":
@@ -847,8 +849,6 @@ def params_to_kernel_config(config: RunConfig, p: ParamVector) -> KernelConfig:
         kwargs = {"bandwidth": config.bandwidth}
     elif config.variant == "ahrad":
         kwargs = {"radial": radial}
-    if config.variant == "da":
-        return KernelConfig("da", curvature=params.curvature)
     return KernelConfig(config.variant, params=params, **kwargs)
 
 

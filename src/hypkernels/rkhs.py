@@ -2,7 +2,10 @@
 
 The multiplier b is a convex combination of symmetrized Mobius
 self-mappings with learnable poles; it keeps the induced kernel positive
-definite for any number of poles.
+definite for any number of poles.  `MultiplierParams(poles, weight_logits,
+curvature)` holds the poles in their one representation, the rows of a
+read-only m x dim matrix (real or complex), checked once when it is
+built; the layers below take that matrix as one operand.
 
 b(Z), the de Branges-Rovnyak matrix, the Gram distance and softmax are
 defined once, here, for the pointwise functions, `kernels` and training
@@ -18,7 +21,6 @@ The Hermitian form runs on plain arrays only and records no node.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,55 +48,41 @@ def softmax(logits):
 
 @dataclass(frozen=True)
 class MultiplierParams:
-    """Learnable poles in the ball plus weight logits mapped to the simplex."""
+    """Learnable poles in the ball plus weight logits mapped to the simplex.
 
-    poles: tuple
+    The poles are the rows of one read-only m x dim matrix, real or
+    complex, checked once as `BallPoint` checks a point (finite, inside
+    the construction margin of the curvature)."""
+
+    poles: np.ndarray
     weight_logits: np.ndarray
+    curvature: Curvature
 
     def __post_init__(self):
-        poles = tuple(self.poles)
+        poles = _interior_rows(self.poles, self.curvature).copy()
         if len(poles) < 1:
             raise ValueError("at least one pole is required")
-        for p in poles[1:]:
-            check_compatible(poles[0], p)
-        logits = np.asarray(self.weight_logits, dtype=np.float64)
+        logits = np.array(self.weight_logits, dtype=np.float64)
         if logits.shape != (len(poles),):
-            raise ValueError(
-                f"expected {len(poles)} weight logits, got shape {logits.shape}"
-            )
+            raise ValueError(f"expected {len(poles)} weight logits, got shape {logits.shape}")
         if not np.all(np.isfinite(logits)):
             raise ValueError("weight logits must be finite")
-        logits = logits.copy()
-        logits.flags.writeable = False
+        poles.flags.writeable = logits.flags.writeable = False
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "weight_logits", logits)
 
     @property
     def m(self) -> int:
-        return len(self.poles)
+        return self.poles.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.poles[0].dim
-
-    @property
-    def curvature(self) -> Curvature:
-        return self.poles[0].curvature
-
-    @functools.cached_property
-    def pole_coords(self) -> np.ndarray:
-        """The poles as the rows of one read-only complex m x dim matrix."""
-        P = np.stack([p.coords for p in self.poles])
-        P.flags.writeable = False
-        return P
+        return self.poles.shape[1]
 
     @property
     def weights(self) -> np.ndarray:
         """Softmax view of the logits: strictly positive, sums to one."""
         return softmax(self.weight_logits)
-
-    def check_point(self, z: BallPoint) -> None:
-        check_compatible(self.poles[0], z)
 
 
 def _multiplier(Z, P, w, c):
@@ -258,6 +246,7 @@ def _rows(params: MultiplierParams | None, points, curvature: Curvature | None =
     """The operands (c, Z, B = b(Z) or None) of `_dbr`, over a list of
     compatible BallPoints, or over the rows of a coordinate matrix with
     the given curvature, which are checked as `BallPoint` checks a point.
+    The points must match the params' dimension and curvature.
 
     Z and B are float64 when neither the points nor the poles have a
     nonzero imaginary part, and complex128 otherwise (see `_as_real`).
@@ -267,22 +256,18 @@ def _rows(params: MultiplierParams | None, points, curvature: Curvature | None =
         for p in points[1:]:
             check_compatible(points[0], p)
         curvature = points[0].curvature
-        if params is not None:
-            params.check_point(points[0])
         Z = np.stack([p.coords for p in points])
     else:
         Z = _interior_rows(points, curvature)
-        if params is not None:
-            if Z.shape[1] != params.dim:
-                raise DimensionMismatch(
-                    f"dimension mismatch: {params.dim} vs {Z.shape[1]}")
-            if curvature != params.curvature:
-                raise DimensionMismatch(
-                    f"curvature mismatch: {params.curvature.c} vs {curvature.c}")
     c = curvature.c
     if params is None:
         return c, _as_real(Z)[0], None
-    Z, P = _as_real(Z, params.pole_coords)
+    if Z.shape[1] != params.dim:
+        raise DimensionMismatch(f"dimension mismatch: {params.dim} vs {Z.shape[1]}")
+    if curvature != params.curvature:
+        raise DimensionMismatch(
+            f"curvature mismatch: {params.curvature.c} vs {curvature.c}")
+    Z, P = _as_real(Z, params.poles)
     B = _multiplier(Z, P, params.weights, c)
     if np.any(np.sqrt(c) * np.linalg.norm(B, axis=-1) >= 1.0):
         raise GeometryError("operation produced a point outside the ball")

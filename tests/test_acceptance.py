@@ -97,7 +97,7 @@ def test_03_mobius_averaging():
     for t in range(1000):
         curv, dim = _sweep_points(t)
         a, z = sample_ball_points(rng, 2, dim, curv, r_max_frac=0.9)
-        closed = multiplier_b(MultiplierParams((a,), np.zeros(1)), z).coords
+        closed = multiplier_b(MultiplierParams(a.coords[None], np.zeros(1), curv), z).coords
         explicit = 0.5 * (mobius_map(a, z).coords + mobius_map(-a, z).coords)
         worst = max(worst, float(np.abs(closed - explicit).max()))
     ok = worst < 1e-12

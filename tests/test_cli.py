@@ -376,7 +376,7 @@ class TestGramSizeLimit:
 
 def test_gram_builds_no_point_per_row(tmp_path, monkeypatch):
     # Every BallPoint, however it is made, sets its coords through the
-    # class attribute; only the m = 2 poles may be built.
+    # class attribute.  The poles are one matrix, so none is built.
     built = []
 
     class Counted:
@@ -394,7 +394,9 @@ def test_gram_builds_no_point_per_row(tmp_path, monkeypatch):
     _write_features(feats, np.random.default_rng(6).standard_normal((128, 8)))
     assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
                      "--out", str(tmp_path / "G.csv")]) == 0
-    assert 0 < len({id(p) for p in built}) <= 2
+    assert built == []
+    point = BallPoint(np.zeros(2), Curvature(1.0))   # the counter sees a point
+    assert {id(p) for p in built} == {id(point)}
 
 
 def _config_case(command, tmp_path, top=None, kernel=None):
@@ -490,6 +492,8 @@ EVAL_PROBES = ("score-mode", "n_way-50", "n_shot-20", "episodes-0", "n_shot-0",
 CHECK_PROBES = {
     "points-str": ({"points": "x"}, 2, "error", 'points must be a number, got "x"'),
     "tol-str": ({"tol": {"psd": "x"}}, 2, "error", 'tol.psd must be a number, got "x"'),
+    "tol-negative": ({"tol": {"isometry": -1}}, 2, "error",
+                     "tol.isometry must be at least 0, got -1.0"),
     "curvature-negative": ({"curvatures": [-1]}, 3, "geometry error",
                            "curvature must be positive and finite"),
     "dims-0": ({"dims": [0]}, 2, "error", "dims[0] must be at least 1, got 0"),
@@ -948,11 +952,20 @@ class TestTrainEval:
         ("fixed_c", True, "fixed_c must be a number, got true"),
         ("fixed_c", None, "fixed_c must be a number, got null"),
         ("log_c", float("nan"), "NaN is not a JSON number"),
+        ("pole_raws", {"a": 1}, 'pole_raws must be a list of numbers, got {"a": 1}'),
+        ("pole_raws", "x", 'pole_raws must be a list of numbers, got "x"'),
+        ("pole_raws", [[0.1, "x"]], 'pole_raws[0][1] must be a number, got "x"'),
+        ("pole_raws", [[0.1, True]], "pole_raws[0][1] must be a number, got true"),
+        ("pole_raws", [[0.1], [0.1, 0.2]], "pole_raws must have rows of equal length"),
+        ("weight_logits", [0.1, None], "weight_logits[1] must be a number, got null"),
+        ("radial_raws", 3, "radial_raws must be a list of numbers, got 3"),
+        ("affine", [["1"]], 'affine[0][0] must be a number, got "1"'),
     ])
     def test_eval_checks_params_numbers(self, tmp_path, train_config, capsys, key, value,
                                         message):
-        # log_c is a number or null and fixed_c a number: "x" used to end
-        # in a TypeError traceback (exit 1) and true was read as 1.
+        # log_c is a number or null, fixed_c a number and each array a list
+        # (of lists) of numbers; the message names the key or the entry, and
+        # true is not read as 1.
         run_config = cli._run_config_from_json(json.loads(train_config.read_text()))
         blob = cli._params_to_json(init_params(run_config))
         blob[key] = value
@@ -961,6 +974,36 @@ class TestTrainEval:
         assert cli.main(["eval", "--params", str(bad),
                          "--config", str(train_config)]) == cli.EXIT_INPUT_ERROR
         assert capsys.readouterr().err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize("key", ["weight_logits", "affine", "derived"])
+    def test_eval_requires_every_params_key(self, tmp_path, train_config, capsys, key):
+        # Each key is read, so a missing one is an input error, not a KeyError.
+        run_config = cli._run_config_from_json(json.loads(train_config.read_text()))
+        blob = cli._params_to_json(init_params(run_config))
+        del blob[key]
+        bad = tmp_path / "bad_params.json"
+        bad.write_text(json.dumps(blob))
+        assert cli.main(["eval", "--params", str(bad),
+                         "--config", str(train_config)]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: params file lacks key(s) ['{key}']\n"
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--seed", "-1", "--seed must be at least 0, got -1"),
+        ("--tol", "nan", "--tol must be finite, got nan"),
+        ("--tol", "inf", "--tol must be finite, got inf"),
+        ("--tol", "-0.5", "--tol must be at least 0, got -0.5"),
+    ])
+    def test_check_options_checked(self, tmp_path, capsys, option, value, message):
+        # The options pass the checks of the config keys they override,
+        # before any suite runs: a NaN tolerance is no strict JSON in the
+        # report, and an infinite one passes every suite.
+        cfg = tmp_path / "check.json"
+        cfg.write_text('{"version": 1}')
+        out = tmp_path / "report.ndjson"
+        assert cli.main(["check", "--suite", "all", "--config", str(cfg), "--out", str(out),
+                         option, value]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_config_non_finite_constants_refused(self, tmp_path, capsys, constant):
