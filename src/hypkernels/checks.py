@@ -14,6 +14,8 @@ import numpy as np
 from .geometry import (
     BallPoint,
     Curvature,
+    _interior_rows,
+    _unchecked_point,
     mobius_map,
     pseudo_distance,
     pseudo_distance_closed_form,
@@ -81,22 +83,25 @@ class SweepReport:
         return self.verdict == "pass"
 
 
-def sample_ball_points(
+def sample_ball_coords(
     rng: np.random.Generator,
     count: int,
     dim: int,
     curvature: Curvature,
     r_max_frac: float = 0.95,
     complex_coords: bool = True,
-) -> list[BallPoint]:
+) -> np.ndarray:
     """Seeded ball sampling: uniform direction, radius u^(1/n) * r_max.
 
     The radius law covers the ball without concentrating mass at the
-    boundary; r_max = r_max_frac / sqrt(c).
+    boundary; r_max = r_max_frac / sqrt(c).  The points are the rows of
+    one read-only complex128 count x dim matrix (with zero imaginary
+    parts without complex_coords), checked once as `BallPoint` checks a
+    point.
     """
-    points = []
+    Z = np.empty((count, dim), dtype=np.complex128)
     r_max = r_max_frac / np.sqrt(curvature.c)
-    for _ in range(count):
+    for row in Z:
         if complex_coords:
             direction = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         else:
@@ -106,8 +111,23 @@ def sample_ball_points(
             direction = np.ones(dim, dtype=np.complex128)
             nrm = np.linalg.norm(direction)
         radius = rng.uniform() ** (1.0 / dim) * r_max
-        points.append(BallPoint(radius / nrm * direction, curvature))
-    return points
+        row[:] = radius / nrm * direction
+    Z = _interior_rows(Z, curvature)
+    Z.flags.writeable = False
+    return Z
+
+
+def sample_ball_points(
+    rng: np.random.Generator,
+    count: int,
+    dim: int,
+    curvature: Curvature,
+    r_max_frac: float = 0.95,
+    complex_coords: bool = True,
+) -> list[BallPoint]:
+    """The rows of `sample_ball_coords` as BallPoints."""
+    Z = sample_ball_coords(rng, count, dim, curvature, r_max_frac, complex_coords)
+    return [_unchecked_point(row, curvature) for row in Z]
 
 
 def random_multiplier(
@@ -118,15 +138,14 @@ def random_multiplier(
     pole_radius_frac: float = 0.7,
     complex_coords: bool = True,
 ) -> MultiplierParams:
-    poles = sample_ball_points(rng, m, dim, curvature, r_max_frac=pole_radius_frac,
+    poles = sample_ball_coords(rng, m, dim, curvature, r_max_frac=pole_radius_frac,
                                complex_coords=complex_coords)
-    logits = rng.standard_normal(m)
-    return MultiplierParams(np.stack([p.coords for p in poles]), logits, curvature)
+    return MultiplierParams(poles, rng.standard_normal(m), curvature)
 
 
 def min_max_eigenvalues(G: GramMatrix | np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of a Hermitian matrix via a self-adjoint solve."""
-    mat = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=np.complex128)
+    mat = G.entries if isinstance(G, GramMatrix) else np.asarray(G)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
     if mat.shape[0] > 1024:
@@ -148,7 +167,7 @@ def psd_report(G: GramMatrix | np.ndarray, tol: float = DEFAULT_PSD_TOL,
 
 def check_psd(
     config: KernelConfig,
-    points: list[BallPoint],
+    points: list[BallPoint] | np.ndarray,
     tol: float = DEFAULT_PSD_TOL,
     seed: int | None = None,
 ) -> PsdReport:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import (check_identities, check_isometry, check_psd,
-                     random_multiplier, sample_ball_points)
+                     random_multiplier, sample_ball_coords)
 from .diff import ParamVector, materialize
 from .geometry import Curvature, GeometryError
 from .kernels import ConfigError, KernelConfig, RadialCoeffs, gram
@@ -67,53 +67,26 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _format(spec: str, values: np.ndarray) -> list:
-    """Each row of values (or each value) as text, by one %-operation."""
-    count = len(values)
-    if not count:
-        return []
-    return (((spec + ",") * count)[:-1] % tuple(values.ravel().tolist())).split(",")
-
-
-def _format_entries(z: np.ndarray) -> list:
-    """Each complex entry as text: its real part, followed by a signed
-    imaginary part and "j" when that is nonzero, each to 17 significant
-    digits.  The real and the complex entries are each formatted by one
-    %-operation."""
-    if not z.imag.any():
-        return _format("%.17g", z.real)
-    real = z.imag == 0.0
-    out = np.empty(z.size, dtype=object)
-    out[real] = _format("%.17g", z.real[real])
-    out[~real] = _format("%.17g%+.17gj",
-                         np.stack([z.real[~real], z.imag[~real]], axis=-1))
-    return out.tolist()
-
-
 def gram_csv(entries: np.ndarray) -> str:
-    """The CSV text of a Hermitian matrix, one row per line.
+    """The CSV text of a real symmetric matrix, one row per line.
 
-    Each upper-triangle entry is formatted once, in one pass.  A
+    Each upper-triangle entry is formatted once, in one pass, and a
     lower-triangle cell reuses the text of its mirror, taken from the
-    transpose of the upper rows, unless its imaginary part is nonzero;
-    then its own value, the mirror's conjugate, is formatted.  The
-    output is exact only if the lower triangle holds the bit-exact
-    conjugates of the upper one, as `kernels.gram` guarantees.
+    transpose of the upper rows.  The output is exact only if the lower
+    triangle holds the bit-exact mirror of the upper one, as
+    `kernels.gram` guarantees.  TypeError on a complex matrix: the
+    kernels are real on the real features that `gram` reads.
     """
+    if np.iscomplexobj(entries):
+        raise TypeError("gram_csv writes real matrices, got complex entries")
     n = entries.shape[0]
-    cells = _format_entries(entries[~np.tri(n, k=-1, dtype=bool)])
+    values = entries[~np.tri(n, k=-1, dtype=bool)].tolist()
+    cells = (("%.17g," * len(values))[:-1] % tuple(values)).split(",")
     ends = np.cumsum(np.arange(n, 0, -1)).tolist()
     upper = [cells[end - n + i:end] for i, end in enumerate(ends)]
     # Column i of the padded upper rows holds the texts of row i's lower
     # cells in its first i places.
-    padded = [[""] * i + row for i, row in enumerate(upper)]
-    if entries.imag.any():
-        lower = np.tril_indices(n, -1)
-        rows, cols = (idx[entries.imag[lower] != 0.0] for idx in lower)
-        for i, j, text in zip(rows.tolist(), cols.tolist(),
-                              _format_entries(entries[rows, cols])):
-            padded[j][i] = text
-    mirrors = list(zip(*padded))
+    mirrors = list(zip(*[[""] * i + row for i, row in enumerate(upper)]))
     return "".join([",".join(mirrors[i][:i] + tuple(row)) + "\n"
                     for i, row in enumerate(upper)])
 
@@ -343,7 +316,7 @@ def _psd_reports(seed, tol, n_points, m, grid):
     for c in curvatures:
         for dim in dims:
             curvature = Curvature(c)
-            points = sample_ball_points(rng, n_points, dim, curvature)
+            points = sample_ball_coords(rng, n_points, dim, curvature)
             params = random_multiplier(rng, m, dim, curvature)
             radial = RadialCoeffs(rng.uniform(0.1, 1.0, 51))
             for variant, extra in PSD_VARIANTS:

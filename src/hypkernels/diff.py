@@ -21,7 +21,7 @@ serves values and gradients.
 Nodes are appended to a tape, a list shared by the nodes of one
 computation, in the order they are created; that order is topological,
 so `backward` walks the tape once in reverse.  `grad` puts the leaves of
-each gradient on a fresh tape.
+each gradient on a fresh tape and empties it when it returns or raises.
 """
 
 from __future__ import annotations
@@ -405,12 +405,18 @@ def grad(loss, p: ParamVector) -> Gradient:
         fixed_c=p.fixed_c,
         affine=Node(p.affine, tape) if p.affine is not None else None,
     )
-    out = loss(view)
-    loss_value = float(value(out))
-    if not math.isfinite(loss_value):
-        raise ArithmeticError(f"loss evaluated to non-finite value {loss_value}")
-    if isinstance(out, Node):
-        backward(out)
+    try:
+        out = loss(view)
+        loss_value = float(value(out))
+        if not math.isfinite(loss_value):
+            raise ArithmeticError(f"loss evaluated to non-finite value {loss_value}")
+        if isinstance(out, Node):
+            backward(out)
+    finally:
+        # Each node holds the tape and the tape each node: emptying it frees
+        # the step's nodes, VJP closures and arrays at once, on any exit,
+        # instead of leaving the cycles to the cyclic garbage collector.
+        tape.clear()
 
     def collect(leaf):
         return np.zeros(leaf.value.shape) if leaf.grad is None else leaf.grad

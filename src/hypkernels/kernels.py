@@ -163,11 +163,11 @@ class KernelConfig:
 class GramMatrix:
     """Hermitian matrix of kernel values over a point set.
 
-    `entries` is a read-only complex128 copy of the matrix given.  The
-    ids are computed on first access: `config_fingerprint` is the
-    config's `fingerprint()`, `point_set_id` a hash of the points'
-    complex128 coordinates (a list of BallPoints, or a coordinate matrix
-    whose copy the GramMatrix keeps).
+    `entries` is a read-only float64 (or, when complex, complex128) copy
+    of the matrix given.  The ids are computed on first access:
+    `config_fingerprint` is the config's `fingerprint()`, `point_set_id`
+    a hash of the points' complex128 coordinates (a list of BallPoints,
+    or a coordinate matrix whose copy the GramMatrix keeps).
     """
 
     entries: np.ndarray
@@ -175,10 +175,10 @@ class GramMatrix:
     points: tuple | np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128)
+        arr = np.asarray(self.entries)
+        arr = arr.astype(np.result_type(arr, np.float64))   # a copy
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("Gram entries must form a square matrix")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
         if isinstance(self.points, np.ndarray):
@@ -336,20 +336,21 @@ def gram(config: KernelConfig, points: list[BallPoint] | np.ndarray) -> GramMatr
 
     points is a list of BallPoints or an n x dim coordinate matrix, real
     or complex, whose rows lie inside the ball of the config's curvature.
-    Both run through one core (see `rkhs._rows`): in real arithmetic
-    when neither the points nor the poles have a nonzero imaginary part,
-    in complex arithmetic otherwise.  The entries are complex128 either
-    way.  The lower triangle holds the conjugates of the upper one, so
-    Hermitian symmetry is bit-exact regardless of floating-point
-    non-associativity.
+    Both run through one core (see `rkhs._rows`), and the entries keep
+    the dtype of its arithmetic: float64 when neither the points nor the
+    poles have a nonzero imaginary part, complex128 otherwise (the
+    real-valued families included).  The lower triangle holds the
+    conjugates of the upper one, so Hermitian symmetry is bit-exact
+    regardless of floating-point non-associativity.
     """
     n = len(points)
     if n < 1:
         raise ConfigError("at least one point is required")
     if n > MAX_GRAM_SIZE:
         raise ConfigError(f"point set of size {n} exceeds the maximum {MAX_GRAM_SIZE}")
-    K = _bordered(_dbr(*_config_rows(config, points)))
-    entries = _transform(config._derived, K, strict=True).astype(np.complex128)
+    c, Z, B = _config_rows(config, points)
+    K = _bordered(_dbr(c, Z, B))
+    entries = _transform(config._derived, K, strict=True).astype(Z.dtype, copy=False)
     np.copyto(entries, entries.T.conj(), where=np.tri(n, k=-1, dtype=bool))
     diag = entries.diagonal()
     if np.any(np.abs(diag.imag) > 1e-12) or np.any(diag.real <= 0.0):

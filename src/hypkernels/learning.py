@@ -384,7 +384,7 @@ def _fsl_targets(n_way: int, n_query: int) -> np.ndarray:
 
 def _fsl_loss(k: _Kernel, episode: Episode, mode: str, projection: Projection):
     prepared = _prepare(*_fsl_rows(episode), k.c, projection)
-    return _episode_loss(k, prepared, _fsl_targets(*episode.query.shape[:2]), mode)
+    return _episode_loss(k, prepared, _fsl_targets(*episode.query.shape[-3:-1]), mode)
 
 
 def _episode_loss(k: _Kernel, prepared, targets: np.ndarray, mode: str):
@@ -411,8 +411,10 @@ def fsl_loss(
     mode: str = "distance",
     projection: Projection = Projection(),
 ) -> float:
-    """Mean negative log-probability of queries under prototype scores."""
-    return float(_fsl_loss(_kernel_from_config(config), episode, mode, projection))
+    """Mean negative log-probability of queries under prototype scores;
+    for a stack of episodes, the mean of the episodes' losses."""
+    loss = _fsl_loss(_kernel_from_config(config), episode, mode, projection)
+    return float(loss if loss.ndim == 0 else _mean(loss))
 
 
 def zsl_loss(

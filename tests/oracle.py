@@ -17,7 +17,9 @@ copy; `learning.sample_episode` must draw exactly its episodes.  `evaluate` scor
 `learning.sample_episode` one episode and one query at a time; the tests
 require the same results from the stacked evaluation.  `step` is the
 per-block optimizer step that the flat-buffer `diff.step` replaced; the
-tests require bit-identical updates.
+tests require bit-identical updates.  `sample_ball_points` is the
+per-point sampler that `checks.sample_ball_coords` replaced; the tests
+require the same draws, bit for bit.
 
 `COMPOSED` maps each fused layer of the forward (one tape node with a
 closed-form VJP, in `geometry`, `learning`, `rkhs` or `kernels`) to the
@@ -30,12 +32,14 @@ is how the tests reach that boundary now that the fused layer never does.
 
 `gram_csv` is the per-entry writer that `cli.gram_csv` replaced; the
 tests require byte-identical text from it.  `shuffle_labels` (the
-random-label control) and `euclidean_baseline_score` (the pointwise
-Euclidean and geodesic baseline scores) are used by the tests only.
+random-label control), `euclidean_baseline_score` (the pointwise
+Euclidean and geodesic baseline scores) and `unreachable_after` (the
+cyclic garbage a call leaves) are used by the tests only.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import replace
 
@@ -197,6 +201,21 @@ def sample_episode_stack(rng, dataset, n_way, n_shot, n_query, episodes=None):
                                 tuple(class_ids[0].tolist()))
     return learning.Episode(samples[..., :n_shot, :], samples[..., n_shot:, :],
                             class_ids)
+
+
+def sample_ball_points(rng, count, dim, curvature, r_max_frac=0.95, complex_coords=True):
+    """Seeded ball points, drawn and checked one BallPoint at a time."""
+    points = []
+    r_max = r_max_frac / np.sqrt(curvature.c)
+    for _ in range(count):
+        if complex_coords:
+            direction = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        else:
+            direction = rng.standard_normal(dim).astype(np.complex128)
+        nrm = np.linalg.norm(direction)
+        radius = rng.uniform() ** (1.0 / dim) * r_max
+        points.append(BallPoint(radius / nrm * direction, curvature))
+    return points
 
 
 def sample_triplets(rng, dataset, batch):
@@ -427,15 +446,9 @@ def worst_grad_error(loss, reference, p: ParamVector, h: float = 1e-5) -> float:
     return worst
 
 
-def fmt_complex(z: complex) -> str:
-    if z.imag == 0.0:
-        return f"{float(z.real):.17g}"
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
 def gram_csv(entries) -> str:
-    """The CSV text of a Gram matrix, formatted entry by entry."""
-    return "".join(",".join(fmt_complex(complex(v)) for v in row) + "\n"
+    """The CSV text of a real Gram matrix, formatted entry by entry."""
+    return "".join(",".join(f"{float(v):.17g}" for v in row) + "\n"
                    for row in entries)
 
 
@@ -464,3 +477,15 @@ def euclidean_baseline_score(q, prototype, mode: str = "euclidean",
         q = BallPoint(np.asarray(q, dtype=np.complex128), curvature)
         prototype = BallPoint(np.asarray(prototype, dtype=np.complex128), curvature)
     return float(-geodesic_distance(q, prototype))
+
+
+def unreachable_after(fn) -> int:
+    """The objects that the cyclic garbage collector finds unreachable
+    after fn() runs with automatic collection off."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()

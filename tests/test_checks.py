@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from hypkernels.checks import (
     PsdReport,
     SweepReport,
@@ -12,9 +13,10 @@ from hypkernels.checks import (
     min_max_eigenvalues,
     psd_report,
     random_multiplier,
+    sample_ball_coords,
     sample_ball_points,
 )
-from hypkernels.geometry import Curvature
+from hypkernels.geometry import BallPoint, Curvature
 from hypkernels.kernels import KernelConfig, RadialCoeffs
 
 C1 = Curvature(1.0)
@@ -80,6 +82,46 @@ class TestCheckPsd:
         radial = RadialCoeffs(rng.uniform(0.1, 1.0, 11))
         rep = check_psd(KernelConfig("ahrad", params=params, radial=radial), points)
         assert rep.passed, rep
+
+
+class TestSampling:
+    @pytest.mark.parametrize("complex_coords", [True, False])
+    @pytest.mark.parametrize("count,dim,c,frac", [(1, 1, 1.0, 0.95), (7, 3, 0.25, 0.7),
+                                                  (32, 8, 2.0, 0.9)])
+    def test_coords_draw_what_the_per_point_sampler_drew(self, count, dim, c, frac,
+                                                         complex_coords):
+        curvature = Curvature(c)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        Z = sample_ball_coords(rng, count, dim, curvature, frac, complex_coords)
+        ref = oracle.sample_ball_points(ref_rng, count, dim, curvature, frac, complex_coords)
+        assert Z.dtype == np.complex128 and Z.shape == (count, dim)
+        assert not Z.flags.writeable
+        assert Z.tobytes() == np.stack([p.coords for p in ref]).tobytes()
+        # The same draws in the same order leave the streams in step.
+        assert rng.uniform() == ref_rng.uniform()
+
+    def test_points_are_the_rows_of_the_coords(self):
+        points = sample_ball_points(np.random.default_rng(4), 5, 3, C1, complex_coords=False)
+        Z = sample_ball_coords(np.random.default_rng(4), 5, 3, C1, complex_coords=False)
+        for p, z in zip(points, Z):
+            assert not p.coords.flags.writeable
+            assert p.coords.tobytes() == z.tobytes()
+
+    def test_multiplier_poles_are_sampled_coords(self):
+        params = random_multiplier(np.random.default_rng(6), 3, 4, C1)
+        rng = np.random.default_rng(6)
+        poles = sample_ball_coords(rng, 3, 4, C1, r_max_frac=0.7)
+        assert params.poles.tobytes() == poles.tobytes()
+        assert params.weight_logits.tobytes() == rng.standard_normal(3).tobytes()
+
+    def test_psd_on_coords_matches_points(self):
+        rng = np.random.default_rng(8)
+        Z = sample_ball_coords(rng, 16, 2, C1)
+        params = random_multiplier(rng, 2, 2, C1)
+        points = [BallPoint(z, C1) for z in Z]
+        for extra in ({}, {"bandwidth": 1.0}):
+            config = KernelConfig("ahrbf" if extra else "ahl", params=params, **extra)
+            assert check_psd(config, Z) == check_psd(config, points)
 
 
 class TestIsometry:

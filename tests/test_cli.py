@@ -171,16 +171,6 @@ class TestGramCommand:
                          "--out", str(tmp_path / "G")]) == cli.EXIT_NUMERICAL_ERROR == 5
         assert "numerical error:" in capsys.readouterr().err
 
-    def test_complex_entries_round_trip(self, tmp_path):
-        # Real features keep entries real, so check the writer directly.
-        z = complex(0.123456789012345678, -9.87654321e-5)
-        G = np.array([[1.5, z], [z.conjugate(), 2.0]])
-        text = cli.gram_csv(G)
-        assert text.splitlines()[0].split(",")[0] == "1.5"
-        got = np.array([[complex(v) for v in line.split(",")]
-                        for line in text.splitlines()])
-        assert np.array_equal(got, G)
-
 
 def _write_features(path, x):
     lines = [",".join(f"x{k}" for k in range(x.shape[1]))]
@@ -228,27 +218,33 @@ class TestGramWriter:
         Z = rng.standard_normal((17, 3)) + 1j * rng.standard_normal((17, 3))
         Z *= 0.9 / np.linalg.norm(Z, axis=1, keepdims=True) * rng.uniform(0, 1, (17, 1))
         G = gram(config, [BallPoint(z, curvature) for z in Z]).entries
-        # da, ahl and ahpoly are complex off the diagonal; the other families
-        # are real, with -0.0 imaginary parts in the lower triangle.
+        # Complex points give complex128 entries for every variant.  da, ahl
+        # and ahpoly are complex off the diagonal; the other families are
+        # real, with -0.0 imaginary parts in the lower triangle.
+        assert G.dtype == np.complex128
         if variant in ("da", "ahl", "ahpoly"):
             assert np.count_nonzero(G.imag) == 17 * 16
         else:
             assert np.signbit(G.imag[np.tril_indices(17, -1)]).all()
-        assert cli.gram_csv(G) == oracle.gram_csv(G)
+
+    def test_complex_matrix_refused(self):
+        # gram reads real features, so a complex matrix here is a bug.
+        G = np.array([[1.5, 0.25 - 1e-4j], [0.25 + 1e-4j, 2.0]])
+        with pytest.raises(TypeError, match="complex"):
+            cli.gram_csv(G)
+        with pytest.raises(TypeError, match="complex"):
+            cli.gram_csv(G.real.astype(np.complex128))
 
     def test_hand_built_hermitian(self):
+        # Real symmetric matrices of special values: signed zeros,
+        # subnormals, nan and infinities.
         values = [0.0, -0.0, 5e-324, -1e-320, 1e-300, 1e-20, 0.1, 1 / 3, -2.25,
                   1.0, 123456789.0, 1e300, -1e300, np.nan, np.inf, -np.inf]
         rng = np.random.default_rng(3)
         for n in (1, 2, 5, 24):
-            G = np.empty((n, n), dtype=np.complex128)
-            G.real = rng.choice(values, (n, n))
-            G.imag = rng.choice(values, (n, n))
-            G.imag[rng.uniform(size=(n, n)) < 0.3] = 0.0
-            G.imag[rng.uniform(size=(n, n)) < 0.2] = -0.0
-            G[np.diag_indices(n)] = G.diagonal().real
+            G = rng.choice(values, (n, n))
             lower = np.tril_indices(n, -1)
-            G[lower] = G.T[lower].conj()
+            G[lower] = G.T[lower]
             assert cli.gram_csv(G) == oracle.gram_csv(G), n
 
     def test_projection_calls_exp0_only_for_poles(self, tmp_path, monkeypatch):

@@ -307,6 +307,43 @@ class TestGrad:
         assert oracle.worst_grad_error(loss, reference, p) < 1e-8
 
 
+class TestTapeLifetime:
+    """grad empties its tape on every exit: a step's nodes, VJP closures
+    and arrays are freed when it returns, not by the cyclic collector."""
+
+    P = ParamVector(0.3 * np.ones((2, 2)), np.array([0.2, -0.1]), np.array([0.5, 0.4, 0.3]))
+
+    @staticmethod
+    def kernel_loss(view):
+        k = _kernel_from_raws(view, RunConfig(variant="ahrad"))
+        return _scores(k, np.array([[0.2, -0.3]]), np.array([[0.1, 0.4], [0.5, 0.0]]),
+                       "distance", Projection()).sum()
+
+    def test_nothing_left_after_grad(self):
+        assert oracle.unreachable_after(lambda: grad(self.kernel_loss, self.P)) == 0
+
+    @pytest.mark.parametrize("fail", ["non-finite", "raised"])
+    def test_nothing_left_when_grad_raises(self, fail):
+        class Stop(Exception):
+            pass
+
+        def loss(view):
+            out = self.kernel_loss(view)
+            if fail == "raised":
+                raise Stop
+            return out * float("nan")
+
+        def run():
+            try:
+                grad(loss, self.P)
+            except (ArithmeticError, Stop):
+                pass
+            else:
+                raise AssertionError("grad did not raise")
+
+        assert oracle.unreachable_after(run) == 0
+
+
 class TestOptimizer:
     def make(self):
         return ParamVector(np.ones((1, 2)), np.zeros(1), np.ones(3))

@@ -394,7 +394,8 @@ VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
 
 class TestOneCore:
     """`gram` on a coordinate matrix and on a list of BallPoints is one
-    core; real points and poles run in real arithmetic."""
+    core; real points and poles run in real arithmetic, and the entries
+    keep its dtype."""
 
     @pytest.mark.parametrize("c", [0.02, 1.0])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -403,7 +404,11 @@ class TestOneCore:
         Y = _projected(33, c)
         by_matrix = gram(config, Y)
         by_points = gram(config, [BallPoint(y, Curvature(c)) for y in Y])
-        assert by_matrix.entries.tobytes() == by_points.entries.tobytes()
+        # A complex matrix with zero imaginary parts is real too.
+        by_complex = gram(config, Y.astype(np.complex128))
+        for G in (by_matrix, by_points, by_complex):
+            assert G.entries.dtype == np.float64
+            assert G.entries.tobytes() == by_matrix.entries.tobytes()
         assert by_matrix.point_set_id == by_points.point_set_id
         assert by_matrix.config_fingerprint == by_points.config_fingerprint
 
@@ -411,9 +416,25 @@ class TestOneCore:
     def test_matrix_and_points_bit_identical_complex(self, c):
         points, configs = TestBatchedDifferential().family(c, 3, True)
         Z = np.stack([p.coords for p in points])
+        assert [config.variant for config in configs] == list(VARIANTS)
         for config in configs:
             by_matrix = gram(config, Z).entries
-            assert by_matrix.tobytes() == gram(config, points).entries.tobytes()
+            by_points = gram(config, points).entries
+            assert by_matrix.dtype == by_points.dtype == np.complex128, config.variant
+            assert by_matrix.tobytes() == by_points.tobytes()
+
+    @pytest.mark.parametrize("c", [0.25, 2.0])
+    def test_real_points_complex_poles_give_complex_entries(self, c):
+        rng = np.random.default_rng(5)
+        curvature = Curvature(c)
+        params = random_multiplier(rng, 2, 3, curvature)
+        configs = _family_configs(params, curvature, RadialCoeffs(rng.uniform(0.1, 1.0, 6)))
+        Y = 0.5 / np.sqrt(c) * np.tanh(rng.standard_normal((9, 3)))
+        for config in configs:
+            G = gram(config, Y)
+            # The Drury-Arveson kernel has no poles: real points stay real.
+            want = np.float64 if config.variant == "da" else np.complex128
+            assert G.entries.dtype == want, config.variant
 
     @pytest.mark.parametrize("c", [0.02, 1.0])
     @pytest.mark.parametrize("variant", VARIANTS)

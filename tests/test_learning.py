@@ -123,6 +123,12 @@ class TestLosses:
         val = fsl_loss(kconfig, ep)
         assert np.isfinite(val) and val > 0
 
+    @pytest.mark.parametrize("episodes", [1, 2, 7])
+    def test_fsl_on_a_stack_is_the_mean_evaluate_loss(self, dataset, kconfig, episodes):
+        stack = sample_episode(np.random.default_rng(9), dataset, 5, 1, 3, episodes=episodes)
+        want = evaluate(kconfig, dataset, 5, 1, 3, episodes, seed=9).mean_loss
+        assert fsl_loss(kconfig, stack) == want
+
     def test_fsl_similarity_mode(self, dataset, kconfig):
         rng = np.random.default_rng(2)
         ep = sample_episode(rng, dataset, 5, 1, 3)
@@ -430,6 +436,19 @@ class TestDivergence:
             train(RunConfig(**self.CONFIG))
         assert info.value.step_index == 2 and math.isnan(info.value.value)
         assert len(calls) == 3 and backwards == [1, 2]
+
+    @pytest.mark.parametrize("bad_step", [None, 2])
+    def test_nothing_left_for_the_cyclic_collector(self, monkeypatch, bad_step):
+        # Every step's tape is emptied, on the diverging step too.
+        _nan_at_step(monkeypatch, bad_step=bad_step)
+
+        def run():
+            try:
+                train(RunConfig(**self.CONFIG))
+            except DivergenceError:
+                assert bad_step is not None
+
+        assert oracle.unreachable_after(run) == 0
 
     def test_cli_exit_code(self, monkeypatch, tmp_path, capsys):
         _nan_at_step(monkeypatch, bad_step=2)
