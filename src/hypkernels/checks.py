@@ -14,13 +14,14 @@ import numpy as np
 from .geometry import (
     BallPoint,
     Curvature,
+    GeometryError,
     _interior_rows,
     _unchecked_point,
     mobius_map,
     pseudo_distance,
     pseudo_distance_closed_form,
 )
-from .kernels import GramMatrix, KernelConfig, gram
+from .kernels import MAX_GRAM_SIZE, GramMatrix, KernelConfig, gram
 from .rkhs import (
     MultiplierParams,
     da_kernel,
@@ -99,6 +100,8 @@ def sample_ball_coords(
     parts without complex_coords), checked once as `BallPoint` checks a
     point.
     """
+    if dim < 1:
+        raise GeometryError("coords must be a vector of dimension >= 1")
     Z = np.empty((count, dim), dtype=np.complex128)
     r_max = r_max_frac / np.sqrt(curvature.c)
     for row in Z:
@@ -146,9 +149,9 @@ def random_multiplier(
 def min_max_eigenvalues(G: GramMatrix | np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of a Hermitian matrix via a self-adjoint solve."""
     mat = G.entries if isinstance(G, GramMatrix) else np.asarray(G)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("expected a square matrix")
-    if mat.shape[0] > 1024:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
+        raise ValueError("expected a non-empty square matrix")
+    if mat.shape[0] > MAX_GRAM_SIZE:
         raise ValueError("matrix too large for the eigenvalue certificate")
     if np.abs(mat - mat.conj().T).max() > 1e-12:
         raise ValueError("matrix is not Hermitian within 1e-12")
@@ -266,6 +269,8 @@ def check_identities(
     """Randomized sweep over the algebraic identities behind the kernel family."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (curvatures and dims):
+        raise ValueError("the grid of curvatures and dims must be non-empty")
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_inputs = ""

@@ -46,7 +46,8 @@ class Curvature:
 
 @dataclass(frozen=True, eq=False)
 class BallPoint:
-    """A complex vector strictly inside the ball of radius 1/sqrt(c)."""
+    """A complex vector strictly inside the ball of radius 1/sqrt(c),
+    checked as `_interior_rows` checks a matrix row."""
 
     coords: np.ndarray
     curvature: Curvature
@@ -55,14 +56,7 @@ class BallPoint:
         arr = np.asarray(self.coords, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 1:
             raise GeometryError("coords must be a vector of dimension >= 1")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise GeometryError("coords must be finite")
-        if np.sqrt(self.curvature.c) * np.linalg.norm(arr) >= 1.0 - BOUNDARY_MARGIN:
-            raise GeometryError(
-                "point too close to the ball boundary: sqrt(c)*||z|| = "
-                f"{np.sqrt(self.curvature.c) * np.linalg.norm(arr)}"
-            )
-        arr = arr.copy()
+        arr = _interior_rows(arr[None], self.curvature)[0].copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coords", arr)
 
@@ -133,20 +127,10 @@ def conformal_factor(z: BallPoint) -> float:
     return 1.0 / (1.0 - z.curvature.c * z.norm**2)
 
 
-def _checked_rows(X, message: str) -> np.ndarray:
-    """X as a float64 matrix of finite rows of dimension >= 1."""
-    arr = np.asarray(X, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise GeometryError(message)
-    if arr.ndim != 2 or arr.shape[1] < 1:
-        raise GeometryError("coords must be a vector of dimension >= 1")
-    return np.ascontiguousarray(arr)
-
-
 def _check_interior(Z: np.ndarray, curvature: Curvature) -> None:
     """GeometryError unless every row z of the finite matrix Z (real or
-    complex) keeps sqrt(c)*||z|| < 1 - BOUNDARY_MARGIN, the check that
-    `BallPoint` makes of a point."""
+    complex) keeps sqrt(c)*||z|| < 1 - BOUNDARY_MARGIN: the one margin
+    check, of a `BallPoint` and of every coordinate matrix."""
     r = np.sqrt(curvature.c) * np.sqrt((Z * Z.conj()).real.sum(axis=-1))
     outside = np.flatnonzero(r >= 1.0 - BOUNDARY_MARGIN)
     if outside.size:
@@ -158,8 +142,8 @@ def _check_interior(Z: np.ndarray, curvature: Curvature) -> None:
 
 def _interior_rows(Z, curvature: Curvature) -> np.ndarray:
     """Z as a float64 (or, when complex, complex128) matrix of finite rows
-    of dimension >= 1 inside the construction margin, checked as
-    `BallPoint` checks each point; GeometryError otherwise."""
+    of dimension >= 1 inside the construction margin; GeometryError
+    otherwise.  A `BallPoint` is checked here as a one-row matrix."""
     arr = np.asarray(Z, dtype=np.complex128 if np.iscomplexobj(Z) else np.float64)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise GeometryError("coords must be a vector of dimension >= 1")
@@ -167,16 +151,6 @@ def _interior_rows(Z, curvature: Curvature) -> np.ndarray:
         raise GeometryError("coords must be finite")
     _check_interior(arr, curvature)
     return arr
-
-
-def _ball_points(Y: np.ndarray, curvature: Curvature) -> list[BallPoint]:
-    """BallPoints over the rows of a finite real matrix, checked against
-    the boundary margin (see `_check_interior`); the rows share one
-    read-only complex array."""
-    _check_interior(Y, curvature)
-    Z = Y.astype(np.complex128)
-    Z.flags.writeable = False
-    return [_unchecked_point(row, curvature) for row in Z]
 
 
 def check_clip(beta, eps) -> None:
@@ -285,12 +259,6 @@ def _clip(x, c, beta, eps):
     return record(factor * xv, vjp, x, c)
 
 
-def exp0_rows(V, curvature: Curvature) -> list[BallPoint]:
-    """`exp0` of each row of an n x dim real matrix, in one `_exp0` call."""
-    X = _checked_rows(V, "tangent vector must be finite")
-    return _ball_points(_exp0(X, curvature.c), curvature)
-
-
 def exp0(v: TangentVector, curvature: Curvature) -> BallPoint:
     """Exponential map at the origin: v -> tanh(sqrt(c)*||v||) * v/(sqrt(c)*||v||).
 
@@ -298,21 +266,17 @@ def exp0(v: TangentVector, curvature: Curvature) -> BallPoint:
     factor is clamped at TANH_MAX, just inside the construction margin,
     so that arbitrarily large tangent vectors still produce valid points.
     """
-    return exp0_rows(v.coords[np.newaxis], curvature)[0]
-
-
-def clip_project_rows(X, curvature: Curvature, beta: float,
-                      eps: float) -> list[BallPoint]:
-    """`clip_project` of each row of an n x dim real matrix, in one `_clip` call."""
-    check_clip(beta, eps)
-    X = _checked_rows(X, "input vector must be finite")
-    return _ball_points(_clip(X, curvature.c, beta, eps), curvature)
+    return BallPoint(_exp0(v.coords[None], curvature.c)[0], curvature)
 
 
 def clip_project(x: np.ndarray, curvature: Curvature, beta: float,
                  eps: float) -> BallPoint:
     """Clipped projection beta * min{1, (1-eps)/(sqrt(c)*||x||)} * x."""
-    return clip_project_rows([x], curvature, beta, eps)[0]
+    check_clip(beta, eps)
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise GeometryError("input vector must be finite")
+    return BallPoint(_clip(x[None], curvature.c, beta, eps)[0], curvature)
 
 
 def mobius_decompose(a: BallPoint, z: BallPoint):

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diff import Node, exp, record, sqrt, value, where
-from .geometry import BallPoint, Curvature
-from .rkhs import MultiplierParams, _as_real, _bordered, _dbr, _gram_distance, _rows
+from .geometry import BallPoint, Curvature, _interior_rows
+from .rkhs import (MultiplierParams, _as_real, _bordered, _dbr, _gram_distance, _rows,
+                   _stacked)
 
 VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
 
@@ -164,15 +165,16 @@ class GramMatrix:
     """Hermitian matrix of kernel values over a point set.
 
     `entries` is a read-only float64 (or, when complex, complex128) copy
-    of the matrix given.  The ids are computed on first access:
-    `config_fingerprint` is the config's `fingerprint()`, `point_set_id`
-    a hash of the points' complex128 coordinates (a list of BallPoints,
-    or a coordinate matrix whose copy the GramMatrix keeps).
+    of the matrix given, `points` a read-only copy of the coordinate
+    matrix of the points (complex128 when `gram` got BallPoints).  The
+    ids are computed on first access: `config_fingerprint` is the
+    config's `fingerprint()`, `point_set_id` a hash of the points'
+    complex128 coordinates.
     """
 
     entries: np.ndarray
     config: KernelConfig
-    points: tuple | np.ndarray
+    points: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.entries)
@@ -181,11 +183,8 @@ class GramMatrix:
             raise ConfigError("Gram entries must form a square matrix")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-        if isinstance(self.points, np.ndarray):
-            points = self.points.copy()
-            points.flags.writeable = False
-        else:
-            points = tuple(self.points)
+        points = np.array(self.points)
+        points.flags.writeable = False
         object.__setattr__(self, "points", points)
 
     @property
@@ -198,10 +197,7 @@ class GramMatrix:
 
     @functools.cached_property
     def point_set_id(self) -> str:
-        if isinstance(self.points, np.ndarray):
-            Z = self.points.astype(np.complex128)
-        else:
-            Z = np.stack([p.coords for p in self.points])
+        Z = self.points.astype(np.complex128)
         return hashlib.sha256(Z.tobytes()).hexdigest()[:16]
 
 
@@ -301,7 +297,7 @@ def base_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> flo
 
     Bounded in [0, 1] by Cauchy-Schwarz; equals 1 on the diagonal.
     """
-    return float(_base(_bordered(_dbr(*_rows(params, [z_i, z_j]))))[0, 1])
+    return float(_base(_bordered(_dbr(*_rows(params, *_stacked([z_i, z_j])))))[0, 1])
 
 
 def ahrad(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> float:
@@ -311,23 +307,18 @@ def ahrad(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> float:
     return evaluate(config, z_i, z_j).real
 
 
-def _config_rows(config: KernelConfig, points):
-    """`rkhs._rows` of a list of points that carry the config's curvature
-    (when it sets one; ConfigError otherwise), or of a coordinate matrix,
-    which takes the config's curvature."""
+def _config_rows(config: KernelConfig, Z: np.ndarray, curvature: Curvature):
+    """`rkhs._rows` of a checked coordinate matrix at a curvature, which
+    must be the config's when it sets one (ConfigError otherwise)."""
     kc = config.get_curvature()
-    if isinstance(points, np.ndarray):
-        if kc is None:
-            raise ConfigError("a coordinate matrix needs a config that sets the curvature")
-        return _rows(config.params, points, kc)
-    if kc is not None and kc != points[0].curvature:
+    if kc is not None and kc != curvature:
         raise ConfigError("points do not match the configured curvature")
-    return _rows(config.params, points)
+    return _rows(config.params, Z, curvature)
 
 
 def evaluate(config: KernelConfig, z_i: BallPoint, z_j: BallPoint) -> complex:
     """Evaluate the configured kernel at a pair of ball points."""
-    K = _bordered(_dbr(*_config_rows(config, [z_i, z_j])))
+    K = _bordered(_dbr(*_config_rows(config, *_stacked([z_i, z_j]))))
     return complex(_transform(config._derived, K, strict=True)[0, 1])
 
 
@@ -336,19 +327,29 @@ def gram(config: KernelConfig, points: list[BallPoint] | np.ndarray) -> GramMatr
 
     points is a list of BallPoints or an n x dim coordinate matrix, real
     or complex, whose rows lie inside the ball of the config's curvature.
-    Both run through one core (see `rkhs._rows`), and the entries keep
-    the dtype of its arithmetic: float64 when neither the points nor the
-    poles have a nonzero imaginary part, complex128 otherwise (the
-    real-valued families included).  The lower triangle holds the
-    conjugates of the upper one, so Hermitian symmetry is bit-exact
-    regardless of floating-point non-associativity.
+    This is the one place that looks at the form of its input: a matrix
+    is checked as `BallPoint` checks a point (`geometry._interior_rows`),
+    a list is stacked into its complex128 coordinates (`rkhs._stacked`),
+    and the matrix then runs through one core (see `rkhs._rows`).  The
+    entries keep the dtype of its arithmetic: float64 when neither the
+    points nor the poles have a nonzero imaginary part, complex128
+    otherwise (the real-valued families included).  The lower triangle
+    holds the conjugates of the upper one, so Hermitian symmetry is
+    bit-exact regardless of floating-point non-associativity.
     """
     n = len(points)
     if n < 1:
         raise ConfigError("at least one point is required")
     if n > MAX_GRAM_SIZE:
         raise ConfigError(f"point set of size {n} exceeds the maximum {MAX_GRAM_SIZE}")
-    c, Z, B = _config_rows(config, points)
+    if isinstance(points, np.ndarray):
+        curvature = config.get_curvature()
+        if curvature is None:
+            raise ConfigError("a coordinate matrix needs a config that sets the curvature")
+        coords = _interior_rows(points, curvature)
+    else:
+        coords, curvature = _stacked(points)
+    c, Z, B = _config_rows(config, coords, curvature)
     K = _bordered(_dbr(c, Z, B))
     entries = _transform(config._derived, K, strict=True).astype(Z.dtype, copy=False)
     np.copyto(entries, entries.T.conj(), where=np.tri(n, k=-1, dtype=bool))
@@ -356,4 +357,4 @@ def gram(config: KernelConfig, points: list[BallPoint] | np.ndarray) -> GramMatr
     if np.any(np.abs(diag.imag) > 1e-12) or np.any(diag.real <= 0.0):
         raise ArithmeticError("Gram diagonal must be real and positive")
     entries[np.diag_indices(n)] = diag.real
-    return GramMatrix(entries, config, points)
+    return GramMatrix(entries, config, coords)

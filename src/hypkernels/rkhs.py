@@ -17,6 +17,11 @@ against its columns, bordered by closed-form self-kernels (training and
 evaluation), and the Hermitian Gram matrix of `gram`, the pointwise
 kernels and `checks`, which `_bordered` borders by its own diagonal.
 The Hermitian form runs on plain arrays only and records no node.
+
+Points run as the rows of one checked coordinate matrix.  A public
+function that takes `BallPoint`s (`da_kernel`, `dbr_kernel`, ...) turns
+them into that matrix once, by `_stacked`; `_rows` and the layers take
+matrices only.
 """
 
 from __future__ import annotations
@@ -242,23 +247,26 @@ def _as_real(*arrays):
                  for a in arrays)
 
 
-def _rows(params: MultiplierParams | None, points, curvature: Curvature | None = None):
-    """The operands (c, Z, B = b(Z) or None) of `_dbr`, over a list of
-    compatible BallPoints, or over the rows of a coordinate matrix with
-    the given curvature, which are checked as `BallPoint` checks a point.
-    The points must match the params' dimension and curvature.
+def _stacked(points: list[BallPoint]) -> tuple[np.ndarray, Curvature]:
+    """The coordinates of compatible BallPoints as the rows of one
+    complex128 matrix, with their curvature: the form in which a point
+    list enters the package.  The rows are not checked again; each
+    `BallPoint` was checked as it was built."""
+    for p in points[1:]:
+        check_compatible(points[0], p)
+    return np.stack([p.coords for p in points]), points[0].curvature
+
+
+def _rows(params: MultiplierParams | None, Z: np.ndarray, curvature: Curvature):
+    """The operands (c, Z, B = b(Z) or None) of `_dbr` over the rows of a
+    checked coordinate matrix Z at the given curvature: the output of
+    `geometry._interior_rows` or of `_stacked`.  The rows must match the
+    params' dimension and curvature.
 
     Z and B are float64 when neither the points nor the poles have a
     nonzero imaginary part, and complex128 otherwise (see `_as_real`).
     GeometryError when a row of B leaves the ball.
     """
-    if curvature is None:
-        for p in points[1:]:
-            check_compatible(points[0], p)
-        curvature = points[0].curvature
-        Z = np.stack([p.coords for p in points])
-    else:
-        Z = _interior_rows(points, curvature)
     c = curvature.c
     if params is None:
         return c, _as_real(Z)[0], None
@@ -276,7 +284,7 @@ def _rows(params: MultiplierParams | None, points, curvature: Curvature | None =
 
 def da_kernel(z_i: BallPoint, z_j: BallPoint) -> complex:
     """Drury-Arveson kernel 1/(1 - c * z_i* z_j)."""
-    return complex(_dbr(*_rows(None, [z_i, z_j]))[0, 1])
+    return complex(_dbr(*_rows(None, *_stacked([z_i, z_j])))[0, 1])
 
 
 def multiplier_b(params: MultiplierParams, z: BallPoint) -> BallPoint:
@@ -285,7 +293,7 @@ def multiplier_b(params: MultiplierParams, z: BallPoint) -> BallPoint:
     The output is a convex combination of ball points, hence strictly
     inside the ball; b(0) = 0 and b(-z) = -b(z).
     """
-    _, _, B = _rows(params, [z])
+    _, _, B = _rows(params, *_stacked([z]))
     return _interior_point(B[0], z.curvature)
 
 
@@ -295,7 +303,7 @@ def dbr_kernel(params: MultiplierParams, z_i: BallPoint, z_j: BallPoint) -> comp
     k_c^b(z_i, z_j) = (1 - c * b(z_i)* b(z_j)) / (1 - c * z_i* z_j).
     Diagonal values are real and strictly positive.
     """
-    return complex(_dbr(*_rows(params, [z_i, z_j]))[0, 1])
+    return complex(_dbr(*_rows(params, *_stacked([z_i, z_j])))[0, 1])
 
 
 def rkhs_distance_sq(
@@ -306,7 +314,7 @@ def rkhs_distance_sq(
     ||k^_{z_i} - k^_{z_j}||^2 = k(z_i,z_i) + k(z_j,z_j) - 2 Re k(z_i,z_j),
     with tiny negative rounding residues clamped to zero.
     """
-    K = _bordered(_dbr(*_rows(params, [z_i, z_j])))
+    K = _bordered(_dbr(*_rows(params, *_stacked([z_i, z_j]))))
     return float(_gram_distance(K, strict=True)[0, 1])
 
 

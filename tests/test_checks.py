@@ -16,7 +16,7 @@ from hypkernels.checks import (
     sample_ball_coords,
     sample_ball_points,
 )
-from hypkernels.geometry import BallPoint, Curvature
+from hypkernels.geometry import BallPoint, Curvature, GeometryError
 from hypkernels.kernels import KernelConfig, RadialCoeffs
 
 C1 = Curvature(1.0)
@@ -37,8 +37,9 @@ class TestEigenvalues:
             min_max_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            min_max_eigenvalues(np.zeros((2, 3)))
+        for mat in (np.zeros((2, 3)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="^expected a non-empty square matrix$"):
+                min_max_eigenvalues(mat)
 
 
 class TestPsdReport:
@@ -122,6 +123,33 @@ class TestSampling:
         for extra in ({}, {"bandwidth": 1.0}):
             config = KernelConfig("ahrbf" if extra else "ahl", params=params, **extra)
             assert check_psd(config, Z) == check_psd(config, points)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: sample_ball_coords(np.random.default_rng(0), 2, 0, C1),
+                 GeometryError, "coords must be a vector of dimension >= 1", id="coords"),
+    pytest.param(lambda: sample_ball_points(np.random.default_rng(0), 2, -1, C1),
+                 GeometryError, "coords must be a vector of dimension >= 1", id="points"),
+    pytest.param(lambda: random_multiplier(np.random.default_rng(0), 2, 0, C1),
+                 GeometryError, "coords must be a vector of dimension >= 1", id="multiplier"),
+    pytest.param(lambda: check_isometry(C1, 0, 3, 1e-10),
+                 GeometryError, "coords must be a vector of dimension >= 1", id="isometry"),
+    pytest.param(lambda: check_identities(3, 1e-11, dims=(0,)),
+                 GeometryError, "coords must be a vector of dimension >= 1",
+                 id="identities-dim-0"),
+    pytest.param(lambda: check_identities(3, 1e-11, curvatures=()),
+                 ValueError, "the grid of curvatures and dims must be non-empty",
+                 id="identities-no-curvatures"),
+    pytest.param(lambda: check_identities(3, 1e-11, dims=()),
+                 ValueError, "the grid of curvatures and dims must be non-empty",
+                 id="identities-no-dims"),
+])
+def test_samplers_reject_an_empty_dimension(call, error, message):
+    # Each of these divided by zero: 1/dim in the radius law, or the
+    # index into an empty grid.
+    with pytest.raises(error) as got:
+        call()
+    assert str(got.value) == message
 
 
 class TestIsometry:

@@ -10,11 +10,12 @@ from hypkernels.geometry import (
     DimensionMismatch,
     GeometryError,
     TangentVector,
+    _clip,
+    _exp0,
+    _interior_rows,
     clip_project,
-    clip_project_rows,
     conformal_factor,
     exp0,
-    exp0_rows,
     geodesic_distance,
     mobius_decompose,
     mobius_map,
@@ -139,6 +140,11 @@ def _bits(points):
     return np.stack([p.coords for p in points]).view(np.uint64)
 
 
+def _row_bits(Y):
+    """The bits of a real matrix of projected rows as BallPoint coords."""
+    return Y.astype(np.complex128).view(np.uint64)
+
+
 def _rows(rng, n, dim):
     """Rows whose norms span 1e-160 (the series branch of exp0) to 1e150
     (past the tanh clamp), with exact zero and signed-zero rows."""
@@ -165,16 +171,14 @@ PROJECTION_RTOL = 4e-15
 
 
 class TestBatchedProjection:
-    """exp0_rows / clip_project_rows, which run the one projection layer
-    (`geometry._exp0`, `geometry._clip`), against the 60-digit scalar maps
-    of `_gmath` (the exp0 reference with its tanh clamped at TANH_MAX),
-    and one row projected alone against the same row of a batch, bit for
-    bit."""
+    """The one projection layer (`geometry._exp0`, `geometry._clip`) on
+    the rows of a matrix, against the 60-digit scalar maps of `_gmath`
+    (the exp0 reference with its tanh clamped at TANH_MAX), and the point
+    that `exp0` / `clip_project` makes of one row against the same row of
+    a batch, bit for bit."""
 
     @staticmethod
-    def _assert_near_60_digits(points, X, reference, c):
-        got = np.stack([p.coords.real for p in points])
-        assert not np.stack([p.coords.imag for p in points]).any()
+    def _assert_near_60_digits(got, X, reference, c):
         for row, x in zip(got, X):
             ref = reference([HPScalar(v) for v in x], HPScalar(c))
             r = HPScalar(c).sqrt() * gm.norm_sq(ref).sqrt()
@@ -189,10 +193,9 @@ class TestBatchedProjection:
     @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
     def test_exp0_rows_match_60_digits(self, c):
         rng = np.random.default_rng(int(c * 100))
-        curvature = Curvature(c)
         for dim in range(1, 41, 5):
             X = _rows(rng, 40, dim)
-            self._assert_near_60_digits(exp0_rows(X, curvature), X, gm.exp0, c)
+            self._assert_near_60_digits(_exp0(X, c), X, gm.exp0, c)
 
     @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
     @pytest.mark.parametrize("beta,eps", [(0.9, 0.1), (1.0, 1e-3), (0.5, 0.6)])
@@ -201,7 +204,7 @@ class TestBatchedProjection:
         for dim in range(1, 41, 5):
             X = _clip_rows(rng, 40, dim, c, eps)
             self._assert_near_60_digits(
-                clip_project_rows(X, Curvature(c), beta, eps), X,
+                _clip(X, c, beta, eps), X,
                 lambda x, c: gm.clip_project(x, c, beta, eps), c)
 
     @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
@@ -211,7 +214,7 @@ class TestBatchedProjection:
         for dim in range(1, 41):
             X = _rows(rng, 40, dim)
             alone = [exp0(TangentVector(row), curvature) for row in X]
-            assert np.array_equal(_bits(exp0_rows(X, curvature)), _bits(alone)), dim
+            assert np.array_equal(_row_bits(_exp0(X, c)), _bits(alone)), dim
 
     @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
     @pytest.mark.parametrize("beta,eps", [(0.9, 0.1), (1.0, 1e-3), (0.5, 0.6)])
@@ -222,13 +225,13 @@ class TestBatchedProjection:
             X = _clip_rows(rng, 40, dim, c, eps)
             alone = [clip_project(row, curvature, beta, eps) for row in X]
             assert np.array_equal(
-                _bits(clip_project_rows(X, curvature, beta, eps)), _bits(alone)), dim
+                _row_bits(_clip(X, c, beta, eps)), _bits(alone)), dim
 
     def test_exp0_rows_hit_both_branches_and_the_clamp(self):
         X = np.array([[0.0, 0.0], [1e-151, 0.0], [1e-140, 0.0], [50.0, 0.0]])
-        points = exp0_rows(X, C1)
-        assert points[1].coords[0] == 1e-151    # series branch: unscaled
-        assert points[3].norm == pytest.approx(TANH_MAX, rel=1e-15)
+        Y = _exp0(X, C1.c)
+        assert Y[1, 0] == 1e-151    # series branch: unscaled
+        assert np.linalg.norm(Y[3]) == pytest.approx(TANH_MAX, rel=1e-15)
 
     @pytest.mark.parametrize("c", [0.02, 1.0, 2.5])
     def test_huge_vectors_land_next_to_the_boundary(self, c):
@@ -248,11 +251,9 @@ class TestBatchedProjection:
         X = np.zeros((3, 2))
         X[2, 1] = bad
         with pytest.raises(GeometryError, match="^tangent vector must be finite$"):
-            exp0_rows(X, C1)
-        for project in (lambda: clip_project_rows(X, C1, 0.9, 0.1),
-                        lambda: clip_project(X[2], C1, 0.9, 0.1)):
-            with pytest.raises(GeometryError, match="^input vector must be finite$"):
-                project()
+            TangentVector(X[2])
+        with pytest.raises(GeometryError, match="^input vector must be finite$"):
+            clip_project(X[2], C1, 0.9, 0.1)
 
     @pytest.mark.parametrize("beta,eps,message", [
         pytest.param(0.0, 0.1, "beta must be positive, got 0.0", id="0.0-0.1"),
@@ -265,11 +266,10 @@ class TestBatchedProjection:
         pytest.param(2.0, 0.1, "beta*(1-eps) = 1.8 >= 1 would allow points on or "
                                "outside the ball boundary", id="2.0-0.1")])
     def test_bad_parameters_same_error(self, beta, eps, message):
-        # The rows, the single vector and the training projection share
-        # one parameter check.
+        # The single vector and the training projection share one
+        # parameter check.
         x = np.array([0.1, 0.2])
-        for project in (lambda: clip_project_rows(x[None], C1, beta, eps),
-                        lambda: clip_project(x, C1, beta, eps),
+        for project in (lambda: clip_project(x, C1, beta, eps),
                         lambda: Projection("clip", beta, eps)):
             with pytest.raises(GeometryError) as got:
                 project()
@@ -277,23 +277,25 @@ class TestBatchedProjection:
 
     def test_boundary_rejection_same_error(self):
         # beta*(1-eps) < 1 passes the parameter check, but the clipped
-        # points sit inside the construction margin.
+        # points sit inside the construction margin: the point and the
+        # matrix of clipped rows meet one margin check.
         beta, eps = 1.0, 1e-12
         X = np.array([[0.1, 0.0], [3.0, 4.0], [5.0, 0.0]])
         with pytest.raises(GeometryError) as want:
             clip_project(X[1], C1, beta, eps)
         with pytest.raises(GeometryError) as got:
-            clip_project_rows(X, C1, beta, eps)
+            _interior_rows(_clip(X, C1.c, beta, eps), C1)
         assert str(got.value) == str(want.value)
         assert str(want.value).startswith("point too close to the ball boundary")
 
     def test_rows_are_read_only_points(self):
         X = np.array([[0.1, 0.2], [0.3, -0.4]])
-        points = exp0_rows(X, C1)
-        assert all(isinstance(p, BallPoint) and p.curvature == C1 for p in points)
-        assert not points[0].coords.flags.writeable
-        X[0, 0] = 9.0
-        assert points[0].coords[0].real < 1.0
+        points = [exp0(TangentVector(X[0]), C1), clip_project(X[1], C1, 0.9, 0.1)]
+        for p in points:
+            assert p.curvature == C1 and p.coords.dtype == np.complex128
+            assert not p.coords.flags.writeable
+        X[:] = 9.0
+        assert points[1].coords[0].real == 0.9 * 0.3
 
 
 class TestMobius:

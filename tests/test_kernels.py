@@ -504,6 +504,29 @@ class TestOneCore:
                                       np.array([[0.1, 0.2], [0.3, -0.1]])).point_set_id
 
 
+class TestPinnedPointSetIds:
+    """`point_set_id` of a BallPoint list and of a real matrix, recorded
+    when `GramMatrix` kept a list as a tuple of points: the stacked
+    coordinates keep those bytes, the signed zeros of the imaginary parts
+    included."""
+
+    CONFIG = KernelConfig("da", curvature=Curvature(0.5))
+    Y = np.arange(-7.0, 8.0).reshape(5, 3) / 30.0
+
+    def test_point_list(self):
+        points = [BallPoint(y * (1.0 - 0.5j), Curvature(0.5)) for y in self.Y[:3]]
+        points += [-BallPoint(y, Curvature(0.5)) for y in self.Y[3:]]
+        G = gram(self.CONFIG, points)
+        assert G.point_set_id == "428774a05abd7d01"
+        assert isinstance(G.points, np.ndarray) and not G.points.flags.writeable
+        assert G.points.dtype == np.complex128
+
+    def test_real_matrix(self):
+        G = gram(self.CONFIG, self.Y)
+        assert G.point_set_id == "9693f034db711d99"
+        assert isinstance(G.points, np.ndarray) and not G.points.flags.writeable
+
+
 def _hp_leaves(config):
     """`_gmath` leaves of config with every float as a 60-digit scalar."""
     fl = gm.KernelLeaves.from_config(config)

@@ -11,6 +11,7 @@ from hypkernels.kernels import KernelConfig
 from hypkernels.rkhs import (
     MultiplierParams,
     _rows,
+    _stacked,
     da_kernel,
     dbr_kernel,
     multiplier_b,
@@ -88,12 +89,14 @@ class TestMultiplierParams:
 
     @pytest.mark.parametrize("as_points", [True, False], ids=["ball-points", "matrix"])
     def test_rows_checked_against_params(self, as_points):
-        # Points as a BallPoint list and as a matrix meet one check.
+        # Points as a stacked BallPoint list and as a matrix meet one check.
         p = MultiplierParams([[0.1, 0.2]], np.zeros(1), C1)
 
         def rows(c, dim):
             Z = np.full((2, dim), 0.1)
-            return _rows(p, [BallPoint(z, c) for z in Z]) if as_points else _rows(p, Z, c)
+            if as_points:
+                return _rows(p, *_stacked([BallPoint(z, c) for z in Z]))
+            return _rows(p, Z, c)
 
         with pytest.raises(DimensionMismatch, match="dimension mismatch: 2 vs 3"):
             rows(C1, 3)
