@@ -19,7 +19,6 @@ from .geometry import (
     _unchecked_point,
     mobius_map,
     pseudo_distance,
-    pseudo_distance_closed_form,
 )
 from .kernels import MAX_GRAM_SIZE, GramMatrix, KernelConfig, gram
 from .rkhs import (
@@ -153,6 +152,9 @@ def min_max_eigenvalues(G: GramMatrix | np.ndarray) -> tuple[float, float]:
         raise ValueError("expected a non-empty square matrix")
     if mat.shape[0] > MAX_GRAM_SIZE:
         raise ValueError("matrix too large for the eigenvalue certificate")
+    # Before the Hermitian test, which nan passes and inf can pass.
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     if np.abs(mat - mat.conj().T).max() > 1e-12:
         raise ValueError("matrix is not Hermitian within 1e-12")
     eigs = np.linalg.eigvalsh(mat)

@@ -34,7 +34,7 @@ from .checks import (check_identities, check_isometry, check_psd,
                      random_multiplier, sample_ball_coords)
 from .diff import ParamVector, materialize
 from .geometry import Curvature, GeometryError
-from .kernels import ConfigError, KernelConfig, RadialCoeffs, gram
+from .kernels import HYPERPARAMETERS, ConfigError, KernelConfig, RadialCoeffs, gram
 from .learning import (RUN_FIELDS, DivergenceError, FieldSpec, Projection, RunConfig, _checked,
                        _run_dataset, _run_eval, init_params, params_to_kernel_config, train)
 
@@ -181,9 +181,10 @@ def _gram_values(cfg: dict) -> dict:
     return values
 
 
-def _kernel_config_from_json(kobj: dict, dim: int, curvature: float) -> KernelConfig:
-    run_config = RunConfig(dim=dim, **_gram_values({"kernel": kobj, "curvature": curvature}))
-    return params_to_kernel_config(run_config, init_params(run_config))
+def _gram_config(values: dict, dim: int) -> tuple[RunConfig, KernelConfig]:
+    """The run config of `_gram_values` at a feature dimension, and its kernel config."""
+    run_config = RunConfig(dim=dim, **values)
+    return run_config, params_to_kernel_config(run_config, init_params(run_config))
 
 
 def _read_features(path: str):
@@ -271,8 +272,7 @@ def _output_dir(path: str) -> Path:
 def cmd_gram(args) -> int:
     values = _gram_values(_load_json(args.config))   # before the features are read
     features, _ = _read_features(args.features)
-    run_config = RunConfig(dim=features.shape[1], **values)
-    config = params_to_kernel_config(run_config, init_params(run_config))
+    run_config, config = _gram_config(values, features.shape[1])
     G = gram(config, run_config.projection.apply(features, run_config.curvature))
     _write_outputs({args.out: gram_csv(G.entries)})
     return EXIT_OK
@@ -292,15 +292,10 @@ PSD_GRID = ([0.25, 1.0, 2.0], [1, 2, 8])
 ISOMETRY_GRID = ([0.25, 1.0, 2.5], [1, 4, 16])
 
 
-# Kernel variants of the PSD suite and their hyperparameters; ahrad also
-# takes the radial coefficients drawn for each (curvature, dim) cell.
-PSD_VARIANTS = (
-    ("ahl", {}),
-    ("ahpoly", {"offset": 1.0, "degree": 2}),
-    ("ahrbf", {"bandwidth": 1.0}),
-    ("ahlap", {"bandwidth": 1.0}),
-    ("ahrad", {}),
-)
+# Kernel variants of the PSD suite; each takes its `kernels.HYPERPARAMETERS`
+# from these values and the radial coefficients drawn per (curvature, dim).
+PSD_VARIANTS = ("ahl", "ahpoly", "ahrbf", "ahlap", "ahrad")
+PSD_VALUES = {"offset": 1.0, "degree": 2, "bandwidth": 1.0}
 
 
 def _grid(cfg: dict, default: tuple) -> tuple:
@@ -318,12 +313,10 @@ def _psd_reports(seed, tol, n_points, m, grid):
             curvature = Curvature(c)
             points = sample_ball_coords(rng, n_points, dim, curvature)
             params = random_multiplier(rng, m, dim, curvature)
-            radial = RadialCoeffs(rng.uniform(0.1, 1.0, 51))
-            for variant, extra in PSD_VARIANTS:
-                config = KernelConfig(
-                    variant, params=params,
-                    radial=radial if variant == "ahrad" else None, **extra,
-                )
+            values = {**PSD_VALUES, "radial": RadialCoeffs(rng.uniform(0.1, 1.0, 51))}
+            for variant in PSD_VARIANTS:
+                config = KernelConfig(variant, params=params, **{
+                    name: values[name] for name in HYPERPARAMETERS[variant]})
                 report = check_psd(config, points, tol=tol, seed=seed)
                 yield report, {"suite": "psd", "variant": config.variant,
                                "curvature": c, "dim": dim}

@@ -29,7 +29,18 @@ from .geometry import BallPoint, Curvature, _interior_rows
 from .rkhs import (MultiplierParams, _as_real, _bordered, _dbr, _gram_distance, _rows,
                    _stacked)
 
-VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
+# The `KernelConfig` fields each variant takes besides the multiplier
+# params (which all but "da" take): the one place that declares them.
+HYPERPARAMETERS = {
+    "da": (),
+    "ahl": (),
+    "ahpoly": ("offset", "degree"),
+    "ahrbf": ("bandwidth",),
+    "ahlap": ("bandwidth",),
+    "base": (),
+    "ahrad": ("radial",),
+}
+VARIANTS = tuple(HYPERPARAMETERS)
 
 MAX_GRAM_SIZE = 1024
 
@@ -70,6 +81,17 @@ class RadialCoeffs:
         return self.raw**2
 
 
+# The value rule of each hyperparameter, with the phrase naming a valid value.
+_HYPERPARAMETER_RULES = {
+    "offset": (lambda v: v > 0, "a positive offset"),
+    # Off-diagonal kernel values are complex; non-integer powers are
+    # multivalued and break the Schur-product argument.
+    "degree": (lambda v: 1 <= v < np.inf and v == int(v), "a positive integer degree"),
+    "bandwidth": (lambda v: v > 0, "a positive bandwidth"),
+    "radial": (lambda v: isinstance(v, RadialCoeffs), "radial coefficients"),
+}
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Tagged choice of kernel variant with its hyperparameters."""
@@ -85,30 +107,17 @@ class KernelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown kernel variant {self.variant!r}")
-        needs_params = self.variant != "da"
-        if needs_params and self.params is None:
+        if self.variant != "da" and self.params is None:
             raise ConfigError(f"variant {self.variant!r} requires multiplier params")
         if self.variant == "da" and self.params is not None:
             raise ConfigError("the Drury-Arveson kernel takes no multiplier params")
-        if self.variant == "ahpoly":
-            if self.offset is None or not self.offset > 0:
-                raise ConfigError("ahpoly requires a positive offset")
-            if self.degree is None or self.degree != int(self.degree) or self.degree < 1:
-                # Off-diagonal kernel values are complex; non-integer powers
-                # are multivalued and break the Schur-product argument.
-                raise ConfigError("ahpoly requires a positive integer degree")
-        elif self.offset is not None or self.degree is not None:
-            raise ConfigError("offset/degree only apply to ahpoly")
-        if self.variant in ("ahrbf", "ahlap"):
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise ConfigError(f"{self.variant} requires a positive bandwidth")
-        elif self.bandwidth is not None:
-            raise ConfigError("bandwidth only applies to ahrbf/ahlap")
-        if self.variant == "ahrad":
-            if self.radial is None:
-                raise ConfigError("ahrad requires radial coefficients")
-        elif self.radial is not None:
-            raise ConfigError("radial coefficients only apply to ahrad")
+        takes = HYPERPARAMETERS[self.variant]
+        for name, (rule, wanted) in _HYPERPARAMETER_RULES.items():
+            v = getattr(self, name)
+            if name in takes and (v is None or not rule(v)):
+                raise ConfigError(f"{self.variant} requires {wanted}")
+            if name not in takes and v is not None:
+                raise ConfigError(f"variant {self.variant!r} takes no {name}")
         if self.params is not None and self.curvature is not None:
             if self.curvature != self.params.curvature:
                 raise ConfigError("curvature disagrees with multiplier params")
@@ -131,6 +140,7 @@ class KernelConfig:
             desc["c"] = self.curvature.c
         if self.offset is not None:
             desc["offset"] = self.offset
+        if self.degree is not None:
             desc["degree"] = int(self.degree)
         if self.bandwidth is not None:
             desc["bandwidth"] = self.bandwidth

@@ -42,7 +42,7 @@ from .diff import (
     value,
 )
 from .geometry import BOUNDARY_MARGIN, Curvature, GeometryError, _clip, _exp0, check_clip
-from .kernels import VARIANTS, ConfigError, KernelConfig, _Kernel, _transform
+from .kernels import HYPERPARAMETERS, VARIANTS, ConfigError, KernelConfig, _Kernel, _transform
 from .rkhs import _cross_products, _dbr, _multiplier, softmax
 
 SCORE_MODES = ("distance", "similarity")
@@ -172,17 +172,16 @@ def _cross_entropy(scores, targets: np.ndarray):
 class LabeledSet:
     """Synthetic feature set with integer class labels.
 
-    `classes` holds the sorted distinct labels and `class_index[j]` the
-    ascending row indices of class `classes[j]`; `class_rows` holds the
-    same indices as one padded matrix (row j: the `class_sizes[j]` indices
-    of class j, then zeros).  All are built once.
+    `classes` holds the sorted distinct labels and `class_rows` the row
+    indices of each class as one padded matrix: row j holds the
+    `class_sizes[j]` ascending indices of class `classes[j]`, then zeros.
+    All are built once.
     """
 
     features: np.ndarray
     labels: np.ndarray
     meta: dict = field(default_factory=dict)
     classes: np.ndarray = field(init=False, repr=False, compare=False)
-    class_index: tuple = field(init=False, repr=False, compare=False)
     class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
     class_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -199,15 +198,13 @@ class LabeledSet:
         order = np.argsort(inverse, kind="stable")
         sizes = np.bincount(inverse)
         starts = np.cumsum(sizes) - sizes
-        class_index = np.split(order, starts[1:])
         class_rows = np.zeros((classes.size, sizes.max()), dtype=np.int64)
         class_rows[inverse[order], np.arange(order.size) - starts[inverse[order]]] = order
-        for a in (feats, labels, classes, sizes, class_rows, *class_index):
+        for a in (feats, labels, classes, sizes, class_rows):
             a.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "class_index", tuple(class_index))
         object.__setattr__(self, "class_sizes", sizes)
         object.__setattr__(self, "class_rows", class_rows)
 
@@ -741,7 +738,8 @@ def init_params(config: RunConfig) -> ParamVector:
 
 def _class_semantics(dataset: LabeledSet) -> np.ndarray:
     """Per-class mean feature, the synthetic stand-in for attribute vectors."""
-    return np.array([dataset.features[idx].mean(axis=0) for idx in dataset.class_index])
+    return np.array([dataset.features[rows[:size]].mean(axis=0)
+                     for rows, size in zip(dataset.class_rows, dataset.class_sizes)])
 
 
 def _step_losses(config: RunConfig, dataset: LabeledSet, rng: np.random.Generator):
@@ -792,15 +790,15 @@ def _step_losses(config: RunConfig, dataset: LabeledSet, rng: np.random.Generato
 def _sample_triplets(rng: np.random.Generator, dataset: LabeledSet, batch: int):
     """batch (anchor, positive, negative) rows: anchor and positive are two
     distinct rows of a random class, the negative a row of another class."""
-    index = dataset.class_index
-    n_classes = len(index)
+    index, sizes = dataset.class_rows, dataset.class_sizes
+    n_classes = sizes.size
     rows = np.empty((batch, 3), dtype=np.int64)
     for t in range(batch):
         j = rng.choice(n_classes)
-        rows[t, :2] = index[j][rng.choice(index[j].size, size=2, replace=False)]
+        rows[t, :2] = index[j, rng.choice(sizes[j], size=2, replace=False)]
         other = rng.choice(n_classes - 1)   # counts the classes other than j
         other += other >= j
-        rows[t, 2] = index[other][rng.choice(index[other].size)]
+        rows[t, 2] = index[other, rng.choice(sizes[other])]
     anchors, positives, negatives = dataset.features[rows.T]
     return anchors, positives, negatives
 
@@ -844,14 +842,10 @@ def params_to_kernel_config(config: RunConfig, p: ParamVector) -> KernelConfig:
     if config.variant == "da":   # the Drury-Arveson kernel takes the curvature alone
         return KernelConfig("da", curvature=Curvature(p.curvature_value))
     params, radial, _ = materialize(p)
-    kwargs = {}
-    if config.variant == "ahpoly":
-        kwargs = {"offset": config.offset, "degree": config.degree}
-    elif config.variant in ("ahrbf", "ahlap"):
-        kwargs = {"bandwidth": config.bandwidth}
-    elif config.variant == "ahrad":
-        kwargs = {"radial": radial}
-    return KernelConfig(config.variant, params=params, **kwargs)
+    values = {"offset": config.offset, "degree": config.degree,
+              "bandwidth": config.bandwidth, "radial": radial}
+    return KernelConfig(config.variant, params=params,
+                        **{name: values[name] for name in HYPERPARAMETERS[config.variant]})
 
 
 def train(config: RunConfig) -> TrainRun:

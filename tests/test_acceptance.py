@@ -346,7 +346,7 @@ def test_11_cli_round_trip(tmp_path):
         for line in out.read_text().splitlines()
     ])
     cfg = json.loads(gram_cfg.read_text())
-    config = cli._kernel_config_from_json(cfg["kernel"], 3, 1.0)
+    _, config = cli._gram_config(cli._gram_values(cfg), 3)
     from hypkernels.geometry import TangentVector, exp0
 
     points = [exp0(TangentVector(r), Curvature(1.0)) for r in rows]

@@ -36,6 +36,13 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             min_max_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("mat", [[[np.nan]], [[np.inf]], [[1.0, np.nan], [np.nan, 1.0]]])
+    def test_rejects_non_finite(self, mat):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            min_max_eigenvalues(np.array(mat))
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            psd_report(np.array(mat))
+
     def test_rejects_non_square(self):
         for mat in (np.zeros((2, 3)), np.zeros((0, 0))):
             with pytest.raises(ValueError, match="^expected a non-empty square matrix$"):

@@ -15,6 +15,10 @@ from hypkernels.kernels import MAX_GRAM_SIZE, gram
 from hypkernels.learning import init_params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+QUICKSTART = SRC.parent / "configs" / "quickstart.json"
+# The quickstart's artifacts, committed: a change that moves a byte of
+# them is a declared replay break and regenerates them (see README).
+GOLDEN = Path(__file__).resolve().parent / "golden" / "quickstart"
 VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
 VARIANT_EXTRA = {
     "ahpoly": {"offset": 1.0, "degree": 2},
@@ -68,7 +72,7 @@ class TestGramCommand:
 
         cfg = json.loads(gram_config.read_text())
         curvature = Curvature(cfg["curvature"])
-        config = cli._kernel_config_from_json(cfg["kernel"], 2, curvature.c)
+        _, config = cli._gram_config(cli._gram_values(cfg), 2)
         feats, _ = cli._read_features(str(features_csv))
         points = [exp0(TangentVector(row), curvature) for row in feats]
         expected = gram(config, points).entries
@@ -178,7 +182,7 @@ def _write_features(path, x):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _gram_config(path, variant, c):
+def _write_gram_config(path, variant, c):
     path.write_text(json.dumps({
         "version": 1, "curvature": c, "projection": {"kind": "exp0"},
         "kernel": {"variant": variant, "m": 2, "truncation": 50, "init_seed": 0,
@@ -195,10 +199,9 @@ class TestGramWriter:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_gram_command_matches_per_entry_reference(self, tmp_path, variant, c):
         cfg = tmp_path / "cfg.json"
-        _gram_config(cfg, variant, c)
+        _write_gram_config(cfg, variant, c)
         curvature = Curvature(c)
-        config = cli._kernel_config_from_json(json.loads(cfg.read_text())["kernel"],
-                                              8, c)
+        _, config = cli._gram_config(cli._gram_values(json.loads(cfg.read_text())), 8)
         for n in (1, 2, 33, 128):
             feats = tmp_path / f"x{n}.csv"
             _write_features(feats, np.random.default_rng([n, 8]).standard_normal((n, 8)))
@@ -213,8 +216,9 @@ class TestGramWriter:
     def test_complex_points(self, variant):
         rng = np.random.default_rng(7)
         curvature = Curvature(1.0)
-        config = cli._kernel_config_from_json(
-            {"variant": variant, "m": 2, **VARIANT_EXTRA.get(variant, {})}, 3, 1.0)
+        _, config = cli._gram_config(cli._gram_values(
+            {"kernel": {"variant": variant, "m": 2, **VARIANT_EXTRA.get(variant, {})},
+             "curvature": 1.0}), 3)
         Z = rng.standard_normal((17, 3)) + 1j * rng.standard_normal((17, 3))
         Z *= 0.9 / np.linalg.norm(Z, axis=1, keepdims=True) * rng.uniform(0, 1, (17, 1))
         G = gram(config, [BallPoint(z, curvature) for z in Z]).entries
@@ -263,7 +267,7 @@ class TestGramWriter:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         cfg = tmp_path / "cfg.json"
-        _gram_config(cfg, "ahrad", 1.0)
+        _write_gram_config(cfg, "ahrad", 1.0)
         feats = tmp_path / "x.csv"
         _write_features(feats, np.random.default_rng(0).standard_normal((128, 8)))
         assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
@@ -341,7 +345,7 @@ class TestReader:
 class TestGramSizeLimit:
     def test_largest_accepted_size(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        _gram_config(cfg, "ahl", 1.0)
+        _write_gram_config(cfg, "ahl", 1.0)
         x = np.random.default_rng(5).standard_normal((MAX_GRAM_SIZE + 1, 8))
         feats = tmp_path / "x.csv"
         _write_features(feats, x[:MAX_GRAM_SIZE])
@@ -358,7 +362,7 @@ class TestGramSizeLimit:
 
     def test_one_more_point_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        _gram_config(cfg, "ahl", 1.0)
+        _write_gram_config(cfg, "ahl", 1.0)
         feats = tmp_path / "x.csv"
         _write_features(feats, np.random.default_rng(5).standard_normal(
             (MAX_GRAM_SIZE + 1, 8)))
@@ -385,7 +389,7 @@ def test_gram_builds_no_point_per_row(tmp_path, monkeypatch):
 
     monkeypatch.setattr(BallPoint, "coords", Counted(), raising=False)
     cfg = tmp_path / "cfg.json"
-    _gram_config(cfg, "ahrad", 1.0)
+    _write_gram_config(cfg, "ahrad", 1.0)
     feats = tmp_path / "x.csv"
     _write_features(feats, np.random.default_rng(6).standard_normal((128, 8)))
     assert cli.main(["gram", "--features", str(feats), "--config", str(cfg),
@@ -698,6 +702,12 @@ class TestKnownOutputs:
         assert cli.main(["gram", "--features", str(feats),
                          "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text() == "1,1,1\n1,1,1\n1,1,1\n"
+
+    def test_quickstart_matches_golden_artifacts(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(QUICKSTART), "--out", str(out)]) == 0
+        for name in ("loss_trace.csv", "params.json", "eval.json"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_zero_noise_dataset_evaluates_perfectly(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

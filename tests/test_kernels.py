@@ -5,7 +5,7 @@ from hypkernels import _gmath as gm
 from hypkernels import kernels, rkhs
 from hypkernels.checks import random_multiplier, sample_ball_points
 from hpfd import HPScalar
-from hypkernels.cli import _kernel_config_from_json
+from hypkernels.cli import _gram_config, _gram_values
 from hypkernels.geometry import (BallPoint, Curvature, DimensionMismatch, GeometryError,
                                  _exp0, mobius_map)
 from hypkernels.kernels import (
@@ -75,7 +75,8 @@ class TestKernelConfig:
         with pytest.raises(ConfigError):
             KernelConfig("ahl")
 
-    @pytest.mark.parametrize("offset,degree", [(None, 2), (-1.0, 2), (1.0, 0), (1.0, 2.5)])
+    @pytest.mark.parametrize("offset,degree", [(None, 2), (-1.0, 2), (1.0, 0), (1.0, 2.5),
+                                               (1.0, np.nan), (1.0, np.inf)])
     def test_ahpoly_validation(self, params, offset, degree):
         with pytest.raises(ConfigError):
             KernelConfig("ahpoly", params=params, offset=offset, degree=degree)
@@ -92,6 +93,8 @@ class TestKernelConfig:
     def test_ahrad_requires_radial(self, params):
         with pytest.raises(ConfigError):
             KernelConfig("ahrad", params=params)
+        with pytest.raises(ConfigError, match="^ahrad requires radial coefficients$"):
+            KernelConfig("ahrad", params=params, radial=[1.0, 0.5])
 
     def test_curvature_consistency(self, params):
         with pytest.raises(ConfigError):
@@ -380,9 +383,10 @@ def _cli_style_config(variant, c):
     """The config `hypkernels gram` builds: m = 2, truncation 50, dim 8."""
     extra = {"ahpoly": {"offset": 1.0, "degree": 2}, "ahrbf": {"bandwidth": 1.0},
              "ahlap": {"bandwidth": 1.0}}.get(variant, {})
-    return _kernel_config_from_json(
-        {"variant": variant, "m": 2, "truncation": 50, "init_seed": 0,
-         "init_scale": 0.1, **extra}, 8, c)
+    _, config = _gram_config(_gram_values(
+        {"kernel": {"variant": variant, "m": 2, "truncation": 50, "init_seed": 0,
+                    "init_scale": 0.1, **extra}, "curvature": c}), 8)
+    return config
 
 
 def _projected(n, c, seed=0):

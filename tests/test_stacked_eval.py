@@ -92,10 +92,10 @@ def _assert_valid(ds, episode, n_way, n_shot, n_query):
 
 def test_class_index_matches_label_scans(dataset):
     np.testing.assert_array_equal(dataset.classes, np.unique(dataset.labels))
-    for j, (cls, idx) in enumerate(zip(dataset.classes, dataset.class_index)):
-        np.testing.assert_array_equal(idx, np.flatnonzero(dataset.labels == cls))
-        assert dataset.class_sizes[j] == idx.size
-        np.testing.assert_array_equal(dataset.class_rows[j, :idx.size], idx)
+    assert dataset.class_rows.shape == (dataset.classes.size, dataset.class_sizes.max())
+    for cls, rows, size in zip(dataset.classes, dataset.class_rows, dataset.class_sizes):
+        np.testing.assert_array_equal(rows[:size], np.flatnonzero(dataset.labels == cls))
+        assert not rows[size:].any()
 
 
 @pytest.mark.parametrize("shape", SHAPES)
