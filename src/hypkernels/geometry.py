@@ -128,15 +128,15 @@ def conformal_factor(z: BallPoint) -> float:
 
 
 def _check_interior(Z: np.ndarray, curvature: Curvature) -> None:
-    """GeometryError unless every row z of the finite matrix Z (real or
-    complex) keeps sqrt(c)*||z|| < 1 - BOUNDARY_MARGIN: the one margin
-    check, of a `BallPoint` and of every coordinate matrix."""
+    """GeometryError unless every row z of the finite array Z (real or
+    complex, ... x n x dim) keeps sqrt(c)*||z|| < 1 - BOUNDARY_MARGIN:
+    the one margin check, of a `BallPoint` and of every coordinate matrix."""
     r = np.sqrt(curvature.c) * np.sqrt((Z * Z.conj()).real.sum(axis=-1))
     outside = np.flatnonzero(r >= 1.0 - BOUNDARY_MARGIN)
     if outside.size:
         raise GeometryError(
             "point too close to the ball boundary: sqrt(c)*||z|| = "
-            f"{r[outside[0]]}"
+            f"{r.flat[outside[0]]}"
         )
 
 
@@ -279,6 +279,31 @@ def clip_project(x: np.ndarray, curvature: Curvature, beta: float,
     return BallPoint(_clip(x[None], curvature.c, beta, eps)[0], curvature)
 
 
+def _mobius(A, Z, c):
+    """Mobius self-mapping phi_a^c(z) = (a - P - s*Q)/(1 - c*a*z) of each
+    row z of Z by the matching row a of A (both ... x dim, real or complex,
+    broadcast along the leading axes), with s = sqrt(1 - c*||a||^2).
+
+    Evaluated through the equivalent form a - c(a*z)a/(1+s) - s*z in the
+    numerator, which removes the 0/0 in P at a = 0.  The rows are not
+    checked.
+    """
+    az = (A.conj() * Z).sum(axis=-1, keepdims=True)
+    s = np.sqrt(1.0 - c * (A * A.conj()).real.sum(axis=-1, keepdims=True))
+    return (A - (c * az / (1.0 + s)) * A - s * Z) / (1.0 - c * az)
+
+
+def _pseudo_distance(Q, P, c):
+    """Closed-form pseudo-hyperbolic distance of each row q of Q (... x n x
+    dim) against each row p of P (... x m x dim), real or complex:
+    rho = sqrt(1 - (1-c||q||^2)(1-c||p||^2)/|1-c q*p|^2), ... x n x m.
+    The rows are not checked."""
+    cq = c * (Q * Q.conj()).real.sum(axis=-1)
+    cp = c * (P * P.conj()).real.sum(axis=-1)
+    num = (1.0 - cq)[..., :, None] * (1.0 - cp)[..., None, :]
+    return np.sqrt(np.maximum(1.0 - num / np.abs(1.0 - c * (Q @ P.conj().mT)) ** 2, 0.0))
+
+
 def mobius_decompose(a: BallPoint, z: BallPoint):
     """Split z into components parallel/orthogonal to a, with scale s.
 
@@ -297,17 +322,9 @@ def mobius_decompose(a: BallPoint, z: BallPoint):
 
 
 def mobius_map(a: BallPoint, z: BallPoint) -> BallPoint:
-    """Mobius self-mapping phi_a^c(z) = (a - P - s*Q)/(1 - c*a*z).
-
-    Evaluated through the equivalent form a - c(a*z)a/(1+s) - s*z in the
-    numerator, which removes the 0/0 in P at a = 0.
-    """
+    """Mobius self-mapping phi_a^c(z), by `_mobius`."""
     check_compatible(a, z)
-    c = a.curvature.c
-    az = hdot(a.coords, z.coords)
-    s = np.sqrt(1.0 - c * a.norm**2)
-    num = a.coords - (c * az / (1.0 + s)) * a.coords - s * z.coords
-    return _interior_point(num / (1.0 - c * az), a.curvature)
+    return _interior_point(_mobius(a.coords, z.coords, a.curvature.c), a.curvature)
 
 
 def pseudo_distance(z_i: BallPoint, z_j: BallPoint) -> float:
@@ -317,12 +334,10 @@ def pseudo_distance(z_i: BallPoint, z_j: BallPoint) -> float:
 
 
 def pseudo_distance_closed_form(z_i: BallPoint, z_j: BallPoint) -> float:
-    """rho via sqrt(1 - (1-c||z_i||^2)(1-c||z_j||^2)/|1-c z_i*z_j|^2)."""
+    """rho via sqrt(1 - (1-c||z_i||^2)(1-c||z_j||^2)/|1-c z_i*z_j|^2), by
+    `_pseudo_distance`."""
     check_compatible(z_i, z_j)
-    c = z_i.curvature.c
-    num = (1.0 - c * z_i.norm**2) * (1.0 - c * z_j.norm**2)
-    den = abs(1.0 - c * hdot(z_i.coords, z_j.coords)) ** 2
-    return float(np.sqrt(max(1.0 - num / den, 0.0)))
+    return float(_pseudo_distance(z_i.coords[None], z_j.coords[None], z_i.curvature.c)[0, 0])
 
 
 def geodesic_distance(z_i: BallPoint, z_j: BallPoint) -> float:

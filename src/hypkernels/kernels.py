@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -81,13 +82,19 @@ class RadialCoeffs:
         return self.raw**2
 
 
+def _finite(rule):
+    """rule, holding only of finite real numbers (bools are not numbers)."""
+    return lambda v: (isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+                      and bool(np.isfinite(v)) and rule(v))
+
+
 # The value rule of each hyperparameter, with the phrase naming a valid value.
 _HYPERPARAMETER_RULES = {
-    "offset": (lambda v: v > 0, "a positive offset"),
+    "offset": (_finite(lambda v: v > 0), "a positive offset"),
     # Off-diagonal kernel values are complex; non-integer powers are
     # multivalued and break the Schur-product argument.
-    "degree": (lambda v: 1 <= v < np.inf and v == int(v), "a positive integer degree"),
-    "bandwidth": (lambda v: v > 0, "a positive bandwidth"),
+    "degree": (_finite(lambda v: v >= 1 and v == int(v)), "a positive integer degree"),
+    "bandwidth": (_finite(lambda v: v > 0), "a positive bandwidth"),
     "radial": (lambda v: isinstance(v, RadialCoeffs), "radial coefficients"),
 }
 

@@ -41,7 +41,8 @@ from .diff import (
     step,
     value,
 )
-from .geometry import BOUNDARY_MARGIN, Curvature, GeometryError, _clip, _exp0, check_clip
+from .geometry import (Curvature, GeometryError, _check_interior, _clip, _exp0,
+                       _pseudo_distance, check_clip)
 from .kernels import HYPERPARAMETERS, VARIANTS, ConfigError, KernelConfig, _Kernel, _transform
 from .rkhs import _cross_products, _dbr, _multiplier, softmax
 
@@ -497,21 +498,18 @@ def _baseline_scores(queries, protos, baseline: str, c: float,
     """Baseline scores of queries (... x n x dim) against prototypes
     (... x m x dim): minus the squared Euclidean distance of the features,
     or minus the geodesic distance of their projections onto the ball,
-    both from inner products (geometry.pseudo_distance_closed_form)."""
+    both from inner products (the latter by geometry._pseudo_distance)."""
     if baseline == "euclidean":
         sq_q = (queries * queries).sum(axis=-1)
         sq_p = (protos * protos).sum(axis=-1)
         return 2.0 * (queries @ protos.mT) - sq_q[..., :, None] - sq_p[..., None, :]
-    c = Curvature(c).c
+    curvature = Curvature(c)
+    c = curvature.c
     Q = projection.apply(queries, c)
     P = projection.apply(protos, c)
-    cq = c * (Q * Q).sum(axis=-1)
-    cp = c * (P * P).sum(axis=-1)
-    if max(cq.max(), cp.max()) >= (1.0 - BOUNDARY_MARGIN) ** 2:
-        raise GeometryError("projected point too close to the ball boundary")
-    num = (1.0 - cq)[..., :, None] * (1.0 - cp)[..., None, :]
-    rho = np.sqrt(np.maximum(1.0 - num / (1.0 - c * (Q @ P.mT)) ** 2, 0.0))
-    return -2.0 / np.sqrt(c) * np.arctanh(rho)
+    _check_interior(Q, curvature)
+    _check_interior(P, curvature)
+    return -2.0 / np.sqrt(c) * np.arctanh(_pseudo_distance(Q, P, c))
 
 
 def evaluate(

@@ -1,9 +1,12 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
+from hypkernels import checks
 from hypkernels.checks import (
     PsdReport,
     SweepReport,
@@ -179,6 +182,35 @@ class TestIsometry:
         blob = json.dumps(rep.to_record())
         assert SweepReport.from_record(json.loads(blob)) == rep
 
+    @pytest.mark.parametrize("dim", [1, 4, 16])
+    def test_scores_the_pairs_of_per_trial_draws(self, dim, monkeypatch):
+        # One draw of 2*trials rows gives, at trial t, the pair that
+        # sample_ball_points(rng, 2, ...) draws at trial t; the kernel and
+        # the Mobius map score exactly those pairs.
+        trials, seed, c = 40, 7, Curvature(2.5)
+        rng = np.random.default_rng(seed)
+        want = np.array([[p.coords for p in sample_ball_points(rng, 2, dim, c)]
+                         for _ in range(trials)])
+        seen = {}
+
+        def spy(name):
+            layer = getattr(checks, name)
+
+            def call(*args):
+                seen[name] = args
+                return layer(*args)
+            return call
+
+        for name in ("_dbr", "_mobius"):
+            monkeypatch.setattr(checks, name, spy(name))
+        rep = check_isometry(c, dim, trials, 1e-10, seed)
+        assert seen["_dbr"][1].tobytes() == want.tobytes()
+        A, Z, _ = seen["_mobius"]
+        assert A.tobytes() == want[:, 0].tobytes() and Z.tobytes() == want[:, 1].tobytes()
+        worst = json.loads(rep.worst_case_inputs)
+        for key, z in zip(("z_i", "z_j"), want[worst["trial"]]):
+            assert worst[key] == [[w.real, w.imag] for w in z.tolist()]
+
 
 class TestIdentities:
     def test_sweep_passes(self):
@@ -194,3 +226,18 @@ class TestIdentities:
         a = check_identities(100, 1e-11, seed=5)
         b = check_identities(100, 1e-11, seed=5)
         assert a == b
+
+
+def test_suites_build_no_points_and_call_no_pointwise_function():
+    # The isometry and identity suites run on coordinate matrices and the
+    # matrix layers, never one BallPoint at a time.
+    pointwise = {"BallPoint", "da_kernel", "dbr_kernel", "multiplier_b", "mobius_map",
+                 "pseudo_distance", "pointwise_contraction_check", "sample_ball_points"}
+    tree = ast.parse(Path(checks.__file__).read_text())
+    suites = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)
+              and f.name in ("check_isometry", "_identity_errors")}
+    assert len(suites) == 2
+    for fn in suites.values():
+        names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+        assert not names & pointwise, fn.name

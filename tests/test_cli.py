@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,9 +17,12 @@ from hypkernels.learning import init_params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUICKSTART = SRC.parent / "configs" / "quickstart.json"
-# The quickstart's artifacts, committed: a change that moves a byte of
-# them is a declared replay break and regenerates them (see README).
-GOLDEN = Path(__file__).resolve().parent / "golden" / "quickstart"
+# The committed golden files and the script that rewrites them: a change
+# that moves a byte of them is a declared replay break (see README).
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
 VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
 VARIANT_EXTRA = {
     "ahpoly": {"offset": 1.0, "degree": 2},
@@ -706,8 +710,13 @@ class TestKnownOutputs:
     def test_quickstart_matches_golden_artifacts(self, tmp_path):
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(QUICKSTART), "--out", str(out)]) == 0
-        for name in ("loss_trace.csv", "params.json", "eval.json"):
-            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        for name in regenerate.TRAIN_FILES:
+            assert (out / name).read_bytes() == (GOLDEN / "quickstart" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", [n for n in regenerate.SETS if n != "quickstart"])
+    def test_matches_golden_files(self, name, tmp_path):
+        for f, data in regenerate.produce(name, tmp_path).items():
+            assert data == (GOLDEN / name / f).read_bytes(), f
 
     def test_zero_noise_dataset_evaluates_perfectly(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

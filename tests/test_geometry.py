@@ -10,9 +10,12 @@ from hypkernels.geometry import (
     DimensionMismatch,
     GeometryError,
     TangentVector,
+    _check_interior,
     _clip,
     _exp0,
     _interior_rows,
+    _mobius,
+    _pseudo_distance,
     clip_project,
     conformal_factor,
     exp0,
@@ -22,6 +25,7 @@ from hypkernels.geometry import (
     pseudo_distance,
     pseudo_distance_closed_form,
 )
+from hypkernels.checks import sample_ball_coords
 from hypkernels.learning import Projection
 
 C1 = Curvature(1.0)
@@ -288,6 +292,17 @@ class TestBatchedProjection:
         assert str(got.value) == str(want.value)
         assert str(want.value).startswith("point too close to the ball boundary")
 
+    def test_stacked_rows_name_the_first_offending_value(self):
+        # The flat index of the first offending row, in row-major order,
+        # read from the stacked norms.
+        Z = np.full((3, 4, 2), 0.1)
+        Z[1, 2] = [0.6, 0.81]
+        Z[2, 0] = [0.6, 0.8]
+        with pytest.raises(GeometryError) as got:
+            _check_interior(Z, C1)
+        r = np.sqrt(C1.c) * np.sqrt((Z[1, 2] * Z[1, 2]).sum())
+        assert str(got.value) == f"point too close to the ball boundary: sqrt(c)*||z|| = {r}"
+
     def test_rows_are_read_only_points(self):
         X = np.array([[0.1, 0.2], [0.3, -0.4]])
         points = [exp0(TangentVector(X[0]), C1), clip_project(X[1], C1, 0.9, 0.1)]
@@ -344,6 +359,37 @@ class TestMobius:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mobius_map(pt([0.1]), pt([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 2.5])
+class TestStackedLayers:
+    """`_mobius` and `_pseudo_distance` on stacked rows against their
+    checked pointwise wrappers."""
+
+    def test_mobius_rows_match_mobius_map(self, c):
+        curvature = Curvature(c)
+        rng = np.random.default_rng(12)
+        A, Z = (sample_ball_coords(rng, 12, 3, curvature).reshape(3, 4, 3) for _ in range(2))
+        for got, lead in ((_mobius(A, Z, c), A), (_mobius(A[0, 0], Z, c), np.broadcast_to(A[0, 0], Z.shape))):
+            assert got.shape == Z.shape
+            for idx in np.ndindex(3, 4):
+                want = mobius_map(BallPoint(lead[idx], curvature), BallPoint(Z[idx], curvature))
+                assert np.abs(got[idx] - want.coords).max() <= 1e-14
+
+    @pytest.mark.parametrize("complex_coords", [True, False])
+    def test_pseudo_distance_rows_match_closed_form(self, c, complex_coords):
+        curvature = Curvature(c)
+        rng = np.random.default_rng(13)
+        Q = sample_ball_coords(rng, 10, 4, curvature, complex_coords=complex_coords)
+        P = sample_ball_coords(rng, 6, 4, curvature, complex_coords=complex_coords)
+        if not complex_coords:
+            Q, P = Q.real, P.real
+        got = _pseudo_distance(Q.reshape(2, 5, 4), P.reshape(2, 3, 4), c)
+        assert got.shape == (2, 5, 3)
+        for b, i, j in np.ndindex(2, 5, 3):
+            want = pseudo_distance_closed_form(BallPoint(Q[5 * b + i], curvature),
+                                               BallPoint(P[3 * b + j], curvature))
+            assert abs(got[b, i, j] - want) <= 1e-14
 
 
 class TestDistances:

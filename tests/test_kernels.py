@@ -81,6 +81,21 @@ class TestKernelConfig:
         with pytest.raises(ConfigError):
             KernelConfig("ahpoly", params=params, offset=offset, degree=degree)
 
+    @pytest.mark.parametrize("variant,name,value", [
+        ("ahrbf", "bandwidth", "1"), ("ahrbf", "bandwidth", True),
+        ("ahrbf", "bandwidth", np.inf), ("ahlap", "bandwidth", [1.0]),
+        ("ahpoly", "offset", "1"), ("ahpoly", "offset", True), ("ahpoly", "offset", np.inf),
+        ("ahpoly", "degree", "2"), ("ahpoly", "degree", True), ("ahpoly", "degree", np.True_),
+    ])
+    def test_non_numbers_bools_and_infinities_rejected(self, params, variant, name, value):
+        values = {"ahpoly": {"offset": 1.0, "degree": 2}}.get(variant, {"bandwidth": 1.0})
+        with pytest.raises(ConfigError, match=f"^{variant} requires a positive"):
+            KernelConfig(variant, params=params, **{**values, name: value})
+
+    @pytest.mark.parametrize("degree", [2, 2.0, np.int64(3)])
+    def test_whole_number_degrees_accepted(self, params, degree):
+        assert KernelConfig("ahpoly", params=params, offset=1.0, degree=degree).degree == degree
+
     def test_offset_rejected_elsewhere(self, params):
         with pytest.raises(ConfigError):
             KernelConfig("ahl", params=params, offset=1.0)

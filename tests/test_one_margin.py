@@ -1,12 +1,12 @@
 """The package compares a norm against the construction margin in one place.
 
-`BallPoint`, the pole matrix of `MultiplierParams`, the rows of `gram`
-and the samplers of `checks` all reject a point with
+`BallPoint`, the pole matrix of `MultiplierParams`, the rows of `gram`,
+the samplers of `checks` and the projected points of the geodesic
+baseline (`learning._baseline_scores`) all reject a point with
 sqrt(c)*||z|| >= 1 - BOUNDARY_MARGIN through `geometry._check_interior`.
 The scan reads the package source for comparisons against
-`1.0 - BOUNDARY_MARGIN`.  `learning._baseline_scores` compares squared
-norms against its square, which the baseline's own check keeps for now;
-it is listed apart so that no other squared copy goes unseen.
+`1.0 - BOUNDARY_MARGIN`, and against its square, which compares squared
+norms: no such copy is left.
 """
 
 import ast
@@ -66,4 +66,4 @@ def margin_sites(src: Path = SRC) -> tuple[list, list]:
 def test_one_margin_comparison():
     plain, squared = margin_sites()
     assert plain == [("geometry", "_check_interior")]
-    assert squared == [("learning", "_baseline_scores")]
+    assert squared == []
