@@ -14,7 +14,7 @@ import numpy as np
 from .geometry import (BallPoint, Curvature, GeometryError, _interior_rows, _mobius,
                        _unchecked_point)
 from .kernels import MAX_GRAM_SIZE, GramMatrix, KernelConfig, gram
-from .rkhs import MultiplierParams, _dbr, _rows
+from .rkhs import MultiplierParams, _dbr, _multiplier
 
 DEFAULT_PSD_TOL = 1e-8
 
@@ -210,8 +210,7 @@ def _identity_errors(
     errors = {}
 
     # Closed-form single term of the multiplier vs the explicit Mobius average.
-    single = MultiplierParams(a[None], np.zeros(1), curvature)
-    closed = _rows(single, z_i[None], curvature)[2][0]
+    closed = _multiplier(z_i[None], a[None], np.ones(1), c)[0]
     phi_plus, phi_minus = _mobius(np.stack([a, -a]), z_i, c)
     errors["mobius_average"] = float(np.abs(closed - 0.5 * (phi_plus + phi_minus)).max())
 
@@ -227,7 +226,10 @@ def _identity_errors(
     errors["factorization"] = float(abs(lhs - rhs) / max(abs(rhs), 1e-30))
 
     # Multiplier oddness and kernel sign symmetry, over rows z_i, z_j, -z_i, -z_j.
-    _, Z, B = _rows(params, np.stack([z_i, z_j, -z_i, -z_j]), curvature)
+    # b(Z) unchecked, so that a row outside the ball fails the contraction
+    # identity below instead of raising.
+    Z = np.stack([z_i, z_j, -z_i, -z_j])
+    B = _multiplier(Z, params.poles, params.weights, c)
     errors["oddness"] = float(np.abs(B[0] + B[2]).max())
     K = _dbr(c, Z, B)
     errors["sign_symmetry"] = float(abs(K[0, 1] - K[2, 3]))
@@ -251,18 +253,17 @@ def check_identities(
     if not (curvatures and dims):
         raise ValueError("the grid of curvatures and dims must be non-empty")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_inputs = ""
-    for t in range(trials):
-        c = Curvature(float(curvatures[t % len(curvatures)]))
-        dim = int(dims[(t // len(curvatures)) % len(dims)])
-        errors = _identity_errors(rng, dim, c, near_boundary)
-        name, err = max(errors.items(), key=lambda kv: kv[1])
-        if err > worst:
-            worst = err
-            worst_inputs = json.dumps(
-                {"trial": t, "identity": name, "c": c.c, "dim": dim}
-            )
+    grid = [(float(curvatures[t % len(curvatures)]),
+             int(dims[(t // len(curvatures)) % len(dims)])) for t in range(trials)]
+    errors = [_identity_errors(rng, dim, Curvature(c), near_boundary) for c, dim in grid]
+    # The first worst error of the trials x identities array, trial-major:
+    # as in check_isometry, argmax picks the first nan.
+    E = np.array([list(e.values()) for e in errors])
+    t, i = np.unravel_index(np.argmax(E), E.shape)
+    worst = float(E[t, i])
+    c, dim = grid[t]
+    worst_inputs = json.dumps({"trial": int(t), "identity": list(errors[t])[i],
+                               "c": c, "dim": dim}) if worst else ""
     name = "identities_boundary" if near_boundary else "identities"
     verdict = "pass" if worst <= tol else "fail"
-    return SweepReport(name, trials, float(worst), tol, worst_inputs, verdict, seed)
+    return SweepReport(name, trials, worst, tol, worst_inputs, verdict, seed)

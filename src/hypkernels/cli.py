@@ -118,46 +118,34 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _number(obj: dict, key: str, default=None, *, integer: bool = False,
-            bound=None, context: str = ""):
-    """obj[key] (default when absent) as the config number context + key."""
-    if key not in obj:
-        return default
-    return _checked(FieldSpec(context + key, "integer" if integer else "number", rule=bound),
-                    obj[key])
-
-
-def _numbers(obj: dict, key: str, default: list, **checks) -> list:
-    """obj[key], or default when the key is absent: a JSON list whose
-    entries each pass `_number`'s checks, named key[i]."""
-    values = obj.get(key, default)
-    if not isinstance(values, list):
-        raise ConfigFileError(f"{key} must be a list, got {json.dumps(values)}")
-    entries = {f"{key}[{i}]": v for i, v in enumerate(values)}
-    return [_number(entries, name, **checks) for name in entries]
+# The keys of a config's projection object; `Projection` checks how they
+# combine.
+PROJECTION_FIELDS = {
+    "kind": FieldSpec("projection.kind", "choice", "exp0", ("exp0", "clip")),
+    "beta": FieldSpec("projection.beta", "number"),
+    "eps": FieldSpec("projection.eps", "number"),
+}
 
 
 def _parse_projection(obj: dict) -> Projection:
     """The projection of a config; parameters the clip projection rejects
     are an input error, as any other config value that fails."""
-    _check_keys(obj, {"kind", "beta", "eps"}, "projection")
     try:
-        return Projection(obj.get("kind", "exp0"),
-                          _number(obj, "beta", context="projection."),
-                          _number(obj, "eps", context="projection."))
+        return Projection(**_checked_fields({"projection": obj}, PROJECTION_FIELDS))
     except GeometryError as exc:
         raise ConfigFileError(str(exc)) from exc
 
 
 def _field_values(cfg: dict, schema: dict) -> dict:
-    """The RunConfig arguments that cfg holds at the JSON paths of schema
-    (`learning.RUN_FIELDS` or a part), a projection read as a Projection:
-    RunConfig checks them.  Unknown keys and non-object sections fail."""
+    """The values that cfg holds at the JSON paths of schema (a table of
+    `FieldSpec`s such as `learning.RUN_FIELDS`), by field name, a
+    projection read as a Projection.  Unknown keys and non-object
+    sections fail."""
     names = {}   # section ("" for the top level) -> {key: field name}
     for name, spec in schema.items():
         section, _, key = spec.path.rpartition(".")
         names.setdefault(section, {})[key] = name
-    top = names.pop("")
+    top = names.pop("", {})
     _check_keys(cfg, {"version", *top, *names}, "config")
     values = {top[key]: v for key, v in cfg.items() if key in top}
     for section, keys in names.items():
@@ -167,6 +155,14 @@ def _field_values(cfg: dict, schema: dict) -> dict:
     if "projection" in values:
         values["projection"] = _parse_projection(values["projection"])
     return values
+
+
+def _checked_fields(cfg: dict, schema: dict) -> dict:
+    """Every field of schema: its value in cfg checked by `learning._checked`,
+    in the order of schema, or its default where cfg has none."""
+    values = _field_values(cfg, schema)
+    return {name: _checked(spec, values[name]) if name in values else spec.default
+            for name, spec in schema.items()}
 
 
 # The fields of a gram config; its features give the dimension.
@@ -278,30 +274,30 @@ def cmd_gram(args) -> int:
     return EXIT_OK
 
 
-CHECK_KEYS = {
-    "version", "seed", "trials", "points", "m", "curvatures", "dims", "tol",
-}
-DEFAULT_TOLS = {
-    "psd": 1e-8,
-    "isometry": 1e-10,
-    "identities": 1e-11,
-    "identities_boundary": 1e-8,
+# The keys of a check config.  The options --seed and --tol override seed
+# and every tol entry and pass the same checks; curvatures and dims
+# default to each suite's grid.
+CHECK_FIELDS = {
+    "tol_psd": FieldSpec("tol.psd", "number", 1e-8, ">= 0"),
+    "tol_isometry": FieldSpec("tol.isometry", "number", 1e-10, ">= 0"),
+    "tol_identities": FieldSpec("tol.identities", "number", 1e-11, ">= 0"),
+    "tol_identities_boundary": FieldSpec("tol.identities_boundary", "number", 1e-8, ">= 0"),
+    "seed": FieldSpec("seed", "integer", 0, ">= 0"),
+    "trials": FieldSpec("trials", "integer", 1000, ">= 1"),
+    "points": FieldSpec("points", "integer", 32, ">= 1"),
+    "m": FieldSpec("m", "integer", 3, ">= 1"),
+    "curvatures": FieldSpec("curvatures", "numbers"),
+    "dims": FieldSpec("dims", "integers", rule=">= 1"),
 }
 # Default (curvatures, dims) of the psd and isometry suites.
-PSD_GRID = ([0.25, 1.0, 2.0], [1, 2, 8])
-ISOMETRY_GRID = ([0.25, 1.0, 2.5], [1, 4, 16])
+PSD_GRID = ((0.25, 1.0, 2.0), (1, 2, 8))
+ISOMETRY_GRID = ((0.25, 1.0, 2.5), (1, 4, 16))
 
 
 # Kernel variants of the PSD suite; each takes its `kernels.HYPERPARAMETERS`
 # from these values and the radial coefficients drawn per (curvature, dim).
 PSD_VARIANTS = ("ahl", "ahpoly", "ahrbf", "ahlap", "ahrad")
 PSD_VALUES = {"offset": 1.0, "degree": 2, "bandwidth": 1.0}
-
-
-def _grid(cfg: dict, default: tuple) -> tuple:
-    """The (curvatures, dims) of a suite: the config's lists where given."""
-    return (_numbers(cfg, "curvatures", default[0]),
-            _numbers(cfg, "dims", default[1], integer=True, bound=">= 1"))
 
 
 def _psd_reports(seed, tol, n_points, m, grid):
@@ -325,33 +321,28 @@ def _psd_reports(seed, tol, n_points, m, grid):
 def cmd_check(args) -> int:
     if args.suite not in ("psd", "isometry", "identities", "all"):
         raise ConfigFileError(f"unknown suite {args.suite!r}")
-    cfg = _load_json(args.config)
-    _check_keys(cfg, CHECK_KEYS, "config")
-    tol_obj = cfg.get("tol", {})
-    _check_keys(tol_obj, set(DEFAULT_TOLS), "tol")
-    tols = {k: _number(tol_obj, k, v, bound=">= 0", context="tol.")
-            for k, v in DEFAULT_TOLS.items()}
+    values = _checked_fields(_load_json(args.config), CHECK_FIELDS)
     # The options pass the checks of the config keys they override.
     if args.tol is not None:
-        tols = dict.fromkeys(tols, _number(vars(args), "tol", bound=">= 0", context="--"))
-    seed = (_number(vars(args), "seed", integer=True, bound=">= 0", context="--")
-            if args.seed is not None
-            else _number(cfg, "seed", 0, integer=True, bound=">= 0"))
-    trials = _number(cfg, "trials", 1000, integer=True, bound=">= 1")
-    n_points = _number(cfg, "points", 32, integer=True, bound=">= 1")
-    m = _number(cfg, "m", 3, integer=True, bound=">= 1")
-    psd_grid, isometry_grid = _grid(cfg, PSD_GRID), _grid(cfg, ISOMETRY_GRID)
+        tol = _checked(CHECK_FIELDS["tol_psd"]._replace(path="--tol"), args.tol)
+        values.update({name: tol for name in values if name.startswith("tol_")})
+    if args.seed is not None:
+        values["seed"] = _checked(CHECK_FIELDS["seed"]._replace(path="--seed"), args.seed)
+    seed, trials = values["seed"], values["trials"]
+    curvatures, dims = values["curvatures"], values["dims"]
     reports = []
     if args.suite in ("psd", "all"):
-        reports += _psd_reports(seed, tols["psd"], n_points, m, psd_grid)
+        reports += _psd_reports(seed, values["tol_psd"], values["points"], values["m"],
+                                (curvatures or PSD_GRID[0], dims or PSD_GRID[1]))
     if args.suite in ("isometry", "all"):
-        curvatures, dims = isometry_grid
-        reports += [(check_isometry(Curvature(c), dim, trials, tols["isometry"], seed),
-                     {"suite": "isometry"}) for c in curvatures for dim in dims]
+        reports += [(check_isometry(Curvature(c), dim, trials, values["tol_isometry"], seed),
+                     {"suite": "isometry"}) for c in curvatures or ISOMETRY_GRID[0]
+                    for dim in dims or ISOMETRY_GRID[1]]
     if args.suite in ("identities", "all"):
         reports += [
-            (check_identities(trials, tols["identities"], seed), {"suite": "identities"}),
-            (check_identities(max(trials // 2, 1), tols["identities_boundary"], seed,
+            (check_identities(trials, values["tol_identities"], seed),
+             {"suite": "identities"}),
+            (check_identities(max(trials // 2, 1), values["tol_identities_boundary"], seed,
                               near_boundary=True), {"suite": "identities"}),
         ]
     _write_outputs({args.out: "".join(
@@ -386,40 +377,25 @@ def _params_to_json(p: ParamVector) -> dict:
     }
 
 
-def _array(obj: dict, key: str) -> np.ndarray:
-    """obj[key], a JSON list (of lists) of finite numbers, as a float64
-    array; ConfigFileError naming the key, or its first bad entry."""
-    def entries(v, name):
-        if isinstance(v, list):
-            return [entries(x, f"{name}[{i}]") for i, x in enumerate(v)]
-        return _checked(FieldSpec(name, "number"), v)
-
-    try:
-        if not isinstance(obj[key], list):
-            raise ValueError(f"{key} must be a list of numbers, got {json.dumps(obj[key])}")
-        values = entries(obj[key], key)
-    except ValueError as exc:
-        raise ConfigFileError(str(exc)) from None
-    try:
-        return np.array(values, dtype=np.float64)
-    except ValueError:
-        raise ConfigFileError(f"{key} must have rows of equal length") from None
+# The raws of a params file, the arguments of `ParamVector`.  `derived`
+# is written for the reader and not read back.
+PARAMS_FIELDS = {
+    "pole_raws": FieldSpec("pole_raws", "array"),
+    "weight_logits": FieldSpec("weight_logits", "array"),
+    "radial_raws": FieldSpec("radial_raws", "array"),
+    "log_c": FieldSpec("log_c", "number", nullable=True),
+    "fixed_c": FieldSpec("fixed_c", "number"),
+    "affine": FieldSpec("affine", "array", nullable=True),
+}
 
 
 def _params_from_json(obj: dict) -> ParamVector:
-    required = {"version", "pole_raws", "weight_logits", "radial_raws",
-                "log_c", "fixed_c", "affine", "derived"}
+    required = {"version", "derived", *PARAMS_FIELDS}
     _check_keys(obj, required, "params file")
     if missing := required - set(obj):
         raise ConfigFileError(f"params file lacks key(s) {sorted(missing)}")
-    return ParamVector(
-        _array(obj, "pole_raws"),
-        _array(obj, "weight_logits"),
-        _array(obj, "radial_raws"),
-        log_c=None if obj["log_c"] is None else _number(obj, "log_c"),
-        fixed_c=_number(obj, "fixed_c"),
-        affine=None if obj["affine"] is None else _array(obj, "affine"),
-    )
+    return ParamVector(**{name: _checked(spec, obj[spec.path])
+                          for name, spec in PARAMS_FIELDS.items()})
 
 
 def _eval_to_json(res) -> dict:

@@ -602,7 +602,10 @@ class FieldSpec(NamedTuple):
     """A config schema entry: JSON path, kind, default and rule.  A
     "number" (finite float) or "integer" has a bound ">= b" or "> b" as
     rule, a "choice" (or each entry of "choices") one of the strings in
-    rule; a "bool" or "projection" is a bool or a `Projection`.  A wrong
+    rule; a "bool" or "projection" is a bool or a `Projection`.
+    "numbers" and "integers" are non-empty lists whose entries, named
+    path[i], each pass the rule, and an "array" is a list of numbers, or
+    of equal-length "numbers" rows, read as a float64 array.  A wrong
     kind raises ValueError, a value out of bound or choice raises error."""
 
     path: str
@@ -634,11 +637,23 @@ def _checked(spec: FieldSpec, v):
                 raise error(f"{path} must be {'at least' if op == '>=' else 'greater than'} "
                             f"{b}, got {v!r}")
         return v
+    if kind in ("choices", "numbers", "integers", "array") and not isinstance(v, (list, tuple)):
+        raise ValueError(f"{path} must be a list{' of numbers' * (kind == 'array')}, "
+                         f"got {json.dumps(v, default=repr)}")
+    if kind == "array":
+        rows = [_checked(FieldSpec(f"{path}[{i}]", "numbers" if isinstance(x, (list, tuple))
+                                   else "number"), x) for i, x in enumerate(v)]
+        if len({len(row) if isinstance(row, tuple) else None for row in rows}) > 1:
+            raise ValueError(f"{path} must have rows of equal length")
+        return np.array(rows, dtype=np.float64)
+    if kind in ("numbers", "integers"):
+        if not v:
+            raise ValueError(f"{path} must not be empty")
+        return tuple(_checked(FieldSpec(f"{path}[{i}]", kind[:-1], rule=rule, error=error), x)
+                     for i, x in enumerate(v))
     if kind in ("bool", "projection") and type(v) is not type(default):
         raise ValueError(f"{path} must be {'true or false' if kind == 'bool' else 'a Projection'}"
                          f", got {json.dumps(v, default=repr)}")
-    if kind == "choices" and not isinstance(v, (list, tuple)):
-        raise ValueError(f"{path} must be a list, got {json.dumps(v, default=repr)}")
     for item in {"choice": (v,), "choices": v}.get(kind, ()):
         if not (isinstance(item, str) and item in rule):
             raise error(f"unknown {noun or path.replace('.', ' ').replace('_', ' ')} {item!r}")

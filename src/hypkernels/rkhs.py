@@ -319,6 +319,10 @@ def rkhs_distance_sq(
 
 
 def pointwise_contraction_check(params: MultiplierParams, z: BallPoint) -> bool:
-    """Pointwise necessary condition sqrt(c)*||b(z)|| < 1 for the multiplier bound."""
-    b = multiplier_b(params, z)
+    """Pointwise necessary condition sqrt(c)*||b(z)|| < 1 for the multiplier
+    bound; False when b(z) leaves the ball, which `multiplier_b` refuses."""
+    try:
+        b = multiplier_b(params, z)
+    except GeometryError:
+        return False
     return bool(np.sqrt(z.curvature.c) * b.norm < 1.0)

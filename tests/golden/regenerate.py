@@ -8,7 +8,10 @@ of golden files is the output of one `hypkernels` command:
 
 - `quickstart/`, `train_curvature/`, `zsl/`, `sts/`: `train` on
   `configs/quickstart.json`, with the keys of `TRAIN_RUNS` replaced;
-- `check/report.ndjson`: `check --suite all` on `{"version": 1}`.
+- `check/report.ndjson`: `check --suite all` on `{"version": 1}`;
+- `gram/<variant>_c<c>.csv`: `gram` of each variant at each curvature of
+  `GRAM_CURVATURES` on the committed 16 x 8 `gram/features.csv` (an input,
+  never rewritten), the kernel's other keys at their defaults.
 
 A change that moves any of their bytes is a declared replay break.
 """
@@ -29,7 +32,9 @@ TRAIN_RUNS = {
     "sts": {"task": "sts"},
 }
 CHECK_CONFIG = {"version": 1}
-SETS = (*TRAIN_RUNS, "check")
+GRAM_VARIANTS = ("da", "ahl", "ahpoly", "ahrbf", "ahlap", "base", "ahrad")
+GRAM_CURVATURES = (0.02, 1.0)
+SETS = (*TRAIN_RUNS, "check", "gram")
 
 
 def produce(name: str, work: Path) -> dict:
@@ -37,6 +42,9 @@ def produce(name: str, work: Path) -> dict:
     from hypkernels import cli
 
     config = work / "config.json"
+    if name == "gram":
+        return {f"{variant}_c{c}.csv": _gram(cli, variant, c, work)
+                for variant in GRAM_VARIANTS for c in GRAM_CURVATURES}
     if name == "check":
         config.write_text(json.dumps(CHECK_CONFIG))
         out, files = work, ("report.ndjson",)
@@ -50,6 +58,17 @@ def produce(name: str, work: Path) -> dict:
     if cli.main(argv) != 0:
         raise RuntimeError(f"hypkernels {' '.join(argv)} failed")
     return {f: (out / f).read_bytes() for f in files}
+
+
+def _gram(cli, variant: str, c: float, work: Path) -> bytes:
+    """The bytes of `gram` of one variant at curvature c on the golden features."""
+    config, out = work / "gram.json", work / "gram.csv"
+    config.write_text(json.dumps({"version": 1, "curvature": c, "kernel": {"variant": variant}}))
+    argv = ["gram", "--features", str(GOLDEN / "gram" / "features.csv"),
+            "--config", str(config), "--out", str(out)]
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"hypkernels {' '.join(argv)} failed")
+    return out.read_bytes()
 
 
 def main(argv=None) -> int:

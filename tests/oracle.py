@@ -20,6 +20,9 @@ per-block optimizer step that the flat-buffer `diff.step` replaced; the
 tests require bit-identical updates.  `sample_ball_points` is the
 per-point sampler that `checks.sample_ball_coords` replaced; the tests
 require the same draws, bit for bit.
+`unclamp_exp0` and `push_multiplier_outside` substitute a layer's
+output that the library never produces: boundary points and rows of
+b(Z) outside the ball.
 
 `COMPOSED` maps each fused layer of the forward (one tape node with a
 closed-form VJP, in `geometry`, `learning`, `rkhs` or `kernels`) to the
@@ -47,7 +50,7 @@ import numpy as np
 
 from hpfd import HPScalar, hp_central_diff
 from hypkernels import _gmath as gm
-from hypkernels import learning
+from hypkernels import checks, learning
 from hypkernels.diff import (DEFAULT_BLOCKS, ParamVector, RawView, concat, exp, grad, log,
                              sqrt, tanh, value, where)
 from hypkernels.geometry import BallPoint, Curvature, geodesic_distance
@@ -71,6 +74,18 @@ def unclamp_exp0(monkeypatch):
     """Project features with the composed `exp0` in `learning`: points far
     past the clamp then round onto the ball boundary."""
     monkeypatch.setattr(learning, "_exp0", exp0)
+
+
+def push_multiplier_outside(monkeypatch):
+    """Make the check suites' b(Z) rows reach norm 1.5/sqrt(c), outside
+    the ball."""
+    layer = checks._multiplier
+
+    def pushed(Z, P, w, c):
+        B = layer(Z, P, w, c)
+        return 1.5 / np.sqrt(c) * B / np.linalg.norm(B, axis=-1, keepdims=True)
+
+    monkeypatch.setattr(checks, "_multiplier", pushed)
 
 
 def clip(x, c, beta, eps):

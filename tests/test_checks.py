@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,50 @@ class TestIdentities:
         a = check_identities(100, 1e-11, seed=5)
         b = check_identities(100, 1e-11, seed=5)
         assert a == b
+
+    @staticmethod
+    def _errors(monkeypatch, *trials):
+        """Make trial t of the sweep see the identity errors trials[t]."""
+        errors = iter(trials)
+        monkeypatch.setattr(checks, "_identity_errors", lambda *args: next(errors))
+
+    def test_nan_error_fails_the_sweep(self, monkeypatch):
+        # A nan error is the worst, as in the isometry sweep: argmax picks it.
+        self._errors(monkeypatch, *[{"factorization": math.nan}] * 5)
+        rep = check_identities(5, 1e-11)
+        assert rep.verdict == "fail" and math.isnan(rep.max_abs_error)
+        assert json.loads(rep.worst_case_inputs) == {
+            "trial": 0, "identity": "factorization", "c": 0.25, "dim": 1}
+
+    def test_first_nan_after_finite_errors(self, monkeypatch):
+        self._errors(monkeypatch, {"a": 1e-13, "b": 0.0}, {"a": 0.0, "b": math.nan},
+                     {"a": math.nan, "b": 1.0})
+        rep = check_identities(3, 1e-11)
+        assert not rep.passed and math.isnan(rep.max_abs_error)
+        assert json.loads(rep.worst_case_inputs) == {"trial": 1, "identity": "b",
+                                                     "c": 1.0, "dim": 1}
+
+    def test_ties_pick_the_first_trial_then_the_first_identity(self, monkeypatch):
+        self._errors(monkeypatch, {"a": 0.25, "b": 0.5}, {"a": 0.5, "b": 0.5})
+        rep = check_identities(2, 1.0)
+        assert rep.passed and rep.max_abs_error == 0.5
+        assert json.loads(rep.worst_case_inputs)["trial"] == 0
+        assert json.loads(rep.worst_case_inputs)["identity"] == "b"
+
+    def test_zero_errors_name_no_input(self, monkeypatch):
+        self._errors(monkeypatch, {"a": 0.0}, {"a": 0.0})
+        rep = check_identities(2, 0.0)
+        assert rep.passed and rep.max_abs_error == 0.0 and rep.worst_case_inputs == ""
+
+    def test_multiplier_outside_the_ball_fails_contraction(self, monkeypatch):
+        # The suite scores b(Z) as the layer returns it: rows pushed outside
+        # the ball fail the contraction identity instead of raising.
+        oracle.push_multiplier_outside(monkeypatch)
+        errors = checks._identity_errors(np.random.default_rng(0), 2, C1, False)
+        assert errors["contraction"] == 1.0
+        for near_boundary in (False, True):
+            rep = check_identities(6, 1e-8, near_boundary=near_boundary)
+            assert rep.verdict == "fail"
 
 
 def test_suites_build_no_points_and_call_no_pointwise_function():

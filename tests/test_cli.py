@@ -504,6 +504,8 @@ CHECK_PROBES = {
     "dims-not-list": ({"dims": 2}, 2, "error", "dims must be a list, got 2"),
     "trials-fraction": ({"trials": 2.5}, 2, "error", "trials must be an integer, got 2.5"),
     "seed-negative": ({"seed": -1}, 2, "error", "seed must be at least 0, got -1"),
+    "curvatures-empty": ({"curvatures": []}, 2, "error", "curvatures must not be empty"),
+    "dims-empty": ({"dims": []}, 2, "error", "dims must not be empty"),
 }
 
 
@@ -770,6 +772,37 @@ class TestCheckCommand:
         out = tmp_path / "report.ndjson"
         assert cli.main(["check", "--suite", "isometry", "--config", str(cfg),
                          "--out", str(out), "--tol", "0"]) == 1
+
+    @pytest.mark.parametrize("suite,key", [("isometry", "curvatures"), ("psd", "dims"),
+                                           ("isometry", "dims"), ("psd", "curvatures")])
+    def test_empty_grid_is_an_input_error(self, tmp_path, capsys, suite, key):
+        # An empty grid would run no check and pass: it is refused.
+        cfg = tmp_path / "check.json"
+        cfg.write_text(json.dumps({"version": 1, key: []}))
+        out = tmp_path / "report.ndjson"
+        assert cli.main(["check", "--suite", suite, "--config", str(cfg),
+                         "--out", str(out)]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {key} must not be empty\n"
+        assert not out.exists()
+
+    def test_config_seed_checked_under_the_option(self, tmp_path, capsys):
+        # --seed overrides the config's seed, which is still checked.
+        cfg = tmp_path / "check.json"
+        cfg.write_text(json.dumps({"version": 1, "seed": -1}))
+        assert cli.main(["check", "--suite", "identities", "--config", str(cfg),
+                         "--out", str(tmp_path / "r"), "--seed", "0"]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+
+    def test_multiplier_outside_the_ball_is_a_suite_failure(self, tmp_path, monkeypatch):
+        # A b(Z) row outside the ball fails the contraction identity: a
+        # failing record and exit 1, not a geometry error.
+        oracle.push_multiplier_outside(monkeypatch)
+        cfg = self.make_config(tmp_path)
+        out = tmp_path / "report.ndjson"
+        assert cli.main(["check", "--suite", "identities", "--config", str(cfg),
+                         "--out", str(out)]) == cli.EXIT_SUITE_FAILURE
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["verdict"] for r in records] == ["fail", "fail"]
 
     def test_unknown_suite(self, tmp_path):
         cfg = self.make_config(tmp_path)

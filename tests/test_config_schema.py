@@ -1,6 +1,9 @@
 """The config schema: every `RunConfig` field's rule is written once, in
 `learning.RUN_FIELDS`, and holds for a config built in Python and for a
-JSON config read by the CLI alike, before any dataset is generated."""
+JSON config read by the CLI alike, before any dataset is generated.  The
+CLI's other inputs (the check config, the params file, the projection
+object and the check options) are checked against tables of the same
+entries (`cli.CHECK_FIELDS`, `cli.PARAMS_FIELDS`, `cli.PROJECTION_FIELDS`)."""
 
 import dataclasses
 import json
@@ -43,6 +46,19 @@ def _bad_values(spec):
     elif spec.kind == "choices":
         yield "str", "poles", False
         yield "unknown", ["nope"], True
+    elif spec.kind in ("numbers", "integers", "array"):
+        yield "str", "x", False
+        yield "entry-str", ["x"], False
+        yield "entry-bool", [True], False
+        if spec.kind == "array":
+            yield "ragged", [[0.1], [0.1, 0.2]], False
+            yield "row-and-number", [[0.1], 0.2], False
+            yield "row-entry-str", [[0.1, "x"]], False
+        else:
+            yield "empty", [], False
+        if spec.rule is not None:
+            op, b = spec.rule.split()
+            yield "entry-out-of-bound", [float(b) - 1 if op == ">=" else float(b)], True
     else:
         yield "str", "exp0", False
 
@@ -176,12 +192,13 @@ def test_cli_reads_every_field_through_the_table():
 
 
 TYPES = {"number": "number", "integer": "integer", "bool": "boolean", "choice": "string",
-         "choices": "list of strings", "projection": "object"}
+         "choices": "list of strings", "projection": "object", "numbers": "list of numbers",
+         "integers": "list of integers", "array": "list (of lists) of numbers"}
 
 
-def _readme_rows() -> dict:
+def _readme_rows(marker: str) -> dict:
     text = (ROOT / "README.md").read_text()
-    start = text.index("<!-- config reference:")
+    start = text.index(f"<!-- {marker} reference:")
     rows = {}
     for line in text[start:].splitlines()[3:]:
         if not line.startswith("|"):
@@ -191,19 +208,120 @@ def _readme_rows() -> dict:
     return rows
 
 
-def test_readme_reference_matches_the_table():
-    rows = _readme_rows()
-    assert set(rows) == {spec.path for spec in RUN_FIELDS.values()}
-    for spec in RUN_FIELDS.values():
+def _assert_reference(marker: str, schema: dict, absent: str | None = None):
+    """The README table after marker lists schema; absent is the default
+    column of a field without a default."""
+    rows = _readme_rows(marker)
+    assert set(rows) == {spec.path for spec in schema.values()}
+    for spec in schema.values():
         kind, default, rule = rows[spec.path]
         assert kind == TYPES[spec.kind] + (" or null" if spec.nullable else ""), spec.path
         if spec.kind == "projection":
             assert default == json.dumps({"kind": spec.default.kind})
             assert rule == "see below"
             continue
-        assert default == json.dumps(spec.default), spec.path
+        assert default == (absent if spec.default is None else json.dumps(spec.default))
         expected = (", ".join(spec.rule) if spec.kind in ("choice", "choices")
                     else spec.rule or "—")
         if spec.error is not ValueError:
             expected += " (exit 3)"
         assert rule == expected, spec.path
+
+
+def test_readme_reference_matches_the_table():
+    _assert_reference("config", RUN_FIELDS)
+
+
+@pytest.mark.parametrize("marker,schema,absent", [
+    pytest.param("check config", cli.CHECK_FIELDS, "per suite", id="check"),
+    pytest.param("params file", cli.PARAMS_FIELDS, "required", id="params"),
+])
+def test_readme_input_references_match_their_tables(marker, schema, absent):
+    _assert_reference(marker, schema, absent)
+
+
+# The CLI's other inputs: every entry is checked by `_checked`, with
+# messages that start with its path, and raises ValueError (exit 2).
+INPUT_TABLES = {"check": cli.CHECK_FIELDS, "params": cli.PARAMS_FIELDS,
+                "projection": cli.PROJECTION_FIELDS}
+INPUT_CASES = [pytest.param(table, name, value, id=f"{table}-{spec.path}-{case}")
+               for table, schema in INPUT_TABLES.items() for name, spec in schema.items()
+               for case, value, _ in _bad_values(spec)]
+
+
+def _message(spec, value):
+    with pytest.raises(ValueError) as err:
+        _checked(spec, value)
+    assert type(err.value) is ValueError
+    return str(err.value)
+
+
+@pytest.mark.parametrize("table,name,value", INPUT_CASES)
+def test_input_tables_reject_with_the_path(table, name, value):
+    spec = INPUT_TABLES[table][name]
+    message = _message(spec, value)
+    assert message.startswith(spec.path) or message.startswith("unknown "), message
+
+
+@pytest.mark.parametrize("table,name,value", [
+    case for case in INPUT_CASES if case.values[0] == "check"])
+def test_check_rejects_before_any_suite(tmp_path, capsys, monkeypatch, table, name, value):
+    # One stderr line, _checked's message at the key's path (or the file's
+    # refusal of NaN), exit 2, and no suite run.
+    spec = cli.CHECK_FIELDS[name]
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({"version": 1, **_nested(spec.path, value)})
+                   .replace("Infinity", "1e999"))
+
+    def suite(*args, **kwargs):
+        raise AssertionError("suite run for a bad config")
+
+    for suite_name in ("_psd_reports", "check_isometry", "check_identities"):
+        monkeypatch.setattr(cli, suite_name, suite)
+    out = tmp_path / "report.ndjson"
+    code = cli.main(["check", "--suite", "all", "--config", str(cfg), "--out", str(out)])
+    if isinstance(value, float) and math.isnan(value):
+        message = f"{cfg}: NaN is not a JSON number"
+    else:
+        message = _message(spec, value)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_check_reads_every_key_through_the_table():
+    cfg = {"version": 1}
+    given = {"curvatures": [1.0, 2], "dims": [3, 4.0]}
+    for name, spec in cli.CHECK_FIELDS.items():
+        section, _, key = spec.path.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[key] = given.get(name, spec.default)
+    values = cli._checked_fields(cfg, cli.CHECK_FIELDS)
+    assert values == {**{name: spec.default for name, spec in cli.CHECK_FIELDS.items()},
+                      "curvatures": (1.0, 2.0), "dims": (3, 4)}
+    assert list(values) == list(cli.CHECK_FIELDS)
+    assert cli._checked_fields({"version": 1}, cli.CHECK_FIELDS) == {
+        name: spec.default for name, spec in cli.CHECK_FIELDS.items()}
+
+
+def test_check_order_is_the_table_order():
+    # Tolerances, then seed, trials, points, m, curvatures, dims: the first
+    # bad key in that order is the one reported.
+    assert [spec.path for spec in cli.CHECK_FIELDS.values()] == [
+        "tol.psd", "tol.isometry", "tol.identities", "tol.identities_boundary",
+        "seed", "trials", "points", "m", "curvatures", "dims"]
+    cfg = {"version": 1, "dims": [0], "m": 0, "tol": {"identities": -1}}
+    with pytest.raises(ValueError, match="^tol.identities must be at least 0"):
+        cli._checked_fields(cfg, cli.CHECK_FIELDS)
+
+
+def test_array_kind_reads_a_float_array():
+    spec = cli.PARAMS_FIELDS["pole_raws"]
+    a = _checked(spec, [[1, 2.5], [np.float32(0.5), 0]])
+    assert a.dtype == np.float64 and a.tolist() == [[1.0, 2.5], [0.5, 0.0]]
+    assert _checked(spec, [1, 2]).tolist() == [1.0, 2.0]
+    assert _checked(cli.PARAMS_FIELDS["affine"], None) is None
+    assert _message(cli.PARAMS_FIELDS["affine"], [[None]]) == (
+        "affine[0][0] must be a number, got null")
+    assert _message(spec, [[1.0, 2.0], []]) == "pole_raws[1] must not be empty"
+    assert _message(spec, [[[1.0]]]) == "pole_raws[0][0] must be a number, got [1.0]"
+

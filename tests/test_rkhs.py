@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hypkernels import rkhs
 from hypkernels.checks import random_multiplier
 from hypkernels.cli import _params_to_json
 from hypkernels.diff import ParamVector, materialize
@@ -191,6 +192,17 @@ class TestMultiplierB:
             z = pt(0.9 * _unit(rng, 3) * rng.uniform(0, 1))
             assert pointwise_contraction_check(p, z)
 
+    def test_contraction_fails_outside_the_ball(self, monkeypatch):
+        # b(z) pushed to norm 1.5 at c = 1: the check answers False where
+        # multiplier_b raises.
+        layer = rkhs._multiplier
+        monkeypatch.setattr(rkhs, "_multiplier", 
+                            lambda *args: 1.5 * _unit_rows(layer(*args)))
+        p, z = params_1d(0.5), pt([0.2])
+        with pytest.raises(GeometryError, match="outside the ball"):
+            multiplier_b(p, z)
+        assert pointwise_contraction_check(p, z) is False
+
 
 class TestDbrKernel:
     def test_diagonal_known_value(self):
@@ -231,3 +243,7 @@ class TestRkhsDistance:
 def _unit(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def _unit_rows(B):
+    return B / np.linalg.norm(B, axis=-1, keepdims=True)
